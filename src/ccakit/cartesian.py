@@ -1,13 +1,14 @@
 """Cartesian factorization of colored Cayley graphs through block systems.
 
 Given an invariant partition B of the vertices, points are compared by
-their stabilizers inside the kernel of the block action; the classes E of
-that comparison form a second invariant partition.  When every class meets
-every block exactly once (odd group order required), the connection set
-splits along the block at the identity and the graph is a color-respecting
-Cartesian product of the two induced factor graphs.  The search wrapper
-tries candidate partitions of the color group until a factorization with a
-distinguished order-21 factor appears.
+their stabilizers inside the kernel of the block action, one stabilizer
+per orbit of that kernel; the classes E of that comparison form a second
+invariant partition.  When every class meets every block exactly once (odd
+group order required), the connection set splits along the block at the
+identity and the graph is a color-respecting Cartesian product of the two
+induced factor graphs.  The search wrapper tries candidate partitions of
+the color group until a factorization with a distinguished order-21 factor
+appears.
 """
 
 from __future__ import annotations
@@ -63,48 +64,50 @@ __all__ = [
 _AUT_PRODUCT_MAX = 126
 
 
-def _same_group(a: PermGroup, b: PermGroup) -> bool:
-    if a.order() != b.order():
-        return False
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
-
-
 def _stabilizer_classes(
     a: PermGroup, b: BlockSystem
-) -> tuple[BlockSystem, PermGroup, list[PermGroup]]:
+) -> tuple[BlockSystem, list[frozenset[int]]]:
+    """The classes, plus the points F(p) fixed by each point's stabilizer.
+
+    Stab(s(p)) = s Stab(p) s^-1 gives F(s(p)) = s(F(p)), so one stabilizer
+    per fixer orbit suffices; stabilizers are equal exactly when their
+    fixed-point sets are.
+    """
     if not a.is_transitive():
         raise ValueError("stabilizer classes require a transitive group")
     fx = fixer(a, b)
     n = a.degree
-    reps: list[PermGroup] = []
-    members: list[list[int]] = []
-    stabs: list[PermGroup] = []
+    fixed: dict[int, frozenset[int]] = {}
+    for r in range(n):
+        if r in fixed:
+            continue
+        gens = point_stabilizer(fx, r).generators
+        fixed[r] = frozenset(v for v in range(n) if all(g[v] == v for g in gens))
+        queue = [r]
+        while queue:
+            p = queue.pop()
+            for s in fx.generators:
+                if s[p] not in fixed:
+                    fixed[s[p]] = frozenset(s[v] for v in fixed[p])
+                    queue.append(s[p])
+    members: dict[frozenset[int], list[int]] = {}
     for p in range(n):
-        sp = point_stabilizer(fx, p)
-        stabs.append(sp)
-        for i, rep in enumerate(reps):
-            if _same_group(sp, rep):
-                members[i].append(p)
-                break
-        else:
-            reps.append(sp)
-            members.append([p])
-    system = BlockSystem.from_blocks(n, members)
+        members.setdefault(fixed[p], []).append(p)
+    system = BlockSystem.from_blocks(n, list(members.values()))
     for g in a.generators:
         if _block_image(g, system) is None:
             raise AssertionError("stabilizer classes not preserved by the group")
-    return system, fx, stabs
+    return system, [fixed[p] for p in range(n)]
 
 
 def stabilizer_classes(a: PermGroup, b: BlockSystem) -> BlockSystem:
     """Partition of the points by equality of stabilizers in fixer(a, b).
 
-    The classes always form an invariant partition of a transitive group;
-    this is asserted on every generator before returning.
+    Built from one stabilizer per fixer orbit, carried along the orbit by
+    conjugation.  The classes always form an invariant partition of a
+    transitive group; this is asserted on every generator before returning.
     """
-    system, _, _ = _stabilizer_classes(a, b)
+    system, _ = _stabilizer_classes(a, b)
     return system
 
 
@@ -191,22 +194,12 @@ def _intersection_condition(
     return None
 
 
-def _fixed_points_condition(
-    b: BlockSystem, fx: PermGroup, stabs: list[PermGroup]
-) -> bool:
+def _fixed_points_condition(b: BlockSystem, fixed: list[frozenset[int]]) -> bool:
     """Alternative phrasing: each point's stabilizer in the fixer leaves
     exactly one point of every block unmoved."""
-    n = b.degree
-    for p in range(n):
-        gens = stabs[p].generators
-        if not gens:
-            fixed = set(range(n))
-        else:
-            fixed = {v for v in range(n) if all(g[v] == v for g in gens)}
-        for blk in b.blocks:
-            if sum(1 for v in blk if v in fixed) != 1:
-                return False
-    return True
+    return all(
+        sum(1 for v in blk if v in f) == 1 for f in fixed for blk in b.blocks
+    )
 
 
 def cartesian_decompose(
@@ -237,9 +230,9 @@ def cartesian_decompose(
         if not preserves_matrix(graph.color_matrix, g):
             raise ValueError("group contains a non color-preserving permutation")
 
-    e, fx, stabs = _stabilizer_classes(a, b)
+    e, fixed = _stabilizer_classes(a, b)
     failing = _intersection_condition(e, b)
-    condition2 = _fixed_points_condition(b, fx, stabs)
+    condition2 = _fixed_points_condition(b, fixed)
     phrasings_agree = (failing is None) == condition2
     if failing is not None:
         return DecompositionResult(

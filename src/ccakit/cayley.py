@@ -116,14 +116,6 @@ class ColoredCayleyGraph:
         m.setflags(write=False)
         return m
 
-    def color_classes(self) -> dict[int, list[tuple[int, int]]]:
-        """Arcs grouped by color (each undirected edge appears twice)."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for u, nbrs in enumerate(self.adjacency):
-            for v, c in nbrs:
-                out.setdefault(c, []).append((u, v))
-        return out
-
     def edge_count(self) -> int:
         arcs = sum(len(nbrs) for nbrs in self.adjacency)
         if self.digraph_mode:

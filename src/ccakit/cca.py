@@ -32,7 +32,6 @@ from .perms import (
     PermGroup,
     all_block_systems,
     is_normal_subgroup,
-    pmul,
 )
 from .search import color_preserving_group, preserves_matrix
 
@@ -91,22 +90,6 @@ class CcaVerdict:
         return out
 
 
-def _find_witness(
-    graph: ColoredCayleyGraph, ao: PermGroup
-) -> Perm:
-    """First non-affine color-preserving element, scanning generators then
-    generator pair products in deterministic order."""
-    for g in ao.generators:
-        if not is_affine(g, graph.group):
-            return g
-    for g in ao.generators:
-        for h in ao.generators:
-            p = pmul(g, h)
-            if not is_affine(p, graph.group):
-                return p
-    raise AssertionError("negative verdict but no witness among generators")
-
-
 def cca_verdict_with_group(
     graph: ColoredCayleyGraph,
 ) -> tuple[CcaVerdict, PermGroup]:
@@ -118,14 +101,14 @@ def cca_verdict_with_group(
     ao = color_preserving_group(graph)
     gl = left_regular_group(graph.group)
     gl_normal = is_normal_subgroup(gl, ao)
-    gens_affine = all(is_affine(g, graph.group) for g in ao.generators)
-    if gl_normal != gens_affine:
+    # Affine maps form a group, so ao is all affine iff its generators are.
+    witness = next(
+        (g for g in ao.generators if not is_affine(g, graph.group)), None
+    )
+    if gl_normal != (witness is None):
         raise AssertionError("normality and affinity criteria disagree")
-    witness = None
-    if not gl_normal:
-        witness = _find_witness(graph, ao)
-        if not preserves_matrix(graph.color_matrix, witness):
-            raise AssertionError("witness does not preserve the coloring")
+    if witness is not None and not preserves_matrix(graph.color_matrix, witness):
+        raise AssertionError("witness does not preserve the coloring")
     n = graph.n
     ao_primitive = all(
         len(bs.blocks) in (1, n) for bs in all_block_systems(ao)

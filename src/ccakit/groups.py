@@ -503,13 +503,21 @@ def parse_elements(group: GroupTable, text: str) -> tuple[int, ...]:
 
     Each item is either an exact label or a word in labels with optional
     parenthesized subwords and integer exponents, e.g. ``a,x^2,(ax)^-1``.
+    Only commas outside parentheses separate items, so product labels such
+    as ``(e,a)`` can be named.
     """
     out: list[int] = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            raise ValueError("empty element expression")
-        out.append(_parse_word(group, item))
+    depth, start = 0, 0
+    for i, ch in enumerate(text + ","):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if ch == "," and depth == 0:
+            item = text[start:i].strip()
+            if not item:
+                raise ValueError("empty element expression")
+            out.append(_parse_word(group, item))
+            start = i + 1
+    if depth:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
     return tuple(out)
 
 
@@ -536,14 +544,15 @@ def _parse_word(group: GroupTable, word: str) -> int:
                 j += 1
             if depth:
                 raise ValueError(f"unbalanced parentheses in {word!r}")
-            atom = _parse_word(group, word[pos + 1 : j - 1])
+            if word[pos:j] in group.labels:
+                atom = group.index_of(word[pos:j])
+            else:
+                atom = _parse_word(group, word[pos + 1 : j - 1])
             pos = j
         else:
             atom = None
             for lab in by_length:
                 if word.startswith(lab, pos):
-                    # A label match must not swallow the start of an exponent.
-                    rest = word[pos + len(lab) :]
                     atom = group.index_of(lab)
                     pos += len(lab)
                     break

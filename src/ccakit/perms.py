@@ -41,7 +41,6 @@ __all__ = [
     "fixer",
     "is_normal_subgroup",
     "point_stabilizer",
-    "stabilizers_equal",
     "perm_to_json",
     "perm_from_json",
     "permgroup_to_json",
@@ -531,17 +530,6 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     rebased = PermGroup(group.degree, group.generators, base_prefix=(point,))
     stab_gens = [g for lvl in rebased.strong_generators_by_level()[1:] for g in lvl]
     return PermGroup(group.degree, stab_gens)
-
-
-def stabilizers_equal(group: PermGroup, p: int, q: int) -> bool:
-    """Compare point stabilizers by order and mutual generator membership."""
-    sp = point_stabilizer(group, p)
-    sq = point_stabilizer(group, q)
-    if sp.order() != sq.order():
-        return False
-    return all(sq.contains(g) for g in sp.generators) and all(
-        sp.contains(g) for g in sq.generators
-    )
 
 
 # -- serialization ------------------------------------------------------------

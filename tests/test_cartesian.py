@@ -1,6 +1,8 @@
 import pytest
 
 from ccakit.cartesian import (
+    _candidate_systems,
+    _stabilizer_classes,
     aut_product_check,
     cartesian_decompose,
     product_structure_verdict,
@@ -9,7 +11,7 @@ from ccakit.cartesian import (
 )
 from ccakit.cayley import build_cayley, cartesian_product, f21_noncca_graph
 from ccakit.groups import make_cyclic
-from ccakit.perms import BlockSystem, PermGroup
+from ccakit.perms import BlockSystem, PermGroup, fixer, point_stabilizer
 from ccakit.search import are_isomorphic, color_preserving_group
 
 
@@ -36,6 +38,32 @@ def test_stabilizer_classes_on_small_product(small_product):
     e = stabilizer_classes(ao, fiber_system(15, 5))
     assert e.block_count == 5 and e.block_size == 3
     assert e.blocks[0] == (0, 5, 10)
+
+
+def per_point_fixed_sets(a, b):
+    """Oracle: each point's stabilizer in the fixer, built on its own."""
+    fx = fixer(a, b)
+    n = a.degree
+    out = []
+    for p in range(n):
+        gens = point_stabilizer(fx, p).generators
+        out.append(frozenset(v for v in range(n) if all(g[v] == v for g in gens)))
+    return out
+
+
+@pytest.mark.parametrize("instance", ["small_product", "noncca"])
+def test_transported_fixed_sets_match_per_point_stabilizers(
+    instance, small_product, noncca_ao
+):
+    ao = small_product[1] if instance == "small_product" else noncca_ao
+    for system in _candidate_systems(ao):
+        e, fixed = _stabilizer_classes(ao, system)
+        assert fixed == per_point_fixed_sets(ao, system)
+        # equal stabilizers <=> each point is fixed by the other's stabilizer
+        for p in range(ao.degree):
+            for q in range(ao.degree):
+                same = q in fixed[p] and p in fixed[q]
+                assert (e.block_of[p] == e.block_of[q]) == same
 
 
 def test_stabilizer_classes_need_transitive_group():

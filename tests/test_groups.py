@@ -24,6 +24,7 @@ from ccakit.groups import (
     subgroup_generated,
     subgroup_table,
 )
+from ccakit.harness import DEFAULT_ROSTER
 
 
 def test_cyclic_arithmetic():
@@ -162,6 +163,17 @@ def test_parse_elements():
     assert {g.labels[i] for i in got} == {"a", "a^2", "x^4a", "x^6a^2"}
     with pytest.raises(ValueError):
         parse_elements(g, "b")
+
+
+@pytest.mark.parametrize("name", list(DEFAULT_ROSTER) + ["z3xf21", "z2xq8"])
+def test_every_label_parses_back(name):
+    g = group_from_name(name)
+    for i, label in enumerate(g.labels):
+        assert parse_elements(g, label) == (i,)
+    assert parse_elements(g, ",".join(g.labels)) == tuple(range(g.order))
+    if name == "z3xf21":
+        x = g.index_of("(1,a)")
+        assert parse_elements(g, "(1,a)^-1") == (g.inv[x],)
 
 
 def test_group_from_name():

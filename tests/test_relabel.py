@@ -1,0 +1,75 @@
+"""Verdicts and stabilizer classes do not depend on how elements are numbered."""
+
+import random
+
+import pytest
+
+from ccakit.cartesian import stabilizer_classes
+from ccakit.cayley import (
+    build_cayley,
+    cartesian_product,
+    enumerate_connection_sets,
+    f21_noncca_connection_set,
+)
+from ccakit.cca import cca_group_verdict, cca_verdict
+from ccakit.groups import GroupTable, group_automorphisms, make_cyclic
+from ccakit.perms import BlockSystem
+from ccakit.search import color_preserving_group
+
+
+def renumber(group, new):
+    """The same group with element a renumbered to new[a]; labels travel along."""
+    n = group.order
+    mult = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            mult[new[a]][new[b]] = new[group.mult[a][b]]
+    labels = [""] * n
+    for a in range(n):
+        labels[new[a]] = group.labels[a]
+    return GroupTable.from_mult(mult, labels, name=group.name)
+
+
+def shuffled(n, seed):
+    new = list(range(n))
+    random.Random(seed).shuffle(new)
+    return new
+
+
+@pytest.mark.parametrize("through_automorphism", [False, True])
+def test_f21_verdicts_survive_renumbering(f21, through_automorphism):
+    new = shuffled(21, seed=7)
+    if through_automorphism:
+        # Renumbering through a table automorphism phi first makes the
+        # canonical labels name phi(S) rather than S.
+        canon = f21_noncca_connection_set(f21).members
+        phi = next(
+            g
+            for g in group_automorphisms(f21).generators
+            if {g[s] for s in canon} != canon
+        )
+        new = [new[phi[a]] for a in range(21)]
+    group = renumber(f21, new)
+    reps = list(enumerate_connection_sets(group, connected_only=True, up_to_aut=True))
+    ok, failing = cca_group_verdict(group)
+    assert len(reps) == 51
+    assert not ok and len(failing) == 1
+    verdict = cca_verdict(build_cayley(group, f21_noncca_connection_set(group)))
+    assert not verdict.is_cca and verdict.ao_order == 168
+
+
+def test_stabilizer_classes_survive_renumbering():
+    three = build_cayley(make_cyclic(3), {1, 2})
+    five = build_cayley(make_cyclic(5), {1, 4})
+    prod = cartesian_product(three, five)
+    new = shuffled(15, seed=3)
+    group = renumber(prod.group, new)
+    graph = build_cayley(group, {new[s] for s in prod.connection.members})
+    fibers = BlockSystem.from_blocks(
+        15, [[new[v] for v in range(a * 5, (a + 1) * 5)] for a in range(3)]
+    )
+    e = stabilizer_classes(color_preserving_group(graph), fibers)
+    assert e.block_count == 5 and e.block_size == 3
+    assert {frozenset(blk) for blk in e.blocks} == {
+        frozenset(new[v] for v in (b, b + 5, b + 10)) for b in range(5)
+    }
