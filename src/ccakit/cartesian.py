@@ -347,6 +347,14 @@ def product_structure_verdict(
     verdict, ao = cca_verdict_with_group(graph)
     if verdict.is_cca:
         raise ValueError("verdict requires a graph with a negative verdict")
+    return _factor_product(graph, ao)
+
+
+def _factor_product(
+    graph: ColoredCayleyGraph, ao: PermGroup
+) -> tuple[ColoredCayleyGraph, ColoredCayleyGraph] | None:
+    """The candidate-system search of product_structure_verdict, given the
+    graph's color group ao."""
     canon = f21_noncca_graph()
     for system in _candidate_systems(ao):
         result = cartesian_decompose(graph, ao, system)

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cartesian import cartesian_decompose, product_structure_verdict
+from .cartesian import _factor_product, cartesian_decompose
 from .cayley import (
     ConnectionSet,
     build_cayley,
@@ -293,7 +293,7 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
         }
     ]
 
-    factors = product_structure_verdict(prod)
+    factors = _factor_product(prod, ao)
     assert factors is not None, "no candidate block system factors the product"
     f1, f2 = factors
     assert f1.n == m and f2.n == 21, (f1.n, f2.n)

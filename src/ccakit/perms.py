@@ -9,6 +9,12 @@ smallest moved points (after an optional caller-supplied prefix) and orbits
 are explored breadth-first in fixed generator order, so building twice from
 the same generator list yields identical bases, transversals and orders.
 Instances are immutable once built.
+
+A block system of a transitive group is held as the int bitmask of its
+block through the first base point; ``all_block_systems`` closes one
+minimal block per pair of paired suborbits under joins (Seress,
+*Permutation Group Algorithms*, 2003, ch. 5), and ``minimal_block_system``
+is Atkinson's union-find (1975) from any seed pair.
 """
 
 from __future__ import annotations
@@ -408,7 +414,13 @@ def join_block_systems(a: BlockSystem, b: BlockSystem) -> BlockSystem:
 
 
 def minimal_block_system(group: PermGroup, seed: tuple[int, int]) -> BlockSystem:
-    """The finest block system of a transitive group merging the seed pair."""
+    """The finest block system of a transitive group merging the seed pair.
+
+    Atkinson's algorithm (1975): union-find over the pairs of images the
+    generators force from the seed pair.  It works from any seed and needs
+    no stabilizer chain, so it stays the independent cross-check of the
+    atoms ``all_block_systems`` reads off the chain.
+    """
     if not group.is_transitive():
         raise ValueError("block systems require a transitive group")
     a, b = seed
@@ -430,22 +442,95 @@ def minimal_block_system(group: PermGroup, seed: tuple[int, int]) -> BlockSystem
 
 
 def all_block_systems(group: PermGroup) -> list[BlockSystem]:
-    """Minimal systems over seeds (0, p), closed under pairwise joins."""
-    found: dict[tuple[int, ...], BlockSystem] = {}
-    for p in range(1, group.degree):
-        sys_p = minimal_block_system(group, (0, p))
-        found.setdefault(sys_p.block_of, sys_p)
-    frontier = list(found.values())
-    while frontier:
-        new: list[BlockSystem] = []
-        for fresh in frontier:
-            for existing in list(found.values()):
-                joined = join_block_systems(fresh, existing)
-                if joined.block_of not in found:
-                    found[joined.block_of] = joined
-                    new.append(joined)
-        frontier = new
-    return [found[k] for k in sorted(found)]
+    """Every block system of a transitive group except the singletons,
+    sorted by ``block_of``; ``[]`` for degree 1.
+
+    Each system is held as one int bitmask: its block through b0, the first
+    base point of the group's chain.  Systems are invariant, so seeding at
+    b0 finds the same systems as seeding at any other point.
+
+    Atoms are the minimal blocks containing {b0, p}.  Blocks through b0
+    correspond to the subgroups containing Stab(b0), so the atom of p is
+    the orbit of b0 under Stab(b0) and u_p, the level-0 transversal element
+    taking b0 to p; Stab(b0) is generated by the chain's strong generators
+    past level 0.  The atom is the same for every p in one suborbit (orbit
+    of Stab(b0)) and for its paired suborbit, that of u_p^-1(b0), so one
+    atom is computed per pair of paired suborbits.  The same minimal blocks
+    come from Atkinson's union-find (1975) in ``minimal_block_system``.
+
+    Every block through b0 is the join of the atoms inside it, so joining
+    each block found with each atom not inside it reaches every system
+    (Seress, *Permutation Group Algorithms*, 2003, ch. 5).  The join of a
+    block B with the atom of p is the smallest block containing B and p,
+    which depends only on the block of B's system that holds p, so one
+    atom per such block is tried.  The join of two blocks starts from
+    their union and ORs in every block of either system that meets it
+    until nothing changes; the blocks of the system through B are the
+    images u_x(B), cached per call.
+    """
+    n = group.degree
+    if n <= 1:
+        return []
+    if not group.is_transitive():
+        raise ValueError("block systems require a transitive group")
+    b0 = group.base[0]
+    transversal = group._levels[0].transversal
+    stab_gens = [g for lvl in group.strong_generators_by_level()[1:] for g in lvl]
+
+    atoms: dict[int, int] = {}  # atom bitmask -> a point p it was seeded at
+    seeded = {b0}
+    for p in range(n):
+        if p in seeded:
+            continue
+        u = transversal[p]
+        seeded.update(orbit_of_point(p, stab_gens))
+        seeded.update(orbit_of_point(u.index(b0), stab_gens))
+        atoms.setdefault(sum(1 << x for x in orbit_of_point(b0, stab_gens + [u])), p)
+
+    cache: dict[int, list[int]] = {}
+
+    def blocks_at(block: int) -> list[int]:
+        """Per point, the block containing it in the system of ``block``."""
+        if block not in cache:
+            members = [x for x in range(n) if block >> x & 1]
+            at = [0] * n
+            for x in range(n):
+                if not at[x]:
+                    image = [transversal[x][y] for y in members]
+                    mask = sum(1 << y for y in image)
+                    for y in image:
+                        at[y] = mask
+            cache[block] = at
+        return cache[block]
+
+    def join(a: int, b: int) -> int:
+        at_a, at_b = blocks_at(a), blocks_at(b)
+        while True:
+            # Grow a, a union of its system's blocks, over every block meeting b.
+            rest = b & ~a
+            while rest:
+                blk = at_a[(rest & -rest).bit_length() - 1]
+                a |= blk
+                rest &= ~blk
+            if a == b:
+                return a
+            a, b, at_a, at_b = b, a, at_b, at_a
+
+    found = set(atoms)
+    queue = list(atoms)
+    while queue:
+        block = queue.pop()
+        at = blocks_at(block)
+        tried = {block}
+        for atom, p in atoms.items():
+            if at[p] not in tried:
+                tried.add(at[p])
+                joined = join(block, atom)
+                if joined not in found:
+                    found.add(joined)
+                    queue.append(joined)
+    systems = [BlockSystem.from_block_of(blocks_at(block)) for block in found]
+    return sorted(systems, key=lambda bs: bs.block_of)
 
 
 def _block_image(g: Perm, system: BlockSystem) -> Perm | None:

@@ -1,5 +1,9 @@
+from functools import reduce
+
 import pytest
 
+from ccakit.cayley import build_cayley, enumerate_connection_sets
+from ccakit.groups import all_subgroups, group_from_name, left_regular_group
 from ccakit.perms import (
     BlockSystem,
     PermGroup,
@@ -24,6 +28,7 @@ from ccakit.perms import (
     point_stabilizer,
     singleton_partition,
 )
+from ccakit.search import color_preserving_group
 
 S4_GENS = [(1, 2, 3, 0), (1, 0, 2, 3)]
 
@@ -131,6 +136,61 @@ def test_all_block_systems_c6():
     sizes = sorted(bs.block_count for bs in systems)
     # one-block plus the proper systems; singletons are never minimal
     assert sizes == [1, 2, 3]
+
+
+def test_all_block_systems_edge_cases():
+    assert all_block_systems(PermGroup(1)) == []
+    assert all_block_systems(PermGroup(2, [(1, 0)])) == [one_block_partition(2)]
+    with pytest.raises(ValueError):
+        all_block_systems(PermGroup(4, [(1, 0, 2, 3)]))
+
+
+def test_all_block_systems_do_not_depend_on_first_base_point(noncca_ao):
+    expected = all_block_systems(noncca_ao)
+    for k in (5, 20):
+        rebased = PermGroup(noncca_ao.degree, noncca_ao.generators, base_prefix=(k,))
+        assert rebased.base[0] == k
+        assert all_block_systems(rebased) == expected
+
+
+@pytest.mark.parametrize(
+    "name", ["f21", "d8", "z3xs3", "z2xq8", "z3xz9", "d16", "q8xz2^2"]
+)
+def test_regular_group_systems_are_the_subgroups(name):
+    # The blocks of a regular action containing the identity are exactly
+    # its subgroups; the trivial subgroup gives the singletons, never listed.
+    group = group_from_name(name)
+    systems = all_block_systems(left_regular_group(group))
+    subgroups = all_subgroups(group)
+    assert len(systems) == len(subgroups) - 1
+    zero_blocks = {frozenset(bs.blocks[bs.block_of[group.identity]]) for bs in systems}
+    assert zero_blocks == set(subgroups) - {frozenset({group.identity})}
+
+
+def _check_block_lattice(group):
+    systems = all_block_systems(group)
+    keys = [bs.block_of for bs in systems]
+    assert keys == sorted(set(keys))
+    listed = set(keys)
+    minimal = {p: minimal_block_system(group, (0, p)) for p in range(1, group.degree)}
+    assert {bs.block_of for bs in minimal.values()} <= listed
+    for a in systems:
+        for b in systems:
+            assert join_block_systems(a, b).block_of in listed
+    for bs in systems:
+        zero_block = bs.blocks[0]
+        assert reduce(join_block_systems, (minimal[p] for p in zero_block[1:])) == bs
+
+
+def test_block_lattice_of_f21_color_groups(f21):
+    reps = list(enumerate_connection_sets(f21, connected_only=True, up_to_aut=True))
+    assert len(reps) == 51
+    for cs in reps:
+        _check_block_lattice(color_preserving_group(build_cayley(f21, cs)))
+
+
+def test_block_lattice_of_product_color_group(product_ao):
+    _check_block_lattice(product_ao)
 
 
 def test_block_action_and_fixer():

@@ -13,7 +13,7 @@ from ccakit.cayley import (
 )
 from ccakit.cca import cca_group_verdict, cca_verdict
 from ccakit.groups import GroupTable, group_automorphisms, make_cyclic
-from ccakit.perms import BlockSystem
+from ccakit.perms import BlockSystem, PermGroup, all_block_systems
 from ccakit.search import color_preserving_group
 
 
@@ -73,3 +73,28 @@ def test_stabilizer_classes_survive_renumbering():
     assert {frozenset(blk) for blk in e.blocks} == {
         frozenset(new[v] for v in (b, b + 5, b + 10)) for b in range(5)
     }
+
+
+@pytest.mark.parametrize("color_group", ["noncca_ao", "product_ao"])
+def test_block_systems_follow_relabeling(color_group, request):
+    ao = request.getfixturevalue(color_group)
+    n = ao.degree
+    new = shuffled(n, seed=5)
+
+    def conjugate(g):
+        out = [0] * n
+        for x in range(n):
+            out[new[x]] = new[g[x]]
+        return tuple(out)
+
+    def partitions(systems, relabel):
+        return {
+            frozenset(frozenset(relabel[x] for x in blk) for blk in bs.blocks)
+            for bs in systems
+        }
+
+    moved = PermGroup(n, [conjugate(g) for g in ao.generators])
+    assert moved.order() == ao.order()
+    systems = all_block_systems(ao)
+    assert partitions(all_block_systems(moved), range(n)) == partitions(systems, new)
+    assert len(systems) > 1
