@@ -210,6 +210,18 @@ def cartesian_product(
     return build_cayley(prod, members)
 
 
+def _enumerable_pairs(group: GroupTable) -> list[tuple[int, ...]]:
+    pairs = inverse_pairs(group)
+    if len(pairs) > _MAX_PAIRS_FOR_ENUMERATION:
+        raise ValueError(f"too many inverse pairs ({len(pairs)}) to enumerate")
+    return pairs
+
+
+def _check_mask(pairs: Sequence[tuple[int, ...]], mask: int) -> None:
+    if not 0 <= mask < 1 << len(pairs):
+        raise ValueError(f"mask {mask} out of range for {len(pairs)} inverse pairs")
+
+
 def _pair_perm_from_automorphism(
     group: GroupTable, pairs: Sequence[tuple[int, ...]], auto: Sequence[int]
 ) -> tuple[int, ...]:
@@ -222,16 +234,6 @@ def _pair_perm_from_automorphism(
     return tuple(image)
 
 
-def _pair_mask_perms(group: GroupTable) -> list[tuple[int, ...]]:
-    pairs = inverse_pairs(group)
-    auts = group_automorphisms(group)
-    perms = {
-        _pair_perm_from_automorphism(group, pairs, a)
-        for a in auts.elements(limit=100_000)
-    }
-    return sorted(perms)
-
-
 def _apply_pair_perm(mask: int, perm: tuple[int, ...]) -> int:
     out = 0
     for i, j in enumerate(perm):
@@ -240,32 +242,61 @@ def _apply_pair_perm(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
+def _generator_pair_perms(
+    group: GroupTable, pairs: Sequence[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The pair actions of the generators of Aut(G); their orbits on masks
+    are the orbits of Aut(G)."""
+    return [
+        _pair_perm_from_automorphism(group, pairs, a)
+        for a in group_automorphisms(group).generators
+    ]
+
+
+def _walk_orbit(
+    mask: int, perms: Sequence[tuple[int, ...]], marks: bytearray
+) -> list[int]:
+    """Breadth-first orbit of a mask under the pair actions, marking each
+    mask it reaches; the start must be unmarked."""
+    marks[mask] = 1
+    orbit = [mask]
+    for m in orbit:  # grows while it is read
+        for perm in perms:
+            image = _apply_pair_perm(m, perm)
+            if not marks[image]:
+                marks[image] = 1
+                orbit.append(image)
+    return orbit
+
+
 def connection_set_orbits(
     group: GroupTable, connected_only: bool = False
 ) -> list[tuple[int, int]]:
     """Orbit representatives of nonempty inverse-closed sets under Aut(G).
 
     Returns (mask, orbit size) pairs where mask selects inverse pairs; only
-    lexicographically least masks are reported, ascending.
+    lexicographically least masks are reported, ascending.  Orbits are
+    walked from the generators of Aut(G) as masks ascend, so each mask
+    still unmarked is the least of its orbit.
     """
-    pairs = inverse_pairs(group)
-    if len(pairs) > _MAX_PAIRS_FOR_ENUMERATION:
-        raise ValueError(f"too many inverse pairs ({len(pairs)}) to enumerate")
-    perms = _pair_mask_perms(group)
+    pairs = _enumerable_pairs(group)
+    perms = _generator_pair_perms(group, pairs)
+    marks = bytearray(1 << len(pairs))
     out: list[tuple[int, int]] = []
     for mask in range(1, 1 << len(pairs)):
-        orbit = {_apply_pair_perm(mask, p) for p in perms}
-        if min(orbit) != mask:
+        if marks[mask]:
             continue
+        size = len(_walk_orbit(mask, perms, marks))
         if connected_only and not _mask_generates(group, pairs, mask):
             continue
-        out.append((mask, len(orbit)))
+        out.append((mask, size))
     return out
 
 
 def mask_to_connection_set(
     group: GroupTable, pairs: Sequence[tuple[int, ...]], mask: int
 ) -> ConnectionSet:
+    _check_mask(pairs, mask)
     members: set[int] = set()
     for i, p in enumerate(pairs):
         if mask >> i & 1:
@@ -287,7 +318,10 @@ def connection_set_mask(
 
 def mask_orbit(group: GroupTable, mask: int) -> list[int]:
     """All masks in the Aut(G)-orbit of the given pair mask, ascending."""
-    return sorted({_apply_pair_perm(mask, p) for p in _pair_mask_perms(group)})
+    pairs = _enumerable_pairs(group)
+    _check_mask(pairs, mask)
+    perms = _generator_pair_perms(group, pairs)
+    return sorted(_walk_orbit(mask, perms, bytearray(1 << len(pairs))))
 
 
 def _mask_generates(
@@ -301,9 +335,7 @@ def enumerate_connection_sets(
     group: GroupTable, connected_only: bool = False, up_to_aut: bool = False
 ) -> Iterator[ConnectionSet]:
     """Yield nonempty inverse-closed connection sets as mask order ascends."""
-    pairs = inverse_pairs(group)
-    if len(pairs) > _MAX_PAIRS_FOR_ENUMERATION:
-        raise ValueError(f"too many inverse pairs ({len(pairs)}) to enumerate")
+    pairs = _enumerable_pairs(group)
     if up_to_aut:
         for mask, _ in connection_set_orbits(group, connected_only):
             yield mask_to_connection_set(group, pairs, mask)

@@ -19,12 +19,8 @@ from .cayley import (
     ColoredCayleyGraph,
     ConnectionSet,
     build_cayley,
-    connection_set_mask,
     enumerate_connection_sets,
-    inverse_pairs,
     is_connected,
-    mask_orbit,
-    mask_to_connection_set,
 )
 from .groups import GroupTable, all_subgroups, is_normal, left_regular_group
 from .perms import (
@@ -127,33 +123,19 @@ def cca_verdict(graph: ColoredCayleyGraph) -> CcaVerdict:
     return verdict
 
 
-def cca_group_verdict(
-    group: GroupTable,
-    up_to_aut: bool = True,
-    expand_orbits: bool = False,
-) -> tuple[bool, list[ConnectionSet]]:
+def cca_group_verdict(group: GroupTable) -> tuple[bool, list[ConnectionSet]]:
     """Whether every connected Cayley graph of the group gets a positive
     verdict, plus the failing connection sets.
 
-    With up_to_aut only one representative per automorphism orbit is tested
-    (verdicts are invariant under relabeling by a table automorphism);
-    expand_orbits grows each failing representative back to its full orbit.
+    One set per Aut(G)-orbit is decided, since verdicts are invariant under
+    relabeling by a table automorphism; the failing list holds those
+    representatives.
     """
     failing: list[ConnectionSet] = []
-    for cs in enumerate_connection_sets(group, connected_only=True, up_to_aut=up_to_aut):
+    for cs in enumerate_connection_sets(group, connected_only=True, up_to_aut=True):
         verdict = cca_verdict(build_cayley(group, cs))
         if not verdict.is_cca:
             failing.append(cs)
-    if expand_orbits and up_to_aut and failing:
-        pairs = inverse_pairs(group)
-        expanded: list[ConnectionSet] = []
-        seen: set[int] = set()
-        for cs in failing:
-            for mask in mask_orbit(group, connection_set_mask(group, pairs, cs)):
-                if mask not in seen:
-                    seen.add(mask)
-                    expanded.append(mask_to_connection_set(group, pairs, mask))
-        failing = expanded
     return not failing, failing
 
 

@@ -36,13 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "f21-census",
         parents=[common],
         help="sweep every connected inverse-closed set of F21",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
     )
 
     p = sub.add_parser(
@@ -88,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
     if args.command == "f21-census":
-        return harness.cmd_f21_census(jobs=args.jobs)
+        return harness.cmd_f21_census()
     if args.command == "complete-cca":
         roster = _read_roster(args.roster) if args.roster else None
         return harness.cmd_complete_cca(roster)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,17 +87,23 @@ class CensusReport:
         }
 
 
-def _census_rows(masks: Sequence[int]) -> list[dict]:
-    """Verdict rows for the given pair masks, ascending.
+def f21_census() -> CensusReport:
+    """Sweep every connected inverse-closed set of F21, one orbit rep each.
 
-    Module level so a process pool can ship it to workers; the table is
-    rebuilt locally rather than pickled.
+    Verdicts are computed per representative and counts are expanded back to
+    full orbits.  Negative reps are clustered by color-respecting graph
+    isomorphism; the orbit count is cross-checked against a Burnside count.
     """
     group = make_f21()
     pairs = inverse_pairs(group)
+    orbits = connection_set_orbits(group)
     rows: list[dict] = []
-    for mask in masks:
+    connected_sets = 0
+    for mask, size in orbits:
         cs = mask_to_connection_set(group, pairs, mask)
+        if not cs.generates_group():
+            continue
+        connected_sets += size
         graph = build_cayley(group, cs)
         verdict = cca_verdict(graph)
         row = {
@@ -109,37 +114,11 @@ def _census_rows(masks: Sequence[int]) -> list[dict]:
             "ao_order": verdict.ao_order,
             "is_cca": verdict.is_cca,
             "iso_class": None,
+            "orbit_size": size,
         }
         if not verdict.is_cca:
             row["aut_order"] = uncolored_aut_group(graph).order()
         rows.append(row)
-    return rows
-
-
-def f21_census(jobs: int = 1) -> CensusReport:
-    """Sweep every connected inverse-closed set of F21, one orbit rep each.
-
-    Verdicts are computed per representative and counts are expanded back to
-    full orbits.  Negative reps are clustered by color-respecting graph
-    isomorphism; the orbit count is cross-checked against a Burnside count.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    group = make_f21()
-    pairs = inverse_pairs(group)
-    orbits = connection_set_orbits(group)
-    connected = connection_set_orbits(group, connected_only=True)
-    sizes = dict(connected)
-    reps = sorted(sizes)
-    if jobs > 1:
-        chunks = [reps[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for part in pool.map(_census_rows, chunks) for row in part]
-        rows.sort(key=lambda row: row["mask"])
-    else:
-        rows = _census_rows(reps)
-    for row in rows:
-        row["orbit_size"] = sizes[row["mask"]]
 
     class_reps: list[int] = []
     per_class: list[int] = []
@@ -161,9 +140,9 @@ def f21_census(jobs: int = 1) -> CensusReport:
     return CensusReport(
         group_name="F21",
         total_sets=(1 << len(pairs)) - 1,
-        connected_sets=sum(size for _, size in connected),
+        connected_sets=connected_sets,
         orbit_count=len(orbits),
-        connected_orbit_count=len(connected),
+        connected_orbit_count=len(rows),
         burnside_orbit_count=count_orbits_burnside(group),
         noncca_class_count=len(class_reps),
         noncca_sets_per_class=per_class,
@@ -194,8 +173,8 @@ def check_f21_census(report: CensusReport) -> None:
     assert canonical in mask_orbit(group, row["mask"]), "canonical set missing"
 
 
-def cmd_f21_census(jobs: int = 1) -> tuple[list[dict], list[str]]:
-    report = f21_census(jobs=jobs)
+def cmd_f21_census() -> tuple[list[dict], list[str]]:
+    report = f21_census()
     check_f21_census(report)
     rows = list(report.rows)
     rows.append(report.summary_dict())

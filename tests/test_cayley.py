@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,14 @@ from ccakit.cayley import (
     mask_to_connection_set,
     quotient_graph,
 )
-from ccakit.groups import make_cyclic, make_f21, subgroup_generated
+from ccakit.groups import (
+    GroupTable,
+    group_automorphisms,
+    group_from_name,
+    make_cyclic,
+    make_f21,
+    subgroup_generated,
+)
 
 
 def test_connection_set_validation():
@@ -132,6 +141,97 @@ def test_mask_roundtrip(f21):
     assert mask_to_connection_set(f21, pairs, mask).members == cs.members
     assert mask in mask_orbit(f21, mask)
     assert len(mask_orbit(f21, mask)) == 21
+
+
+def test_masks_out_of_range_are_refused(f21):
+    pairs = inverse_pairs(f21)
+    for mask in (-1, 1 << len(pairs)):
+        with pytest.raises(ValueError):
+            mask_orbit(f21, mask)
+        with pytest.raises(ValueError):
+            mask_to_connection_set(f21, pairs, mask)
+    assert mask_orbit(f21, 0) == [0]
+    assert len(mask_orbit(f21, (1 << len(pairs)) - 1)) == 1
+    with pytest.raises(ValueError):
+        mask_orbit(make_cyclic(51), 1)  # 25 pairs, past the enumeration cap
+
+
+def _renumbered(group, seed):
+    """The same group with its elements renumbered by a seeded shuffle."""
+    n = group.order
+    new = list(range(n))
+    random.Random(seed).shuffle(new)
+    mult = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            mult[new[a]][new[b]] = new[group.mult[a][b]]
+    labels = [""] * n
+    for a in range(n):
+        labels[new[a]] = group.labels[a]
+    return GroupTable.from_mult(mult, labels, name=group.name)
+
+
+def _every_automorphism_pair_actions(group, pairs):
+    index = {p[0]: i for i, p in enumerate(pairs)}
+    return {
+        tuple(index[min(a[p[0]], group.inv[a[p[0]]])] for p in pairs)
+        for a in group_automorphisms(group).elements()
+    }
+
+
+def _reference_orbits(group):
+    """(mask, orbit size, connected) for every mask that is the least of its
+    orbit, the orbit taken under the pair action of every automorphism."""
+    pairs = inverse_pairs(group)
+    actions = _every_automorphism_pair_actions(group, pairs)
+    out = []
+    for mask in range(1, 1 << len(pairs)):
+        bits = [i for i in range(len(pairs)) if mask >> i & 1]
+        orbit = {sum(1 << perm[i] for i in bits) for perm in actions}
+        if min(orbit) == mask:
+            reach = subgroup_generated(group, [pairs[i][0] for i in bits])
+            out.append((mask, len(orbit), len(reach) == group.order))
+    return out
+
+
+@pytest.mark.parametrize("seed", [None, 17])
+@pytest.mark.parametrize("name", ["f21", "z3xs3", "z2xq8", "d8"])
+def test_connection_set_orbits_match_every_automorphism(name, seed):
+    group = group_from_name(name)
+    if seed is not None:
+        group = _renumbered(group, seed)
+    ref = _reference_orbits(group)
+    assert connection_set_orbits(group) == [(m, size) for m, size, _ in ref]
+    assert connection_set_orbits(group, connected_only=True) == [
+        (m, size) for m, size, connected in ref if connected
+    ]
+
+
+def _cycle_count(perm):
+    seen: set[int] = set()
+    count = 0
+    for i in range(len(perm)):
+        count += i not in seen
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+    return count
+
+
+def test_connection_set_orbits_z2_squared_x_z6():
+    group = group_from_name("z2^2xz6")
+    pairs = inverse_pairs(group)
+    # Burnside in closed form over the pair actions: one with c cycles
+    # fixes 2^c - 1 nonempty masks.
+    actions = _every_automorphism_pair_actions(group, pairs)
+    fixed = sum((1 << _cycle_count(perm)) - 1 for perm in actions)
+    assert fixed == 527 * len(actions)
+    orbits = connection_set_orbits(group)
+    assert len(orbits) == 527
+    assert sum(size for _, size in orbits) == (1 << len(pairs)) - 1
+    connected = connection_set_orbits(group, connected_only=True)
+    assert len(connected) == 482
+    assert set(connected) <= set(orbits)
 
 
 def test_mask_rejects_broken_pairs(f21):

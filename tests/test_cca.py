@@ -1,6 +1,13 @@
 import pytest
 
-from ccakit.cayley import build_cayley, f21_noncca_graph
+from ccakit.cayley import (
+    build_cayley,
+    connection_set_mask,
+    f21_noncca_graph,
+    inverse_pairs,
+    mask_orbit,
+    mask_to_connection_set,
+)
 from ccakit.cca import (
     affine_elements,
     cca_group_verdict,
@@ -87,8 +94,11 @@ def test_group_verdict_f21(f21):
     ok, failing = cca_group_verdict(f21)
     assert not ok
     assert len(failing) == 1
-    ok2, expanded = cca_group_verdict(f21, expand_orbits=True)
-    assert not ok2
+    pairs = inverse_pairs(f21)
+    expanded = [
+        mask_to_connection_set(f21, pairs, mask)
+        for mask in mask_orbit(f21, connection_set_mask(f21, pairs, failing[0]))
+    ]
     assert len(expanded) == 21
     assert all(len(cs.members) == 4 for cs in expanded)
 
