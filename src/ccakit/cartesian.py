@@ -65,17 +65,18 @@ _AUT_PRODUCT_MAX = 126
 
 
 def _stabilizer_classes(
-    a: PermGroup, b: BlockSystem
+    a: PermGroup, b: BlockSystem, fx: PermGroup | None = None
 ) -> tuple[BlockSystem, list[frozenset[int]]]:
     """The classes, plus the points F(p) fixed by each point's stabilizer.
 
     Stab(s(p)) = s Stab(p) s^-1 gives F(s(p)) = s(F(p)), so one stabilizer
     per fixer orbit suffices; stabilizers are equal exactly when their
-    fixed-point sets are.
+    fixed-point sets are.  fx is fixer(a, b) when the caller has it.
     """
     if not a.is_transitive():
         raise ValueError("stabilizer classes require a transitive group")
-    fx = fixer(a, b)
+    if fx is None:
+        fx = fixer(a, b)
     n = a.degree
     fixed: dict[int, frozenset[int]] = {}
     for r in range(n):
@@ -203,7 +204,11 @@ def _fixed_points_condition(b: BlockSystem, fixed: list[frozenset[int]]) -> bool
 
 
 def cartesian_decompose(
-    graph: ColoredCayleyGraph, a: PermGroup, b: BlockSystem
+    graph: ColoredCayleyGraph,
+    a: PermGroup,
+    b: BlockSystem,
+    *,
+    _fixer: PermGroup | None = None,
 ) -> DecompositionResult:
     """Try to split the graph as a color-respecting Cartesian product.
 
@@ -213,6 +218,7 @@ def cartesian_decompose(
     exactly once; the factors and the vertex isomorphism onto their
     product are then built and re-verified.
     """
+    # _fixer is fixer(a, b), passed by the candidate search that built it.
     group = graph.group
     n = graph.n
     if graph.digraph_mode:
@@ -230,7 +236,7 @@ def cartesian_decompose(
         if not preserves_matrix(graph.color_matrix, g):
             raise ValueError("group contains a non color-preserving permutation")
 
-    e, fixed = _stabilizer_classes(a, b)
+    e, fixed = _stabilizer_classes(a, b, _fixer)
     failing = _intersection_condition(e, b)
     condition2 = _fixed_points_condition(b, fixed)
     phrasings_agree = (failing is None) == condition2
@@ -313,22 +319,25 @@ def _is_square_free(n: int) -> bool:
     return True
 
 
-def _candidate_systems(ao: PermGroup) -> list[BlockSystem]:
+def _candidate_systems(
+    ao: PermGroup,
+) -> list[tuple[BlockSystem, PermGroup | None]]:
+    """Block systems of ao, the trivial ones and the orbit partitions of
+    their fixers, sorted by ``block_of``; each with its fixer when built."""
     n = ao.degree
     found: dict[tuple[int, ...], BlockSystem] = {}
     for system in all_block_systems(ao):
         found.setdefault(system.block_of, system)
     for system in [singleton_partition(n), one_block_partition(n)]:
         found.setdefault(system.block_of, system)
+    fixers: dict[tuple[int, ...], PermGroup] = {}
     for system in list(found.values()):
-        fx = fixer(ao, system)
-        orbit_sizes = {len(o) for o in orbits_of_gens(n, fx.generators)}
-        if len(orbit_sizes) == 1:
-            orbit_system = BlockSystem.from_blocks(
-                n, orbits_of_gens(n, fx.generators)
-            )
+        fx = fixers[system.block_of] = fixer(ao, system)
+        orbits = orbits_of_gens(n, fx.generators)
+        if len({len(o) for o in orbits}) == 1:
+            orbit_system = BlockSystem.from_blocks(n, orbits)
             found.setdefault(orbit_system.block_of, orbit_system)
-    return [found[k] for k in sorted(found)]
+    return [(found[k], fixers.get(k)) for k in sorted(found)]
 
 
 def product_structure_verdict(
@@ -356,8 +365,8 @@ def _factor_product(
     """The candidate-system search of product_structure_verdict, given the
     graph's color group ao."""
     canon = f21_noncca_graph()
-    for system in _candidate_systems(ao):
-        result = cartesian_decompose(graph, ao, system)
+    for system, fx in _candidate_systems(ao):
+        result = cartesian_decompose(graph, ao, system, _fixer=fx)
         if not result.success:
             continue
         assert result.factor1 is not None and result.factor2 is not None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
@@ -487,9 +487,11 @@ def left_translation(group: GroupTable, g: int) -> Perm:
 
 
 def left_regular_group(group: GroupTable) -> PermGroup:
-    """The left translations as a permutation group."""
+    """The left translations as a permutation group.
+
+    The representation is regular, so its chain stops at the order n."""
     gens = [left_translation(group, g) for g in minimal_generating_set(group)]
-    out = PermGroup(group.order, gens)
+    out = PermGroup(group.order, gens, _order=group.order)
     if out.order() != group.order:
         raise AssertionError("left regular representation has wrong order")
     return out
@@ -570,13 +572,19 @@ _ATOM_RE = re.compile(r"^([a-z]+?)(\d+)(?:\^(\d+))?$")
 
 
 def group_from_name(name: str) -> GroupTable:
-    """Build a group from a short name like z7, f21, q8, d4, s3, q8xz2^2."""
-    text = name.strip().lower().replace(" ", "")
+    """Build a group from a short name like z7, f21, q8, d4, s3, q8xz2^2.
+
+    Tables are immutable, so one is kept per normalized name."""
+    return _group_from_text(name.strip().lower().replace(" ", ""))
+
+
+@lru_cache(maxsize=64)
+def _group_from_text(text: str) -> GroupTable:
     parts = text.split("x")
     tables: list[GroupTable] = []
     for part in parts:
         if not part:
-            raise ValueError(f"bad group name {name!r}")
+            raise ValueError(f"bad group name {text!r}")
         if part == "f21":
             tables.append(make_f21())
             continue
@@ -585,7 +593,7 @@ def group_from_name(name: str) -> GroupTable:
             continue
         m = _ATOM_RE.match(part)
         if not m:
-            raise ValueError(f"bad group name {name!r}")
+            raise ValueError(f"bad group name {text!r}")
         kind, num, power = m.group(1), int(m.group(2)), m.group(3)
         if kind in ("z", "c"):
             base = make_cyclic(num)
@@ -594,7 +602,7 @@ def group_from_name(name: str) -> GroupTable:
         elif kind == "s":
             base = make_symmetric_table(num)
         else:
-            raise ValueError(f"bad group name {name!r}")
+            raise ValueError(f"bad group name {text!r}")
         for _ in range(int(power) if power else 1):
             tables.append(base)
     out = tables[0]

@@ -10,6 +10,21 @@ are explored breadth-first in fixed generator order, so building twice from
 the same generator list yields identical bases, transversals and orders.
 Instances are immutable once built.
 
+Each level of the chain stores the inverse u_x^-1 of every transversal
+element next to u_x, built along the same orbit walk, so sifting and the
+Schreier generators u_{s(x)}^-1 s u_x never invert a permutation; a
+Schreier generator is skipped as soon as s u_x equals u_{s(x)}.
+
+When the group order is fixed in advance (a rebased chain of a known group,
+the faithful block extension in ``fixer``, a regular representation),
+Schreier-Sims stops as soon as the product of the basic-orbit lengths
+reaches it.  That stop is sound: each basic orbit of a partial chain lies
+inside the true one, so the product reaches |G| only when every basic
+orbit is full and the strong generating set is complete; verification
+would add nothing more, so the chain is the one a full run builds (Seress,
+*Permutation Group Algorithms*, 2003, ch. 4).  ``point_stabilizer`` and
+``fixer`` then read the stabilizer off the chain's tail levels.
+
 A block system of a transitive group is held as the int bitmask of its
 block through the first base point; ``all_block_systems`` closes one
 minimal block per pair of paired suborbits under joins (Seress,
@@ -21,7 +36,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -54,12 +71,16 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
 
 def pmul(a: Perm, b: Perm) -> Perm:
     """Compose: apply ``b`` first, then ``a``."""
+    if len(b) > 1:
+        return itemgetter(*b)(a)
+    # itemgetter needs an index and returns a bare item for exactly one.
     return tuple(a[x] for x in b)
 
 
@@ -71,7 +92,7 @@ def pinv(a: Perm) -> Perm:
 
 
 def is_identity_perm(p: Perm) -> bool:
-    return all(i == x for i, x in enumerate(p))
+    return p == identity_perm(len(p))
 
 
 def _as_perm(p: Sequence[int], degree: int) -> Perm:
@@ -82,12 +103,35 @@ def _as_perm(p: Sequence[int], degree: int) -> Perm:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal")
+    """One level of a stabilizer chain.
+
+    ``gens`` are the strong generators placed here: they fix every earlier
+    base point and move this one.  ``gen_invs`` holds their inverses.  The
+    transversal maps each point x of the basic orbit to u_x, with
+    u_x(base) = x, and ``inverses`` maps x to u_x^-1.
+    """
+
+    __slots__ = ("base", "gens", "gen_invs", "transversal", "inverses")
 
     def __init__(self, base: int) -> None:
         self.base = base
         self.gens: list[Perm] = []
+        self.gen_invs: list[Perm] = []
         self.transversal: dict[int, Perm] = {}
+        self.inverses: dict[int, Perm] = {}
+
+    def add(self, g: Perm) -> None:
+        self.gens.append(g)
+        self.gen_invs.append(pinv(g))
+
+    def cut(self, n: int) -> "_Level":
+        """This level on the points 0..n-1, which all its elements preserve."""
+        out = _Level(self.base)
+        out.gens = [g[:n] for g in self.gens]
+        out.gen_invs = [g[:n] for g in self.gen_invs]
+        out.transversal = {x: u[:n] for x, u in self.transversal.items()}
+        out.inverses = {x: u[:n] for x, u in self.inverses.items()}
+        return out
 
 
 class PermGroup:
@@ -98,7 +142,11 @@ class PermGroup:
         degree: int,
         generators: Iterable[Sequence[int]] = (),
         base_prefix: Sequence[int] = (),
+        *,
+        _order: int | None = None,
     ) -> None:
+        # _order, when given, is the order of the generated group, known in
+        # advance; Schreier-Sims stops once the chain reaches it.
         self.degree = degree
         gens: list[Perm] = []
         seen: set[Perm] = set()
@@ -112,7 +160,20 @@ class PermGroup:
         self._levels: list[_Level] = [_Level(b) for b in base_prefix]
         for g in self.generators:
             self._place(g)
-        self._schreier_sims()
+        self._schreier_sims(_order)
+
+    @classmethod
+    def _from_levels(cls, degree: int, levels: list[_Level]) -> PermGroup:
+        """The group of a complete chain, such as the tail of a longer one.
+
+        Its generators are the chain's strong generators in level order, so
+        they equal those of a fresh build from them; no Schreier-Sims runs.
+        """
+        group = cls.__new__(cls)
+        group.degree = degree
+        group.generators = tuple(dict.fromkeys(g for lvl in levels for g in lvl.gens))
+        group._levels = levels
+        return group
 
     # -- chain construction ------------------------------------------------
 
@@ -120,27 +181,32 @@ class PermGroup:
         """Attach g to the first level whose base it moves, extending the chain."""
         for lvl in self._levels:
             if g[lvl.base] != lvl.base:
-                lvl.gens.append(g)
+                lvl.add(g)
                 return
         self._levels.append(_Level(min(i for i, x in enumerate(g) if x != i)))
-        self._levels[-1].gens.append(g)
+        self._levels[-1].add(g)
 
-    def _level_gens(self, i: int) -> list[Perm]:
-        return [g for lvl in self._levels[i:] for g in lvl.gens]
+    def _level_gens(self, i: int) -> list[tuple[Perm, Perm]]:
+        """Strong generators of the i-th chain group, each with its inverse."""
+        return [
+            pair for lvl in self._levels[i:] for pair in zip(lvl.gens, lvl.gen_invs)
+        ]
 
     def _rebuild_orbit(self, i: int) -> None:
         lvl = self._levels[i]
         gens = self._level_gens(i)
         ident = identity_perm(self.degree)
-        lvl.transversal = {lvl.base: ident}
+        transversal = lvl.transversal = {lvl.base: ident}
+        inverses = lvl.inverses = {lvl.base: ident}
         queue = deque([lvl.base])
         while queue:
             x = queue.popleft()
-            ux = lvl.transversal[x]
-            for s in gens:
+            ux, vx = transversal[x], inverses[x]
+            for s, s_inv in gens:
                 y = s[x]
-                if y not in lvl.transversal:
-                    lvl.transversal[y] = pmul(s, ux)
+                if y not in transversal:
+                    transversal[y] = pmul(s, ux)
+                    inverses[y] = pmul(vx, s_inv)
                     queue.append(y)
 
     def _sift(self, g: Perm, start: int) -> tuple[Perm, int]:
@@ -150,48 +216,47 @@ class PermGroup:
             lvl = self._levels[i]
             x = g[lvl.base]
             if x != lvl.base:
-                u = lvl.transversal.get(x)
-                if u is None:
+                v = lvl.inverses.get(x)
+                if v is None:
                     return g, i
-                g = pmul(pinv(u), g)
+                g = pmul(v, g)
             i += 1
         return g, len(self._levels)
 
-    def _schreier_sims(self) -> None:
+    def _schreier_sims(self, order: int | None) -> None:
         # Verify levels deepest-first; a residue lodged at level j is new to
         # every chain group strictly below its origin, so verification
         # restarts from j and dribbles back up.
         for i in range(len(self._levels)):
             self._rebuild_orbit(i)
         i = len(self._levels) - 1
-        while i >= 0:
-            lvl = self._levels[i]
-            gens = self._level_gens(i)
-            restart = None
-            for x in sorted(lvl.transversal):
-                ux = lvl.transversal[x]
-                for s in gens:
-                    sg = pmul(pinv(lvl.transversal[s[x]]), pmul(s, ux))
-                    if is_identity_perm(sg):
-                        continue
-                    h, j = self._sift(sg, i + 1)
-                    if is_identity_perm(h):
-                        continue
-                    if j == len(self._levels):
-                        self._levels.append(
-                            _Level(min(p for p, y in enumerate(h) if y != p))
-                        )
-                    self._levels[j].gens.append(h)
+        while i >= 0 and (order is None or self.order() != order):
+            j = self._verify_level(i)
+            i = i - 1 if j is None else j
+
+    def _verify_level(self, i: int) -> int | None:
+        """Sift the Schreier generators u_{s(x)}^-1 s u_x of level i.
+
+        The first nontrivial residue is added as a strong generator and the
+        orbits it changes are rebuilt; returns the level it joined, or None
+        when every Schreier generator sifts to the identity.
+        """
+        lvl = self._levels[i]
+        gens = self._level_gens(i)
+        for x in sorted(lvl.transversal):
+            ux = lvl.transversal[x]
+            for s, _ in gens:
+                su = pmul(s, ux)
+                y = s[x]
+                if su == lvl.transversal[y]:
+                    continue
+                h, j = self._sift(pmul(lvl.inverses[y], su), i + 1)
+                if not is_identity_perm(h):
+                    self._place(h)
                     for k in range(i + 1, j + 1):
                         self._rebuild_orbit(k)
-                    restart = j
-                    break
-                if restart is not None:
-                    break
-            if restart is not None:
-                i = restart
-            else:
-                i -= 1
+                    return j
+        return None
 
     # -- queries -----------------------------------------------------------
 
@@ -572,7 +637,8 @@ def fixer(group: PermGroup, system: BlockSystem) -> PermGroup:
 
     Each generator is extended by its block action to degree n + m; a chain
     whose base starts with the m block points then stabilizes them all, so
-    the strong generators past those levels are exactly the kernel.
+    its levels past those points, cut to degree n, are a chain of the
+    kernel.  The extension is faithful, so that chain stops at |G|.
     """
     n = group.degree
     if system.degree != n:
@@ -584,13 +650,10 @@ def fixer(group: PermGroup, system: BlockSystem) -> PermGroup:
         if img is None:
             raise ValueError(f"partition is not invariant: violated by generator {g}")
         extended.append(tuple(g) + tuple(n + b for b in img))
-    chain = PermGroup(n + m, extended, base_prefix=tuple(range(n, n + m)))
-    kernel_gens = [
-        g[:n]
-        for lvl_gens in chain.strong_generators_by_level()[m:]
-        for g in lvl_gens
-    ]
-    return PermGroup(n, kernel_gens)
+    chain = PermGroup(
+        n + m, extended, base_prefix=tuple(range(n, n + m)), _order=group.order()
+    )
+    return PermGroup._from_levels(n, [lvl.cut(n) for lvl in chain._levels[m:]])
 
 
 def is_normal_subgroup(sub: PermGroup, group: PermGroup) -> bool:
@@ -609,12 +672,14 @@ def is_normal_subgroup(sub: PermGroup, group: PermGroup) -> bool:
 
 
 def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
-    """Stabilizer of a point, via a chain rebuilt with that point first."""
+    """Stabilizer of a point: the tail of a chain rebuilt with that point
+    first, which stops at the known order |G|."""
     if not 0 <= point < group.degree:
         raise ValueError("point out of range")
-    rebased = PermGroup(group.degree, group.generators, base_prefix=(point,))
-    stab_gens = [g for lvl in rebased.strong_generators_by_level()[1:] for g in lvl]
-    return PermGroup(group.degree, stab_gens)
+    rebased = PermGroup(
+        group.degree, group.generators, base_prefix=(point,), _order=group.order()
+    )
+    return PermGroup._from_levels(group.degree, rebased._levels[1:])
 
 
 # -- serialization ------------------------------------------------------------

@@ -26,6 +26,7 @@ current prefix pointwise are used).
 from __future__ import annotations
 
 from itertools import permutations as iter_permutations
+from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -246,6 +247,10 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
     """The group of permutations preserving the color matrix entrywise.
 
     Seeds must already preserve the matrix; they bootstrap orbit pruning.
+    The search proves the orbit of each base point under the stabilizer of
+    the points before it, so the product of those orbit lengths is the
+    group order; a full Schreier-Sims build of the found generators must
+    agree, which is checked.
     """
     m, mt, asym = _prep(matrix)
     n = m.shape[0]
@@ -262,6 +267,7 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
             gens.append(perm)
     cells = _refine(m, mt, asym, [list(range(n))])
     prefix: list[int] = []
+    orbit_lengths: list[int] = []
     while True:
         t = _target_cell(cells)
         if t is None:
@@ -284,9 +290,16 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
                 gens.append(found)
                 fixing.append(found)
                 orbit = set(orbit_of_point(b, fixing))
+        orbit_lengths.append(len(orbit))
         cells = _refine(m, mt, asym, _individualize(cells, t, b))
         prefix.append(b)
-    return PermGroup(n, gens)
+    group = PermGroup(n, gens)
+    if group.order() != prod(orbit_lengths):
+        raise AssertionError(
+            f"chain order {group.order()} differs from the searched orbit "
+            f"lengths {orbit_lengths}"
+        )
+    return group
 
 
 def matrix_isomorphism(

@@ -56,8 +56,9 @@ def test_transported_fixed_sets_match_per_point_stabilizers(
     instance, small_product, noncca_ao
 ):
     ao = small_product[1] if instance == "small_product" else noncca_ao
-    for system in _candidate_systems(ao):
-        e, fixed = _stabilizer_classes(ao, system)
+    for system, fx in _candidate_systems(ao):
+        e, fixed = _stabilizer_classes(ao, system, fx)
+        assert (e, fixed) == _stabilizer_classes(ao, system)
         assert fixed == per_point_fixed_sets(ao, system)
         # equal stabilizers <=> each point is fixed by the other's stabilizer
         for p in range(ao.degree):

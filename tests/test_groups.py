@@ -186,6 +186,15 @@ def test_group_from_name():
             group_from_name(bad)
 
 
+def test_group_from_name_keeps_one_table_per_name():
+    assert group_from_name("z3xs3") is group_from_name(" Z3 x S3 ")
+    assert group_from_name("z3xs3") is not group_from_name("s3xz3")
+    for bad in ("", "foo", "zx", "q9"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                group_from_name(bad)
+
+
 def test_hamiltonian_2group_builder():
     g = make_hamiltonian_2group(2)
     assert g.order == 32

@@ -1,7 +1,9 @@
+import itertools
 from functools import reduce
 
 import pytest
 
+from ccakit.cartesian import _candidate_systems
 from ccakit.cayley import build_cayley, enumerate_connection_sets
 from ccakit.groups import all_subgroups, group_from_name, left_regular_group
 from ccakit.perms import (
@@ -12,6 +14,7 @@ from ccakit.perms import (
     closure_of_perms,
     fixer,
     identity_perm,
+    is_identity_perm,
     is_normal_subgroup,
     join_block_systems,
     minimal_block_system,
@@ -29,6 +32,7 @@ from ccakit.perms import (
     singleton_partition,
 )
 from ccakit.search import color_preserving_group
+from ccakit.suites import _groups_equal
 
 S4_GENS = [(1, 2, 3, 0), (1, 0, 2, 3)]
 
@@ -48,6 +52,116 @@ def test_perm_arithmetic():
     assert pmul(a, b) == tuple(a[b[i]] for i in range(3))
     assert pmul(a, pinv(a)) == identity_perm(3)
     assert pinv(pinv(a)) == a
+
+
+def test_perm_arithmetic_at_low_degree():
+    assert pmul((), ()) == pinv(()) == identity_perm(0) == ()
+    assert is_identity_perm(())
+    assert pmul((0,), (0,)) == pinv((0,)) == (0,)
+    assert is_identity_perm((0,))
+    swap = (1, 0)
+    assert pmul(swap, swap) == (0, 1) and pinv(swap) == swap
+    assert is_identity_perm((0, 1)) and not is_identity_perm(swap)
+    assert pmul((1, 2, 0), (0, 2, 1)) == (1, 0, 2)
+
+
+def test_permgroup_at_low_degree():
+    for degree, gens, order in ((0, [], 1), (1, [(0,)], 1), (2, [(1, 0)], 2)):
+        g = PermGroup(degree, gens)
+        assert g.order() == order
+        assert g.generators == tuple(p for p in gens if not is_identity_perm(p))
+        assert sorted(g.elements()) == sorted(closure_of_perms(degree, gens))
+        assert g.contains(identity_perm(degree))
+        assert all(g.contains(p) for p in gens)
+        for p in range(degree):
+            assert point_stabilizer(g, p).order() == 1
+        if degree:
+            assert fixer(g, one_block_partition(degree)).order() == order
+            assert fixer(g, singleton_partition(degree)).order() == 1
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        S4_GENS,
+        [rotation(5), reflection(5)],
+        [rotation(6)],
+        [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)],
+    ],
+)
+def test_contains_agrees_with_closure(gens):
+    degree = len(gens[0])
+    group = PermGroup(degree, gens)
+    elements = closure_of_perms(degree, gens)
+    assert group.order() == len(elements)
+    for p in itertools.permutations(range(degree)):
+        assert group.contains(p) == (p in elements)
+
+
+def _full_point_stabilizer(group, point):
+    """The stabilizer from a full Schreier-Sims run of the rebased chain,
+    rebuilt from its strong generators by a second full run."""
+    rebased = PermGroup(group.degree, group.generators, base_prefix=(point,))
+    gens = [g for lvl in rebased.strong_generators_by_level()[1:] for g in lvl]
+    return PermGroup(group.degree, gens)
+
+
+def _full_fixer(group, system):
+    """The fixer from full Schreier-Sims runs, as for _full_point_stabilizer."""
+    n, m = group.degree, system.block_count
+    extended = [
+        g + tuple(n + system.block_of[g[blk[0]]] for blk in system.blocks)
+        for g in group.generators
+    ]
+    chain = PermGroup(n + m, extended, base_prefix=tuple(range(n, n + m)))
+    gens = [g[:n] for lvl in chain.strong_generators_by_level()[m:] for g in lvl]
+    return PermGroup(n, gens)
+
+
+def _assert_same_subgroup(fast, full, elements, member):
+    assert fast.generators == full.generators
+    assert fast.order() == full.order()
+    assert _groups_equal(fast, full)
+    # The chain it carries enumerates and sifts the right elements.
+    assert set(fast.elements()) == {g for g in elements if member(g)}
+    assert all(fast.contains(g) == member(g) for g in elements)
+
+
+@pytest.mark.parametrize("instance", ["product", "noncca", "d6", "s3"])
+def test_known_order_stabilizers_match_full_rebuilds(instance, request):
+    group = {
+        "product": lambda: request.getfixturevalue("product_ao"),
+        "noncca": lambda: request.getfixturevalue("noncca_ao"),
+        "d6": lambda: PermGroup(6, [rotation(6), reflection(6)]),
+        "s3": lambda: PermGroup(3, [(1, 2, 0), (1, 0, 2)]),
+    }[instance]()
+    n = group.degree
+    elements = closure_of_perms(n, group.generators)
+    points = (0, 1, 22, 57, 104) if n == 105 else range(n)
+    for p in points:
+        _assert_same_subgroup(
+            point_stabilizer(group, p),
+            _full_point_stabilizer(group, p),
+            elements,
+            lambda g: g[p] == p,
+        )
+    for system, carried in _candidate_systems(group):
+        fx = fixer(group, system)
+        if carried is not None:
+            assert carried.generators == fx.generators
+        full = _full_fixer(group, system)
+        blocks = list(enumerate(system.blocks))
+        _assert_same_subgroup(
+            fx,
+            full,
+            elements,
+            lambda g: all(system.block_of[g[b[0]]] == i for i, b in blocks),
+        )
+        q = system.blocks[-1][0]
+        assert (
+            point_stabilizer(fx, q).generators
+            == _full_point_stabilizer(full, q).generators
+        )
 
 
 def _c6():

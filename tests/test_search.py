@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccakit import search
 from ccakit.cayley import build_cayley, cartesian_product
 from ccakit.groups import group_from_name, make_cyclic, make_symmetric_table
 from ccakit.perms import PermGroup, permgroup_from_elements
@@ -172,3 +173,12 @@ def test_two_closure_requires_transitivity():
 def test_symmetric_group_is_closed():
     s4 = PermGroup(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
     assert two_closure(s4).order() == 24
+
+
+def test_color_group_chain_is_checked_against_the_searched_orbits(
+    monkeypatch, noncca_graph
+):    # A chain built from too few generators disagrees with the orbit
+    # lengths the search proved, and the cross-check must say so.
+    monkeypatch.setattr(search, "PermGroup", lambda n, gens: PermGroup(n, gens[:1]))
+    with pytest.raises(AssertionError, match="orbit lengths"):
+        color_preserving_group(noncca_graph)
