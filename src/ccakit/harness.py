@@ -13,8 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cartesian import _factor_product, cartesian_decompose
+from .cartesian import _factor_product, _is_square_free, cartesian_decompose
 from .cayley import (
+    ColoredCayleyGraph,
     ConnectionSet,
     build_cayley,
     cartesian_product,
@@ -28,6 +29,7 @@ from .cayley import (
     mask_to_connection_set,
 )
 from .cca import (
+    CcaVerdict,
     cca_verdict,
     cca_verdict_with_group,
     complete_graph,
@@ -40,7 +42,7 @@ from .groups import (
     make_f21,
     subgroup_generated,
 )
-from .perms import BlockSystem
+from .perms import BlockSystem, PermGroup
 from .search import are_isomorphic, uncolored_aut_group
 from .suites import run_oracle_suites
 
@@ -248,14 +250,35 @@ def _random_connected_set(group: GroupTable, rng: random.Random) -> ConnectionSe
             return ConnectionSet(group, members)
 
 
+def _product_theorem_factors(
+    graph: ColoredCayleyGraph, verdict: CcaVerdict, ao: PermGroup
+) -> dict:
+    """The paper's product theorem as a check on one verdict.
+
+    A negative verdict on a group of odd square-free order must factor as a
+    Cartesian product with the order-21 negative instance; the two factor
+    orders are returned as row fields.  Other verdicts give no fields.
+    """
+    order = graph.n
+    if verdict.is_cca or order % 2 == 0 or not _is_square_free(order):
+        return {}
+    factors = _factor_product(graph, ao)
+    if factors is None:
+        raise AssertionError(
+            f"negative verdict of odd square-free order {order} has no "
+            "factor isomorphic to the order-21 instance"
+        )
+    return {"factor1_n": factors[0].n, "factor2_n": factors[1].n}
+
+
 def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
     """Build the m-cycle product of the order-21 negative instance, confirm
     the verdict stays negative, and recover both factors from the color
     group alone.  Also reports verdicts for three seeded random sets of the
-    product group, unchecked."""
+    product group; a negative one must factor by the product theorem."""
     if m < 1 or m % 2 == 0 or math.gcd(m, 21) != 1 or 21 * m > 105:
         raise ValueError("m must be odd, coprime to 21, with 21*m at most 105")
-    if any(m % (p * p) == 0 for p in range(2, m + 1)):
+    if not _is_square_free(m):
         raise ValueError("m must be square-free")
     base = f21_noncca_graph()
     prod = cartesian_product(_demo_cycle_factor(m), base)
@@ -300,7 +323,7 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
     for i in range(3):
         cs = _random_connected_set(prod.group, rng)
         graph = build_cayley(prod.group, cs)
-        v = cca_verdict(graph)
+        v, v_ao = cca_verdict_with_group(graph)
         rows.append(
             {
                 "kind": "random-set",
@@ -309,6 +332,7 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
                 "valency": graph.valency,
                 "is_cca": v.is_cca,
                 "ao_order": v.ao_order,
+                **_product_theorem_factors(graph, v, v_ao),
             }
         )
     random_pos = sum(1 for row in rows if row["kind"] == "random-set" and row["is_cca"])
@@ -323,10 +347,14 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
 
 
 def cmd_verdict(group_name: str, set_text: str) -> tuple[list[dict], list[str]]:
-    """One replayable verdict for a named group and a comma-separated set."""
+    """One replayable verdict for a named group and a comma-separated set.
+
+    A negative verdict of odd square-free order is checked against the
+    product theorem, and the row gains the two factor orders.
+    """
     group = group_from_name(group_name)
     graph = build_cayley(group, set_text)
-    verdict = cca_verdict(graph)
+    verdict, ao = cca_verdict_with_group(graph)
     row = {
         "kind": "verdict",
         "group": group_name,
@@ -335,6 +363,7 @@ def cmd_verdict(group_name: str, set_text: str) -> tuple[list[dict], list[str]]:
         "valency": graph.valency,
     }
     row.update(verdict.to_json())
+    row.update(_product_theorem_factors(graph, verdict, ao))
     state = "positive" if verdict.is_cca else "negative"
     summary = [
         f"{group_name} on {{{', '.join(graph.connection.labels())}}}: "
@@ -344,6 +373,11 @@ def cmd_verdict(group_name: str, set_text: str) -> tuple[list[dict], list[str]]:
         summary.append(
             "non-affine witness images: "
             + " ".join(str(x) for x in verdict.witness)
+        )
+    if "factor1_n" in row:
+        summary.append(
+            f"product theorem: factors on {row['factor1_n']} and "
+            f"{row['factor2_n']} vertices"
         )
     return [row], summary
 

@@ -14,6 +14,15 @@ are ordered by signature value, so refinement is deterministic.  The
 branching rule individualizes the first smallest non-singleton cell and
 tries images in ascending vertex order.
 
+One routine, _refine, does all refinement, one partition at a time.  It
+records a trace: per pass, the signature key of each cell that stays whole
+and the sorted (key, count) pairs of each cell that splits.  Two aligned
+partitions refine alike exactly when their traces are equal (McKay and
+Piperno, "Practical graph isomorphism, II", 2014).  So at each search node
+the fixed side is individualized and refined once, and each candidate
+image on the other side is refined against that trace, stopping at the
+first pass that differs.
+
 The automorphism group is built one base point at a time: at each level the
 target cell bounds the orbit of the base point, and for every candidate
 image not yet reachable by already-found generators a single constrained
@@ -25,6 +34,7 @@ current prefix pointwise are used).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations as iter_permutations
 from math import prod
 from typing import Callable, Sequence
@@ -54,9 +64,11 @@ _BRUTE_FORCE_MAX = 10
 _TWO_CLOSURE_MAX_DEGREE = 150
 
 Cells = list[list[int]]
+Struct = tuple[np.ndarray, np.ndarray, bool]
+Trace = list[list]
 
 
-def _prep(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def _prep(matrix: np.ndarray) -> Struct:
     m = np.ascontiguousarray(matrix, dtype=np.int64)
     mt = np.ascontiguousarray(m.T)
     asym = not np.array_equal(m, mt)
@@ -82,77 +94,45 @@ def _cell_ids(cells: Cells, n: int) -> np.ndarray:
     return ids
 
 
-def _refine(m: np.ndarray, mt: np.ndarray, asym: bool, cells: Cells) -> Cells:
-    """Split cells by signature until equitable; deterministic subcell order."""
+def _refine(
+    struct: Struct, cells: Cells, expect: Trace | None = None
+) -> tuple[Cells, Trace] | None:
+    """Split cells by signature until equitable, recording the trace.
+
+    The trace has one entry per pass, the last one splitting nothing.  An
+    entry lists, cell by cell, the signature key of a cell that did not
+    split, or the sorted (key, count) pairs of its pieces.  Returns
+    (cells, trace), or None at the first pass that differs from expect.
+    """
+    m, mt, asym = struct
     n = m.shape[0]
+    trace: Trace = []
     while True:
         sig = _signatures(m, mt, asym, _cell_ids(cells, n), len(cells))
         new_cells: Cells = []
-        changed = False
+        entry: list = []
         for cell in cells:
             if len(cell) == 1:
+                entry.append(sig[cell[0]].tobytes())
                 new_cells.append(cell)
                 continue
             groups: dict[bytes, list[int]] = {}
             for v in cell:
                 groups.setdefault(sig[v].tobytes(), []).append(v)
             if len(groups) == 1:
+                entry.extend(groups)  # its one key
                 new_cells.append(cell)
             else:
-                changed = True
-                for key in sorted(groups):
-                    new_cells.append(groups[key])
-        cells = new_cells
-        if not changed:
-            return cells
-
-
-def _refine_pair(
-    s1: tuple[np.ndarray, np.ndarray, bool],
-    s2: tuple[np.ndarray, np.ndarray, bool],
-    cells1: Cells,
-    cells2: Cells,
-) -> tuple[Cells, Cells] | None:
-    """Refine two aligned partitions in lockstep; None if signatures diverge."""
-    m1, mt1, asym1 = s1
-    m2, mt2, asym2 = s2
-    asym = asym1 or asym2
-    n1, n2 = m1.shape[0], m2.shape[0]
-    while True:
-        if len(cells1) != len(cells2):
+                keys = sorted(groups)
+                entry.append([(key, len(groups[key])) for key in keys])
+                new_cells.extend(groups[key] for key in keys)
+        # A pass equal to expect's last one splits nothing and ends here too.
+        if expect is not None and entry != expect[len(trace)]:
             return None
-        sig1 = _signatures(m1, mt1, asym, _cell_ids(cells1, n1), len(cells1))
-        sig2 = _signatures(m2, mt2, asym, _cell_ids(cells2, n2), len(cells2))
-        new1: Cells = []
-        new2: Cells = []
-        changed = False
-        for cell1, cell2 in zip(cells1, cells2):
-            if len(cell1) != len(cell2):
-                return None
-            if len(cell1) == 1:
-                if sig1[cell1[0]].tobytes() != sig2[cell2[0]].tobytes():
-                    return None
-                new1.append(cell1)
-                new2.append(cell2)
-                continue
-            g1: dict[bytes, list[int]] = {}
-            for v in cell1:
-                g1.setdefault(sig1[v].tobytes(), []).append(v)
-            g2: dict[bytes, list[int]] = {}
-            for v in cell2:
-                g2.setdefault(sig2[v].tobytes(), []).append(v)
-            if sorted(g1) != sorted(g2):
-                return None
-            if any(len(g1[k]) != len(g2[k]) for k in g1):
-                return None
-            if len(g1) > 1:
-                changed = True
-            for key in sorted(g1):
-                new1.append(g1[key])
-                new2.append(g2[key])
-        cells1, cells2 = new1, new2
-        if not changed:
-            return cells1, cells2
+        trace.append(entry)
+        if len(new_cells) == len(cells):
+            return cells, trace
+        cells = new_cells
 
 
 def _target_cell(cells: Cells) -> int | None:
@@ -173,31 +153,28 @@ def _individualize(cells: Cells, index: int, v: int) -> Cells:
 
 
 def _search_pair(
-    s1: tuple[np.ndarray, np.ndarray, bool],
-    s2: tuple[np.ndarray, np.ndarray, bool],
-    cells1: Cells,
-    cells2: Cells,
-    accept: Callable[[Perm], bool],
+    s1: Struct, s2: Struct, cells1: Cells, cells2: Cells, accept: Callable[[Perm], bool]
 ) -> Perm | None:
-    refined = _refine_pair(s1, s2, cells1, cells2)
-    if refined is None:
-        return None
-    cells1, cells2 = refined
+    """A map accepted at a leaf below two refined partitions with equal traces.
+
+    The fixed side individualizes the first vertex of its target cell and is
+    refined once; each candidate image on the other side is refined against
+    that trace.
+    """
     t = _target_cell(cells1)
     if t is None:
-        n = s1[0].shape[0]
-        image = [0] * n
+        image = [0] * len(cells1)
         for c1, c2 in zip(cells1, cells2):
             image[c1[0]] = c2[0]
         perm = tuple(image)
         return perm if accept(perm) else None
-    v = cells1[t][0]
+    child1, trace = _refine(s1, _individualize(cells1, t, cells1[t][0]))
     for w in cells2[t]:
-        found = _search_pair(
-            s1, s2, _individualize(cells1, t, v), _individualize(cells2, t, w), accept
-        )
-        if found is not None:
-            return found
+        child2 = _refine(s2, _individualize(cells2, t, w), trace)
+        if child2 is not None:
+            found = _search_pair(s1, s2, child1, child2[0], accept)
+            if found is not None:
+                return found
     return None
 
 
@@ -205,14 +182,6 @@ def preserves_matrix(matrix: np.ndarray, perm: Sequence[int]) -> bool:
     """Whether matrix[p(u), p(v)] == matrix[u, v] for all u, v."""
     p = np.asarray(perm, dtype=np.intp)
     return bool(np.array_equal(matrix[np.ix_(p, p)], matrix))
-
-
-def _accept_exact(m1: np.ndarray, m2: np.ndarray) -> Callable[[Perm], bool]:
-    def accept(perm: Perm) -> bool:
-        p = np.asarray(perm, dtype=np.intp)
-        return bool(np.array_equal(m2[np.ix_(p, p)], m1))
-
-    return accept
 
 
 def color_bijection_between(
@@ -236,13 +205,6 @@ def color_bijection_between(
     return {int(x): int(y) for x, y in pairs if x != 0}
 
 
-def _accept_color_bijection(m1: np.ndarray, m2: np.ndarray) -> Callable[[Perm], bool]:
-    def accept(perm: Perm) -> bool:
-        return color_bijection_between(m1, m2, perm) is not None
-
-    return accept
-
-
 def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGroup:
     """The group of permutations preserving the color matrix entrywise.
 
@@ -252,10 +214,10 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
     group order; a full Schreier-Sims build of the found generators must
     agree, which is checked.
     """
-    m, mt, asym = _prep(matrix)
+    struct = _prep(matrix)
+    m = struct[0]
     n = m.shape[0]
-    struct = (m, mt, asym)
-    accept = _accept_exact(m, m)
+    accept = partial(preserves_matrix, m)
     gens: list[Perm] = []
     for seed in seeds:
         perm = tuple(seed)
@@ -265,7 +227,7 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
             raise ValueError("seed does not preserve the matrix")
         if any(i != x for i, x in enumerate(perm)) and perm not in gens:
             gens.append(perm)
-    cells = _refine(m, mt, asym, [list(range(n))])
+    cells, _ = _refine(struct, [list(range(n))])
     prefix: list[int] = []
     orbit_lengths: list[int] = []
     while True:
@@ -274,24 +236,22 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
             break
         cell = cells[t]
         b = cell[0]
+        child, trace = _refine(struct, _individualize(cells, t, b))
         fixing = [g for g in gens if all(g[p] == p for p in prefix)]
         orbit = set(orbit_of_point(b, fixing))
         for w in cell[1:]:
             if w in orbit:
                 continue
-            found = _search_pair(
-                struct,
-                struct,
-                _individualize(cells, t, b),
-                _individualize(cells, t, w),
-                accept,
-            )
+            other = _refine(struct, _individualize(cells, t, w), trace)
+            if other is None:
+                continue
+            found = _search_pair(struct, struct, child, other[0], accept)
             if found is not None:
                 gens.append(found)
                 fixing.append(found)
                 orbit = set(orbit_of_point(b, fixing))
         orbit_lengths.append(len(orbit))
-        cells = _refine(m, mt, asym, _individualize(cells, t, b))
+        cells = child
         prefix.append(b)
     group = PermGroup(n, gens)
     if group.order() != prod(orbit_lengths):
@@ -311,25 +271,29 @@ def matrix_isomorphism(
     global color relabeling (discovered greedily at the leaves, with
     refinement driven by color-class sizes so it stays sound).
     """
+    if match_colors not in ("exact", "bijection"):
+        raise ValueError(f"unknown color matching mode {match_colors!r}")
     if m1.shape != m2.shape:
         return None
+    m1 = np.asarray(m1, dtype=np.int64)
+    m2 = np.asarray(m2, dtype=np.int64)
     if match_colors == "exact":
-        r1, r2 = m1, m2
-        accept = _accept_exact(
-            np.asarray(m1, dtype=np.int64), np.asarray(m2, dtype=np.int64)
-        )
-    elif match_colors == "bijection":
-        r1 = _bucket_by_class_size(np.asarray(m1, dtype=np.int64))
-        r2 = _bucket_by_class_size(np.asarray(m2, dtype=np.int64))
-        accept = _accept_color_bijection(
-            np.asarray(m1, dtype=np.int64), np.asarray(m2, dtype=np.int64)
-        )
+        s1, s2 = _prep(m1), _prep(m2)
     else:
-        raise ValueError(f"unknown color matching mode {match_colors!r}")
-    s1 = _prep(r1)
-    s2 = _prep(r2)
-    n = s1[0].shape[0]
-    return _search_pair(s1, s2, [list(range(n))], [list(range(n))], accept)
+        s1, s2 = _prep(_bucket_by_class_size(m1)), _prep(_bucket_by_class_size(m2))
+
+    def accept(perm: Perm) -> bool:
+        if match_colors == "exact":
+            p = np.asarray(perm, dtype=np.intp)
+            return bool(np.array_equal(m2[np.ix_(p, p)], m1))
+        return color_bijection_between(m1, m2, perm) is not None
+
+    root = [list(range(m1.shape[0]))]
+    cells1, trace = _refine(s1, root)
+    refined = _refine(s2, root, trace)
+    if refined is None:
+        return None
+    return _search_pair(s1, s2, cells1, refined[0], accept)
 
 
 def _bucket_by_class_size(m: np.ndarray) -> np.ndarray:

@@ -72,6 +72,53 @@ def test_cmd_verdict_roundtrip():
     assert "witness" in summary[1]
 
 
+F21_NEGATIVE = "a,a^2,x^4a,x^6a^2"
+
+
+def test_cmd_verdict_checks_the_product_theorem():
+    rows, summary = cmd_verdict("f21", F21_NEGATIVE)
+    assert rows[0]["is_cca"] is False
+    assert (rows[0]["factor1_n"], rows[0]["factor2_n"]) == (1, 21)
+    assert "factors on 1 and 21 vertices" in summary[-1]
+    rows, _ = cmd_verdict("z5xf21", "(1,e),(4,e),(e,a),(e,a^2),(e,x^4a),(e,x^6a^2)")
+    assert rows[0]["is_cca"] is False
+    assert (rows[0]["factor1_n"], rows[0]["factor2_n"]) == (5, 21)
+    # the theorem covers neither positive verdicts nor even orders
+    rows, _ = cmd_verdict("z9", "1,8")
+    assert "factor1_n" not in rows[0]
+    rows, _ = cmd_verdict("q8", "-1,i,-i,j,-j,k,-k")
+    assert rows[0]["is_cca"] is False and "factor1_n" not in rows[0]
+
+
+def test_theorem_check_failure_is_a_check_failure(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_factor_product", lambda graph, ao: None)
+    with pytest.raises(AssertionError, match="order-21 instance"):
+        cmd_verdict("f21", F21_NEGATIVE)
+    assert main(["verdict", "--group", "f21", "--set", F21_NEGATIVE]) == 1
+    capsys.readouterr()
+
+
+def test_product_demo_checks_negative_random_sets(monkeypatch):
+    # seed 3 draws a negative random set of F21 first
+    rows, _ = cmd_product_demo(1, seed=3)
+    randoms = [row for row in rows if row["kind"] == "random-set"]
+    assert [row["is_cca"] for row in randoms] == [False, True, True]
+    assert (randoms[0]["factor1_n"], randoms[0]["factor2_n"]) == (1, 21)
+    assert all("factor1_n" not in row for row in randoms[1:])
+    # only the demo's own product may factor; the random set then fails
+    real = harness._factor_product
+    calls = []
+
+    def first_only(graph, ao):
+        calls.append(graph.n)
+        return real(graph, ao) if len(calls) == 1 else None
+
+    monkeypatch.setattr(harness, "_factor_product", first_only)
+    with pytest.raises(AssertionError, match="order-21 instance"):
+        cmd_product_demo(1, seed=3)
+    assert calls == [21, 21]
+
+
 def test_cli_verdict_and_json(tmp_path, capsys):
     out = tmp_path / "rows.jsonl"
     code = main(["verdict", "--group", "z9", "--set", "1,8", "--json", str(out)])

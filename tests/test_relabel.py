@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ccakit.cartesian import stabilizer_classes
@@ -12,9 +13,9 @@ from ccakit.cayley import (
     f21_noncca_connection_set,
 )
 from ccakit.cca import cca_group_verdict, cca_verdict
-from ccakit.groups import GroupTable, group_automorphisms, make_cyclic
+from ccakit.groups import GroupTable, group_automorphisms, group_from_name, make_cyclic
 from ccakit.perms import BlockSystem, PermGroup, all_block_systems
-from ccakit.search import color_preserving_group
+from ccakit.search import are_isomorphic, color_preserving_group
 
 
 def renumber(group, new):
@@ -98,3 +99,25 @@ def test_block_systems_follow_relabeling(color_group, request):
     systems = all_block_systems(ao)
     assert partitions(all_block_systems(moved), range(n)) == partitions(systems, new)
     assert len(systems) > 1
+
+
+@pytest.mark.parametrize("name, classes", [("f21", 51), ("z3xs3", 131)])
+def test_uncolored_class_counts_survive_renumbering(name, classes):
+    # Pairwise isomorphism tests within equal valency, as in the
+    # iso-classify benchmark workload, on a renumbered copy of the group.
+    base = group_from_name(name)
+    group = renumber(base, shuffled(base.order, seed=11))
+    reps: dict[int, list] = {}
+    for cs in enumerate_connection_sets(group, connected_only=True, up_to_aut=True):
+        graph = build_cayley(group, cs)
+        same_valency = reps.setdefault(graph.valency, [])
+        for rep in same_valency:
+            iso = are_isomorphic(graph, rep, respect_colors=False)
+            if iso is not None:
+                p = np.asarray(iso, dtype=np.intp)
+                carried = rep.uncolored_matrix[np.ix_(p, p)]
+                assert np.array_equal(carried, graph.uncolored_matrix)
+                break
+        else:
+            same_valency.append(graph)
+    assert sum(len(v) for v in reps.values()) == classes

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,128 @@ def test_matrix_isomorphism_modes():
     p = matrix_isomorphism(m1, m2, match_colors="bijection")
     assert p is not None
     assert color_bijection_between(m1, m2, p) is not None
+    # an unknown mode is refused before any shape test
+    with pytest.raises(ValueError):
+        matrix_isomorphism(m1, m2, match_colors="bogus")
+    with pytest.raises(ValueError):
+        matrix_isomorphism(np.zeros((2, 2), int), np.zeros((3, 3), int), "bogus")
+
+
+def _graph_matrix(n, edges):
+    m = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        m[u, v] = m[v, u] = 1
+    return m
+
+
+def test_refinement_trace():
+    refine, prep = search._refine, search._prep
+    root = [list(range(6))]
+    c6 = _graph_matrix(6, [(i, (i + 1) % 6) for i in range(6)])
+    triangles = _graph_matrix(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    k33 = _graph_matrix(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    # regular graphs: one pass that keeps the root whole
+    cells, trace = refine(prep(c6), root)
+    assert cells == root and len(trace) == 1 and len(trace[0]) == 1
+    # equal valency: the root refinement cannot tell these two apart ...
+    assert refine(prep(triangles), root, trace) == (root, trace)
+    # ... but one individualized vertex can
+    _, below = refine(prep(c6), [[0], [1, 2, 3, 4, 5]])
+    assert refine(prep(triangles), [[0], [1, 2, 3, 4, 5]], below) is None
+    # a whole cell is compared by its signature key
+    assert refine(prep(k33), root, trace) is None
+    # a split cell records its pieces with their sizes
+    p5 = _graph_matrix(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    root = [list(range(5))]
+    _, trace = refine(prep(p5), root)
+    assert sorted(count for _, count in trace[0][0]) == [2, 3]
+    # ends, then the center split off; the last pass keeps every cell whole
+    assert len(trace) == 3 and all(isinstance(key, bytes) for key in trace[-1])
+    p3_p2 = _graph_matrix(5, [(0, 1), (1, 2), (3, 4)])
+    assert refine(prep(p3_p2), root, trace) is None
+
+
+def _random_matrix(rng, n, colors, symmetric):
+    m = rng.integers(0, colors + 1, size=(n, n))
+    if symmetric:
+        m = np.triu(m, 1)
+        m = m + m.T
+    np.fill_diagonal(m, 0)
+    return m
+
+
+def _relabeled(rng, m, recolor):
+    """m carried by a random vertex map, its colors optionally permuted."""
+    p = rng.permutation(m.shape[0])
+    out = np.empty_like(m)
+    out[np.ix_(p, p)] = m
+    if recolor:
+        out = np.concatenate([[0], 1 + rng.permutation(m.max())])[out]
+    return out
+
+
+def _near_miss(rng, m):
+    """A relabeled copy with one entry (both entries if symmetric) changed."""
+    out = _relabeled(rng, m, recolor=False)
+    n = m.shape[0]
+    i, j = rng.choice(n, size=2, replace=False)
+    out[i, j] = (out[i, j] + 1) % (m.max() + 2)
+    if np.array_equal(m, m.T):
+        out[j, i] = out[i, j]
+    return out
+
+
+def _brute_isomorphism_exists(m1, m2, mode):
+    """Scan all n! vertex maps; independent of the refinement search."""
+    n = m1.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    images = m2[perms[:, :, None], perms[:, None, :]]
+    if mode == "exact":
+        return bool(np.all(images == m1, axis=(1, 2)).any())
+    same_edges = np.all((images == 0) == (m1 == 0), axis=(1, 2))
+    return any(
+        color_bijection_between(m1, m2, p) is not None for p in perms[same_edges]
+    )
+
+
+def _oracle_pairs():
+    rng = np.random.default_rng(2015)
+    pairs = []
+    for k in range(36):
+        n = 3 + k % 5
+        m = _random_matrix(rng, n, colors=1 + k % 3, symmetric=k % 3 != 2)
+        if k % 2:
+            pairs.append((m, _relabeled(rng, m, recolor=k % 4 == 1)))
+        else:
+            pairs.append((m, _near_miss(rng, m)))
+    # symmetric against asymmetric: one arc of an edge dropped
+    sym = _random_matrix(rng, 5, colors=2, symmetric=True)
+    sym[0, 1] = sym[1, 0] = 1
+    asym = _relabeled(rng, sym, recolor=False)
+    asym[np.nonzero(asym == 1)[0][0], np.nonzero(asym == 1)[1][0]] = 0
+    pairs.append((sym, asym))
+    # the 6-cycle against two triangles: equal root refinements
+    c6 = build_cayley(make_cyclic(6), {1, 5}).uncolored_matrix
+    triangles = np.kron(np.eye(2, dtype=c6.dtype), 1 - np.eye(3, dtype=c6.dtype))
+    pairs.append((c6, triangles))
+    return pairs
+
+
+@pytest.mark.parametrize("mode", ["exact", "bijection"])
+def test_matrix_isomorphism_matches_brute_force(mode):
+    answers = []
+    for m1, m2 in _oracle_pairs():
+        found = matrix_isomorphism(m1, m2, match_colors=mode)
+        assert (found is not None) == _brute_isomorphism_exists(m1, m2, mode), (m1, m2)
+        if found is not None:
+            p = np.asarray(found, dtype=np.intp)
+            if mode == "exact":
+                assert np.array_equal(m2[np.ix_(p, p)], m1)
+            else:
+                assert color_bijection_between(m1, m2, found) is not None
+        answers.append(found is not None)
+    # both answers occur often enough to mean something
+    assert 10 <= sum(answers) <= len(answers) - 10
 
 
 def test_are_isomorphic_positive():
