@@ -6,9 +6,9 @@ per orbit of that kernel; the classes E of that comparison form a second
 invariant partition.  When every class meets every block exactly once (odd
 group order required), the connection set splits along the block at the
 identity and the graph is a color-respecting Cartesian product of the two
-induced factor graphs.  The search wrapper tries candidate partitions of
-the color group until a factorization with a distinguished order-21 factor
-appears.
+induced factor graphs.  The search wrapper tries the nontrivial block
+systems of the color group, then the singleton partition, until a
+factorization with a distinguished order-21 factor appears.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .perms import (
     _block_image,
     all_block_systems,
     fixer,
-    one_block_partition,
-    orbits_of_gens,
     point_stabilizer,
     singleton_partition,
 )
@@ -65,18 +63,17 @@ _AUT_PRODUCT_MAX = 126
 
 
 def _stabilizer_classes(
-    a: PermGroup, b: BlockSystem, fx: PermGroup | None = None
+    a: PermGroup, b: BlockSystem
 ) -> tuple[BlockSystem, list[frozenset[int]]]:
     """The classes, plus the points F(p) fixed by each point's stabilizer.
 
     Stab(s(p)) = s Stab(p) s^-1 gives F(s(p)) = s(F(p)), so one stabilizer
     per fixer orbit suffices; stabilizers are equal exactly when their
-    fixed-point sets are.  fx is fixer(a, b) when the caller has it.
+    fixed-point sets are.
     """
     if not a.is_transitive():
         raise ValueError("stabilizer classes require a transitive group")
-    if fx is None:
-        fx = fixer(a, b)
+    fx = fixer(a, b)
     n = a.degree
     fixed: dict[int, frozenset[int]] = {}
     for r in range(n):
@@ -204,11 +201,7 @@ def _fixed_points_condition(b: BlockSystem, fixed: list[frozenset[int]]) -> bool
 
 
 def cartesian_decompose(
-    graph: ColoredCayleyGraph,
-    a: PermGroup,
-    b: BlockSystem,
-    *,
-    _fixer: PermGroup | None = None,
+    graph: ColoredCayleyGraph, a: PermGroup, b: BlockSystem
 ) -> DecompositionResult:
     """Try to split the graph as a color-respecting Cartesian product.
 
@@ -218,7 +211,6 @@ def cartesian_decompose(
     exactly once; the factors and the vertex isomorphism onto their
     product are then built and re-verified.
     """
-    # _fixer is fixer(a, b), passed by the candidate search that built it.
     group = graph.group
     n = graph.n
     if graph.digraph_mode:
@@ -236,7 +228,7 @@ def cartesian_decompose(
         if not preserves_matrix(graph.color_matrix, g):
             raise ValueError("group contains a non color-preserving permutation")
 
-    e, fixed = _stabilizer_classes(a, b, _fixer)
+    e, fixed = _stabilizer_classes(a, b)
     failing = _intersection_condition(e, b)
     condition2 = _fixed_points_condition(b, fixed)
     phrasings_agree = (failing is None) == condition2
@@ -319,25 +311,19 @@ def _is_square_free(n: int) -> bool:
     return True
 
 
-def _candidate_systems(
-    ao: PermGroup,
-) -> list[tuple[BlockSystem, PermGroup | None]]:
-    """Block systems of ao, the trivial ones and the orbit partitions of
-    their fixers, sorted by ``block_of``; each with its fixer when built."""
-    n = ao.degree
-    found: dict[tuple[int, ...], BlockSystem] = {}
-    for system in all_block_systems(ao):
-        found.setdefault(system.block_of, system)
-    for system in [singleton_partition(n), one_block_partition(n)]:
-        found.setdefault(system.block_of, system)
-    fixers: dict[tuple[int, ...], PermGroup] = {}
-    for system in list(found.values()):
-        fx = fixers[system.block_of] = fixer(ao, system)
-        orbits = orbits_of_gens(n, fx.generators)
-        if len({len(o) for o in orbits}) == 1:
-            orbit_system = BlockSystem.from_blocks(n, orbits)
-            found.setdefault(orbit_system.block_of, orbit_system)
-    return [(found[k], fixers.get(k)) for k in sorted(found)]
+def _candidate_systems(ao: PermGroup) -> list[BlockSystem]:
+    """The nontrivial block systems of ao by ``block_of``, then the singletons.
+
+    A trivial partition gives factor orders 1 and n, so it yields an
+    order-21 factor only when n = 21, where no nontrivial system can; last,
+    it spares a product a whole n-vertex decomposition before its fibers.
+    The singletons always decompose (trivial fixer) into the one-block
+    partition's orders mirrored, so that one is left out.  Fixer orbits are
+    already listed: a fixer is normal in the transitive ao, so its orbits
+    form a block system (Dixon & Mortimer, *Permutation Groups*, 1996, ch. 1).
+    """
+    systems = [b for b in all_block_systems(ao) if not b.is_trivial()]
+    return systems + [singleton_partition(ao.degree)]
 
 
 def product_structure_verdict(
@@ -365,19 +351,15 @@ def _factor_product(
     """The candidate-system search of product_structure_verdict, given the
     graph's color group ao."""
     canon = f21_noncca_graph()
-    for system, fx in _candidate_systems(ao):
-        result = cartesian_decompose(graph, ao, system, _fixer=fx)
+    for system in _candidate_systems(ao):
+        result = cartesian_decompose(graph, ao, system)
         if not result.success:
             continue
-        assert result.factor1 is not None and result.factor2 is not None
-        if result.factor2.n == 21 and are_isomorphic(
-            result.factor2, canon, respect_colors=False
-        ):
-            return result.factor1, result.factor2
-        if result.factor1.n == 21 and are_isomorphic(
-            result.factor1, canon, respect_colors=False
-        ):
-            return result.factor2, result.factor1
+        f1, f2 = result.factor1, result.factor2
+        assert f1 is not None and f2 is not None
+        for other, f in ((f1, f2), (f2, f1)):
+            if f.n == 21 and are_isomorphic(f, canon, respect_colors=False):
+                return other, f
     return None
 
 

@@ -348,9 +348,7 @@ def enumerate_connection_sets(
 
 def count_orbits_burnside(group: GroupTable, connected_only: bool = False) -> int:
     """Independent orbit count: average number of fixed masks over Aut(G)."""
-    pairs = inverse_pairs(group)
-    if len(pairs) > _MAX_PAIRS_FOR_ENUMERATION:
-        raise ValueError(f"too many inverse pairs ({len(pairs)}) to enumerate")
+    pairs = _enumerable_pairs(group)
     eligible = [
         mask
         for mask in range(1, 1 << len(pairs))

@@ -3,7 +3,7 @@
 Elements are indices 0..n-1; ``mult[a][b]`` is the product.  The identity
 index is derived during validation (all constructors here place it at 0).
 Tables are validated on construction: Latin square, two-sided identity,
-inverses, and exhaustive associativity for orders up to 256.
+inverses, and associativity at every order by Light's test.
 """
 
 from __future__ import annotations
@@ -44,7 +44,27 @@ __all__ = [
     "group_from_json",
 ]
 
-_ASSOCIATIVITY_CHECK_MAX = 256
+
+def _is_associative(m: np.ndarray, identity: int) -> bool:
+    """Light's test (Clifford & Preston, *The Algebraic Theory of
+    Semigroups*, 1961): the g with (xg)y = x(gy) for all x, y are closed
+    under products, so it suffices to test a generating set, taken greedily
+    from the closure of the identity under right multiplication."""
+    reached = np.zeros(len(m), dtype=bool)
+    reached[identity] = True
+    gens: list[int] = []
+    for g in range(len(m)):
+        if reached[g]:
+            continue
+        if not np.array_equal(m[m[:, g]], m[:, m[g]]):
+            return False
+        gens.append(g)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            images = np.unique(m[np.ix_(frontier, gens)])
+            frontier = images[~reached[images]]
+            reached[frontier] = True
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +114,8 @@ class GroupTable:
                     break
             if inv[a] < 0:
                 raise ValueError(f"element {a} has no inverse")
-        if n <= _ASSOCIATIVITY_CHECK_MAX:
-            m = np.array(rows, dtype=np.int32)
-            if not np.array_equal(m[m], m[:, m]):
-                raise ValueError("multiplication is not associative")
+        if not _is_associative(np.array(rows, dtype=np.intp), identity):
+            raise ValueError("multiplication is not associative")
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
         else:

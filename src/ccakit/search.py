@@ -88,10 +88,11 @@ def _signatures(
 
 
 def _cell_ids(cells: Cells, n: int) -> np.ndarray:
-    ids = np.empty(n, dtype=np.int64)
+    ids = [0] * n
     for i, cell in enumerate(cells):
-        ids[cell] = i
-    return ids
+        for v in cell:
+            ids[v] = i
+    return np.array(ids, dtype=np.int64)
 
 
 def _refine(

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from ccakit.cartesian import (
-    _candidate_systems,
+    _factor_product,
     _stabilizer_classes,
     aut_product_check,
     cartesian_decompose,
@@ -9,9 +11,23 @@ from ccakit.cartesian import (
     stabilizer_classes,
     strip_block_edges,
 )
-from ccakit.cayley import build_cayley, cartesian_product, f21_noncca_graph
-from ccakit.groups import make_cyclic
-from ccakit.perms import BlockSystem, PermGroup, fixer, point_stabilizer
+from ccakit.cayley import (
+    build_cayley,
+    cartesian_product,
+    f21_noncca_graph,
+    parse_elements,
+)
+from ccakit.cca import cca_verdict_with_group
+from ccakit.groups import group_automorphisms, group_from_name, make_cyclic, make_f21
+from ccakit.harness import _random_connected_set
+from ccakit.perms import (
+    BlockSystem,
+    PermGroup,
+    all_block_systems,
+    fixer,
+    point_stabilizer,
+    singleton_partition,
+)
 from ccakit.search import are_isomorphic, color_preserving_group
 
 
@@ -56,9 +72,8 @@ def test_transported_fixed_sets_match_per_point_stabilizers(
     instance, small_product, noncca_ao
 ):
     ao = small_product[1] if instance == "small_product" else noncca_ao
-    for system, fx in _candidate_systems(ao):
-        e, fixed = _stabilizer_classes(ao, system, fx)
-        assert (e, fixed) == _stabilizer_classes(ao, system)
+    for system in all_block_systems(ao) + [singleton_partition(ao.degree)]:
+        e, fixed = _stabilizer_classes(ao, system)
         assert fixed == per_point_fixed_sets(ao, system)
         # equal stabilizers <=> each point is fixed by the other's stabilizer
         for p in range(ao.degree):
@@ -148,6 +163,41 @@ def test_product_structure_verdict_input_validation():
         product_structure_verdict(cycle_graph(6))  # even order
     with pytest.raises(ValueError):
         product_structure_verdict(cycle_graph(15))  # positive verdict
+
+
+def _theorem_sets(name, m):
+    """Seeded sets of Z_m x F21 (element (c, f) at 21c + f): each cycle pair
+    of Z_m joined to Aut(F21) images of the order-21 negative set, plus
+    random connected draws."""
+    group = group_from_name(name)
+    f21 = make_f21()
+    gamma = parse_elements(f21, "a,a^2,x^4a,x^6a^2")
+    rng = random.Random(m)
+    images = rng.sample(list(group_automorphisms(f21).elements()), 3)
+    cycle_pairs = [(1, m - 1)] + ([(2, 3)] if m == 5 else [])
+    sets = [
+        {21 * c for c in pair} | {phi[s] for s in gamma}
+        for pair in cycle_pairs
+        for phi in images
+    ]
+    sets += [_random_connected_set(group, rng).members for _ in range(4)]
+    return group, sets
+
+
+@pytest.mark.parametrize("name, m", [("z3xf21", 3), ("z5xf21", 5)])
+def test_negative_verdicts_factor_through_the_order_21_instance(name, m):
+    group, sets = _theorem_sets(name, m)
+    negatives = 0
+    for members in sets:
+        graph = build_cayley(group, members)
+        verdict, ao = cca_verdict_with_group(graph)
+        if verdict.is_cca:
+            continue
+        negatives += 1
+        factors = _factor_product(graph, ao)
+        assert factors is not None, sorted(members)
+        assert (factors[0].n, factors[1].n) == (m, 21)
+    assert negatives >= 1
 
 
 def test_aut_product_check_coprime_cycles():

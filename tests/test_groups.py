@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from ccakit.groups import (
+    GroupTable,
+    _is_associative,
     all_subgroups,
     center,
     direct_product,
@@ -207,3 +210,82 @@ def test_group_json_roundtrip():
     assert h.order == 8
     assert h.mult == g.mult
     assert h.labels == g.labels
+
+
+def _swap_intercalate(n, rows, cols):
+    """Z_n with the 2x2 subsquare at rows x cols swapped: still a Latin
+    square with a two-sided identity when row and column 0 are avoided."""
+    m = [list(r) for r in make_cyclic(n).mult]
+    (r1, r2), (c1, c2) = rows, cols
+    assert m[r1][c1] == m[r2][c2] and m[r1][c2] == m[r2][c1]
+    for r in rows:
+        m[r][c1], m[r][c2] = m[r][c2], m[r][c1]
+    return m
+
+
+def _swap_labels(table, a, b):
+    """The same table with elements a and b renamed into each other."""
+    p = list(range(len(table)))
+    p[a], p[b] = b, a
+    n = range(len(table))
+    return [[p[table[p[x]][p[y]]] for y in n] for x in n]
+
+
+# The smallest non-associative loop: identity 0, every element self-inverse.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def _oracle_associative(mult):
+    m = np.array(mult, dtype=np.intp)
+    return np.array_equal(m[m], m[:, m])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        _swap_intercalate(6, (1, 4), (1, 4)),
+        # Element 1 of this one passes Light's test; a later generator fails.
+        _swap_labels(_swap_intercalate(6, (1, 4), (1, 4)), 1, 3),
+        _swap_intercalate(258, (1, 130), (2, 131)),
+        LOOP5,
+    ],
+    ids=["z6-swap", "z6-swap-relabeled", "z258-swap", "loop5"],
+)
+def test_from_mult_refuses_non_associative_loops(table):
+    # Latin squares with a two-sided identity and two-sided inverses, so
+    # only the associativity check can refuse them.
+    assert not _oracle_associative(table)
+    assert not _is_associative(np.array(table, dtype=np.intp), 0)
+    with pytest.raises(ValueError, match="not associative"):
+        GroupTable.from_mult(table)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1, 1], [1, 2, 0], [2, 0, 1]], "row 0"),
+        ([[0, 1], [0, 1]], "column 0"),
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "no two-sided identity"),
+        (_swap_intercalate(6, (1, 4), (2, 5)), "one-sided inverse at element 1"),
+    ],
+    ids=["row", "column", "identity", "inverse"],
+)
+def test_from_mult_refusals(table, message):
+    with pytest.raises(ValueError, match=message):
+        GroupTable.from_mult(table)
+
+
+@pytest.mark.parametrize(
+    "name",
+    list(DEFAULT_ROSTER) + ["z3xs3", "z2xq8", "d8", "z3xz9", "z5xf21"],
+)
+def test_light_test_matches_exhaustive_associativity(name):
+    g = group_from_name(name)
+    assert _oracle_associative(g.mult)
+    assert _is_associative(np.array(g.mult, dtype=np.intp), g.identity)

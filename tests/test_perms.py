@@ -3,7 +3,6 @@ from functools import reduce
 
 import pytest
 
-from ccakit.cartesian import _candidate_systems
 from ccakit.cayley import build_cayley, enumerate_connection_sets
 from ccakit.groups import all_subgroups, group_from_name, left_regular_group
 from ccakit.perms import (
@@ -145,10 +144,12 @@ def test_known_order_stabilizers_match_full_rebuilds(instance, request):
             elements,
             lambda g: g[p] == p,
         )
-    for system, carried in _candidate_systems(group):
+    systems = all_block_systems(group) + [singleton_partition(n)]
+    for system in systems:
         fx = fixer(group, system)
-        if carried is not None:
-            assert carried.generators == fx.generators
+        # The fixer is normal in the transitive group, so its orbits form
+        # one of the group's block systems.
+        assert BlockSystem.from_blocks(n, fx.orbits()) in systems
         full = _full_fixer(group, system)
         blocks = list(enumerate(system.blocks))
         _assert_same_subgroup(
