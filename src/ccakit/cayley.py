@@ -83,7 +83,6 @@ class ColoredCayleyGraph:
     group: GroupTable
     connection: ConnectionSet
     digraph_mode: bool
-    color_of_pair: dict[int, int] = field(repr=False)
     adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     @property
@@ -93,12 +92,6 @@ class ColoredCayleyGraph:
     @property
     def valency(self) -> int:
         return len(self.connection.members)
-
-    def color_of(self, s: int) -> int:
-        """The color carried by edges g -- g*s."""
-        if self.digraph_mode:
-            return s
-        return min(s, self.group.inv[s])
 
     @cached_property
     def color_matrix(self) -> np.ndarray:
@@ -154,19 +147,14 @@ def build_cayley(
             f"graph mode needs an inverse-closed set; missing inverses of "
             f"{[group.labels[s] for s in missing]}"
         )
-    colors: dict[int, int] = {}
-    for s in sorted(connection.members):
-        rep = s if digraph_mode else min(s, group.inv[s])
-        colors.setdefault(rep, rep)
-    adjacency: list[tuple[tuple[int, int], ...]] = []
     members = connection.sorted_members()
-    for g in range(group.order):
-        row = []
-        for s in members:
-            rep = s if digraph_mode else min(s, group.inv[s])
-            row.append((group.mul(g, s), colors[rep]))
-        adjacency.append(tuple(row))
-    return ColoredCayleyGraph(group, connection, digraph_mode, colors, tuple(adjacency))
+    colors = [s if digraph_mode else min(s, group.inv[s]) for s in members]
+    # tuple() of a list, not of a generator: a generator's tuple grows by
+    # resizing, which over many graphs leaves the heap fragmented.
+    adjacency = tuple(
+        [tuple([(row[s], c) for s, c in zip(members, colors)]) for row in group.mult]
+    )
+    return ColoredCayleyGraph(group, connection, digraph_mode, adjacency)
 
 
 def is_connected(graph: ColoredCayleyGraph) -> bool:
@@ -332,14 +320,10 @@ def _mask_generates(
 
 
 def enumerate_connection_sets(
-    group: GroupTable, connected_only: bool = False, up_to_aut: bool = False
+    group: GroupTable, connected_only: bool = False
 ) -> Iterator[ConnectionSet]:
     """Yield nonempty inverse-closed connection sets as mask order ascends."""
     pairs = _enumerable_pairs(group)
-    if up_to_aut:
-        for mask, _ in connection_set_orbits(group, connected_only):
-            yield mask_to_connection_set(group, pairs, mask)
-        return
     for mask in range(1, 1 << len(pairs)):
         if connected_only and not _mask_generates(group, pairs, mask):
             continue

@@ -19,8 +19,10 @@ from .cayley import (
     ColoredCayleyGraph,
     ConnectionSet,
     build_cayley,
-    enumerate_connection_sets,
+    connection_set_orbits,
+    inverse_pairs,
     is_connected,
+    mask_to_connection_set,
 )
 from .groups import GroupTable, all_subgroups, is_normal, left_regular_group
 from .perms import (
@@ -131,8 +133,10 @@ def cca_group_verdict(group: GroupTable) -> tuple[bool, list[ConnectionSet]]:
     relabeling by a table automorphism; the failing list holds those
     representatives.
     """
+    pairs = inverse_pairs(group)
     failing: list[ConnectionSet] = []
-    for cs in enumerate_connection_sets(group, connected_only=True, up_to_aut=True):
+    for mask, _ in connection_set_orbits(group, connected_only=True):
+        cs = mask_to_connection_set(group, pairs, mask)
         verdict = cca_verdict(build_cayley(group, cs))
         if not verdict.is_cca:
             failing.append(cs)

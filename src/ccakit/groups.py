@@ -2,8 +2,11 @@
 
 Elements are indices 0..n-1; ``mult[a][b]`` is the product.  The identity
 index is derived during validation (all constructors here place it at 0).
-Tables are validated on construction: Latin square, two-sided identity,
-inverses, and associativity at every order by Light's test.
+Every table, built here or given from outside, passes ``GroupTable.from_mult``,
+which validates it as one integer array: Latin square, two-sided identity,
+inverses, and associativity at every order by Light's test.  Derived tables
+(products, subgroups, quotients) are computed by index arithmetic on the
+arrays of their parents.
 """
 
 from __future__ import annotations
@@ -87,34 +90,31 @@ class GroupTable:
         n = len(mult)
         if n == 0:
             raise ValueError("empty table")
-        rows = tuple(tuple(int(x) for x in row) for row in mult)
-        full = set(range(n))
-        for a, row in enumerate(rows):
-            if len(row) != n or set(row) != full:
-                raise ValueError(f"row {a} is not a permutation of 0..{n - 1}")
-        for b in range(n):
-            if {rows[a][b] for a in range(n)} != full:
-                raise ValueError(f"column {b} is not a permutation of 0..{n - 1}")
-        identity = None
-        for e in range(n):
-            if all(rows[e][b] == b for b in range(n)) and all(
-                rows[a][e] == a for a in range(n)
-            ):
-                identity = e
-                break
-        if identity is None:
+        # Only the rows before the first one of the wrong length can form an
+        # array; they are checked first, so the first bad row is the one named.
+        k = next((a for a, row in enumerate(mult) if len(row) != n), n)
+        m = np.asarray(mult[:k]) if k else np.empty((0, n), dtype=np.intp)
+        if m.dtype.kind not in "iu" or m.shape != (k, n):
+            raise ValueError("table entries must be integers")
+        m = m.astype(np.intp, copy=False)
+        span = np.arange(n)
+        bad = np.flatnonzero((np.sort(m, axis=1) != span).any(axis=1))
+        if bad.size or k < n:
+            a = bad[0] if bad.size else k
+            raise ValueError(f"row {a} is not a permutation of 0..{n - 1}")
+        bad = np.flatnonzero((np.sort(m, axis=0) != span[:, None]).any(axis=0))
+        if bad.size:
+            raise ValueError(f"column {bad[0]} is not a permutation of 0..{n - 1}")
+        found = np.flatnonzero((m == span).all(axis=1) & (m == span[:, None]).all(axis=0))
+        if not found.size:
             raise ValueError("no two-sided identity")
-        inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if rows[a][b] == identity:
-                    if rows[b][a] != identity:
-                        raise ValueError(f"one-sided inverse at element {a}")
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValueError(f"element {a} has no inverse")
-        if not _is_associative(np.array(rows, dtype=np.intp), identity):
+        identity = int(found[0])
+        # Each row is a permutation, so it holds the identity exactly once.
+        inv = np.nonzero(m == identity)[1]
+        bad = np.flatnonzero(m[inv, span] != identity)
+        if bad.size:
+            raise ValueError(f"one-sided inverse at element {bad[0]}")
+        if not _is_associative(m, identity):
             raise ValueError("multiplication is not associative")
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
@@ -122,7 +122,8 @@ class GroupTable:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("labels must be distinct, one per element")
-        return GroupTable(n, rows, identity, tuple(inv), labels, name)
+        rows = tuple([tuple(row) for row in m.tolist()])
+        return GroupTable(n, rows, identity, tuple(inv.tolist()), labels, name)
 
     def mul(self, a: int, b: int) -> int:
         return self.mult[a][b]
@@ -190,9 +191,9 @@ class GroupTable:
 def make_cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("order must be positive")
-    mult = [[(a + b) % n for b in range(n)] for a in range(n)]
+    a = np.arange(n)
     labels = ["e"] + [str(i) for i in range(1, n)]
-    return GroupTable.from_mult(mult, labels, name=f"Z{n}")
+    return GroupTable.from_mult((a[:, None] + a) % n, labels, name=f"Z{n}")
 
 
 def _f21_label(i: int, j: int) -> str:
@@ -209,17 +210,10 @@ def make_f21() -> GroupTable:
     Element x^i a^j sits at index 3i + j, so the order-7 subgroup is the set
     of indices divisible by 3.
     """
-    def idx(i: int, j: int) -> int:
-        return 3 * (i % 7) + (j % 3)
-
-    mult = [[0] * 21 for _ in range(21)]
-    labels = [""] * 21
-    for i in range(7):
-        for j in range(3):
-            labels[idx(i, j)] = _f21_label(i, j)
-            for k in range(7):
-                for l in range(3):
-                    mult[idx(i, j)][idx(k, l)] = idx(i + k * pow(4, j, 7), j + l)
+    i, j = np.divmod(np.arange(21), 3)
+    twist = np.array([1, 4, 2])[j]  # 4^j mod 7
+    mult = 3 * ((i[:, None] + i * twist[:, None]) % 7) + (j[:, None] + j) % 3
+    labels = [_f21_label(i, j) for i in range(7) for j in range(3)]
     return GroupTable.from_mult(mult, labels, name="F21")
 
 
@@ -256,18 +250,9 @@ def make_dihedral(k: int) -> GroupTable:
     """Dihedral group of order 2k: rotations r^i, reflections r^i f."""
     if k < 1:
         raise ValueError("k must be positive")
-    n = 2 * k
-
-    def idx(i: int, flip: int) -> int:
-        return (i % k) + k * flip
-
-    mult = [[0] * n for _ in range(n)]
-    for i in range(k):
-        for fa in range(2):
-            for j in range(k):
-                for fb in range(2):
-                    i2 = i + j if fa == 0 else i - j
-                    mult[idx(i, fa)][idx(j, fb)] = idx(i2, fa ^ fb)
+    flip, i = np.divmod(np.arange(2 * k), k)
+    sign = 1 - 2 * flip
+    mult = (i[:, None] + sign[:, None] * i) % k + k * (flip[:, None] ^ flip)
     labels = ["e"] + [f"r^{i}" if i > 1 else "r" for i in range(1, k)]
     labels += [f"r^{i}f" if i > 1 else ("f" if i == 0 else "rf") for i in range(k)]
     return GroupTable.from_mult(mult, labels, name=f"D{k}")
@@ -290,15 +275,8 @@ def make_symmetric_table(n: int) -> GroupTable:
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """Direct product; pair (a, b) sits at index a * |H| + b."""
     n, m = g.order, h.order
-    mult = [[0] * (n * m) for _ in range(n * m)]
-    for a1 in range(n):
-        for b1 in range(m):
-            e1 = a1 * m + b1
-            row_a = g.mult[a1]
-            row_b = h.mult[b1]
-            for a2 in range(n):
-                for b2 in range(m):
-                    mult[e1][a2 * m + b2] = row_a[a2] * m + row_b[b2]
+    G, H = g.mult_array, h.mult_array
+    mult = (G[:, None, :, None] * m + H[None, :, None, :]).reshape(n * m, n * m)
     labels = [
         f"({g.labels[a]},{h.labels[b]})" for a in range(n) for b in range(m)
     ]
@@ -385,11 +363,7 @@ def quotient(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tup
         reps.append(g)
         for h in mem:
             coset_map[group.mul(g, h)] = idx
-    m = len(reps)
-    mult = [
-        [coset_map[group.mul(reps[a], reps[b])] for b in range(m)]
-        for a in range(m)
-    ]
+    mult = np.array(coset_map)[group.mult_array[np.ix_(reps, reps)]]
     labels = [f"[{group.labels[r]}]" for r in reps]
     table = GroupTable.from_mult(mult, labels, name=f"{group.name}/N{len(mem)}")
     return table, tuple(coset_map)
@@ -400,8 +374,9 @@ def subgroup_table(group: GroupTable, members: Iterable[int]) -> tuple[GroupTabl
     elems = tuple(sorted(frozenset(members)))
     if not is_subgroup(group, elems):
         raise ValueError("not a subgroup")
-    pos = {g: i for i, g in enumerate(elems)}
-    mult = [[pos[group.mul(a, b)] for b in elems] for a in elems]
+    pos = np.zeros(group.order, dtype=np.intp)
+    pos[list(elems)] = range(len(elems))
+    mult = pos[group.mult_array[np.ix_(elems, elems)]]
     labels = [group.labels[g] for g in elems]
     table = GroupTable.from_mult(mult, labels, name=f"{group.name}_sub{len(elems)}")
     return table, elems
@@ -436,7 +411,8 @@ def minimal_generating_set(group: GroupTable) -> tuple[int, ...]:
         return ()
     gens: list[int] = []
     current: frozenset[int] = frozenset({group.identity})
-    ranked = sorted(range(group.order), key=lambda g: (-group.order_of(g), g))
+    orders = group.element_orders
+    ranked = sorted(range(group.order), key=lambda g: (-orders[g], g))
     for g in ranked:
         if g in current:
             continue
@@ -474,16 +450,18 @@ def _extend_hom(
     return m
 
 
+@lru_cache(maxsize=64)
 def group_automorphisms(group: GroupTable) -> PermGroup:
-    """All table automorphisms, found by backtracking over generator images."""
+    """All table automorphisms, found by backtracking over generator images.
+
+    Tables are immutable and compare by identity, so one group is kept per
+    table."""
     n = group.order
     gens = minimal_generating_set(group)
     if not gens:
         return PermGroup(n, [])
-    candidates = [
-        [h for h in range(n) if group.order_of(h) == group.order_of(g)]
-        for g in gens
-    ]
+    orders = group.element_orders
+    candidates = [[h for h in range(n) if orders[h] == orders[g]] for g in gens]
     found: list[Perm] = []
 
     def backtrack(i: int, mapping: dict[int, int]) -> None:
@@ -646,5 +624,5 @@ def group_from_json(data: dict) -> GroupTable:
     flat = data["mult"]
     if len(flat) != n * n:
         raise ValueError("flat table has wrong length")
-    mult = [flat[i * n : (i + 1) * n] for i in range(n)]
+    mult = np.asarray(flat).reshape(n, n)
     return GroupTable.from_mult(mult, data.get("labels"), name=data.get("name", "group"))

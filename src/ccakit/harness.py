@@ -39,7 +39,6 @@ from .groups import (
     GroupTable,
     group_from_name,
     make_cyclic,
-    make_f21,
     subgroup_generated,
 )
 from .perms import BlockSystem, PermGroup
@@ -96,7 +95,7 @@ def f21_census() -> CensusReport:
     full orbits.  Negative reps are clustered by color-respecting graph
     isomorphism; the orbit count is cross-checked against a Burnside count.
     """
-    group = make_f21()
+    group = group_from_name("f21")
     pairs = inverse_pairs(group)
     orbits = connection_set_orbits(group)
     rows: list[dict] = []
@@ -168,7 +167,7 @@ def check_f21_census(report: CensusReport) -> None:
     assert row["ao_order"] == 168, row
     assert row["aut_order"] == 336, row
     # The canonical set {a, a^-1, ax, (ax)^-1} must land in that orbit.
-    group = make_f21()
+    group = group_from_name("f21")
     canonical = connection_set_mask(
         group, inverse_pairs(group), f21_noncca_connection_set(group)
     )

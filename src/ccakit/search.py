@@ -198,12 +198,14 @@ def color_bijection_between(
     b = np.asarray(m2, dtype=np.int64)[np.ix_(p, p)].ravel()
     if np.any((a == 0) != (b == 0)):
         return None
-    pairs = np.unique(np.stack([a, b], axis=1), axis=0)
-    if len(np.unique(pairs[:, 0])) != len(pairs):
+    # Each pair (x, y) as one code x * k + y, shifted so that no entry is
+    # negative; the sorted codes list the distinct pairs in (x, y) order.
+    low = int(min(a.min(), b.min()))
+    k = int(b.max()) - low + 1
+    xs, ys = np.divmod(np.unique((a - low) * k + (b - low)), k)
+    if np.any(xs[1:] == xs[:-1]) or len(np.unique(ys)) != len(ys):
         return None
-    if len(np.unique(pairs[:, 1])) != len(pairs):
-        return None
-    return {int(x): int(y) for x, y in pairs if x != 0}
+    return {int(x) + low: int(y) + low for x, y in zip(xs, ys) if int(x) + low != 0}
 
 
 def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGroup:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,84 @@ def test_direct_product():
     assert p.labels[0] == "(e,e)"
     g = p.index_of("(1,1)")
     assert p.order_of(g) == 6
+
+
+@pytest.mark.parametrize("pair", [("q8", "f21"), ("z1", "z3"), ("s3", "z2")])
+def test_direct_product_matches_its_definition(pair):
+    g, h = (group_from_name(name) for name in pair)
+    p = direct_product(g, h)
+    m = h.order
+    assert p.order == g.order * m
+    for a1, b1, a2, b2 in itertools.product(range(g.order), range(m), repeat=2):
+        assert p.mult[a1 * m + b1][a2 * m + b2] == g.mult[a1][a2] * m + h.mult[b1][b2]
+    assert p.identity == g.identity * m + h.identity
+    assert p.inv == tuple(g.inv[a] * m + h.inv[b] for a in range(g.order) for b in range(m))
+    assert p.labels == tuple(f"({x},{y})" for x in g.labels for y in h.labels)
+
+
+@pytest.mark.parametrize("name", ["f21", "q8"])
+def test_subgroup_tables_match_their_definition(name):
+    g = group_from_name(name)
+    for members in all_subgroups(g):
+        sub, elems = subgroup_table(g, members)
+        assert elems == tuple(sorted(members))
+        for i, j in itertools.product(range(sub.order), repeat=2):
+            assert elems[sub.mult[i][j]] == g.mult[elems[i]][elems[j]]
+        assert sub.labels == tuple(g.labels[x] for x in elems)
+
+
+@pytest.mark.parametrize("name", ["f21", "d4", "q8"])
+def test_quotients_match_their_definition(name):
+    g = group_from_name(name)
+    normal = [s for s in all_subgroups(g) if is_normal(g, s)]
+    assert len(normal) > 2
+    for members in normal:
+        q, coset_map = quotient(g, members)
+        assert q.order * len(members) == g.order
+        for a, b in itertools.product(range(g.order), repeat=2):
+            assert coset_map[g.mult[a][b]] == q.mult[coset_map[a]][coset_map[b]]
+        # Cosets are numbered by their smallest element, ascending.
+        reps = [coset_map.index(c) for c in range(q.order)]
+        assert reps == sorted(reps)
+        assert all(coset_map[g.mult[a][h]] == coset_map[a] for a in range(g.order) for h in members)
+        assert q.labels == tuple(f"[{g.labels[r]}]" for r in reps)
+
+
+def _cyclic_oracle(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def _dihedral_oracle(k):
+    def idx(i, flip):
+        return (i % k) + k * flip
+
+    mult = [[0] * (2 * k) for _ in range(2 * k)]
+    for i, fa, j, fb in itertools.product(range(k), range(2), range(k), range(2)):
+        mult[idx(i, fa)][idx(j, fb)] = idx(i + j if fa == 0 else i - j, fa ^ fb)
+    return mult
+
+
+def _f21_oracle():
+    def idx(i, j):
+        return 3 * (i % 7) + (j % 3)
+
+    mult = [[0] * 21 for _ in range(21)]
+    for i, j, k, l in itertools.product(range(7), range(3), range(7), range(3)):
+        mult[idx(i, j)][idx(k, l)] = idx(i + k * pow(4, j, 7), j + l)
+    return mult
+
+
+@pytest.mark.parametrize(
+    "builder, oracle, args",
+    [(make_cyclic, _cyclic_oracle, (n,)) for n in (1, 2, 7, 12)]
+    + [(make_dihedral, _dihedral_oracle, (k,)) for k in (1, 2, 3, 8)]
+    + [(make_f21, _f21_oracle, ())],
+    ids=["z1", "z2", "z7", "z12", "d1", "d2", "d3", "d8", "f21"],
+)
+def test_closed_form_builders_match_nested_loops(builder, oracle, args):
+    g = builder(*args)
+    assert g.mult == tuple(map(tuple, oracle(*args)))
+    assert g.identity == 0
 
 
 def test_subgroups_of_f21():
@@ -273,12 +353,29 @@ def test_from_mult_refuses_non_associative_loops(table):
         ([[0, 1], [0, 1]], "column 0"),
         ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "no two-sided identity"),
         (_swap_intercalate(6, (1, 4), (2, 5)), "one-sided inverse at element 1"),
+        ([[0, 1, 2], [1, 2], [2, 0, 1]], "row 1"),
+        # A bad row before the first one of the wrong length is named first.
+        ([[0, 1, 1], [1, 2, 0], [2, 0]], "row 0"),
+        ([[1], [0]], "row 0"),
+        ([[[0], [1]], [[1], [0]]], "entries must be integers"),
     ],
-    ids=["row", "column", "identity", "inverse"],
+    ids=["row", "column", "identity", "inverse", "short-row", "bad-then-short", "long-row", "nested"],
 )
 def test_from_mult_refusals(table, message):
     with pytest.raises(ValueError, match=message):
         GroupTable.from_mult(table)
+
+
+@pytest.mark.parametrize(
+    "flat",
+    [[0, 1.5, 1, 0], [0, 1.9, True, 0], [False, True, True, False], ["0", "1", "1", "0"]],
+    ids=["float", "float-and-bool", "bool", "string"],
+)
+def test_non_integer_entries_are_refused(flat):
+    with pytest.raises(ValueError, match="table entries must be integers"):
+        GroupTable.from_mult([flat[:2], flat[2:]])
+    with pytest.raises(ValueError, match="table entries must be integers"):
+        group_from_json({"order": 2, "mult": flat})
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 
 from ccakit import harness
 from ccakit.cli import main
+from ccakit.groups import group_automorphisms
 from ccakit.harness import (
     check_f21_census,
     cmd_complete_cca,
@@ -36,6 +37,13 @@ def test_census_rows_are_sorted_and_tagged(census):
     assert len(negatives) == 1
     assert negatives[0]["iso_class"] == 0
     assert all(row["iso_class"] is None for row in census.rows if row["is_cca"])
+
+
+def test_census_builds_aut_f21_at_most_once():
+    # Aut(G) is kept per table, and the census and its check share one table.
+    misses = group_automorphisms.cache_info().misses
+    check_f21_census(f21_census())
+    assert group_automorphisms.cache_info().misses - misses <= 1
 
 
 def test_cmd_complete_cca_custom_roster():

@@ -3,7 +3,12 @@ from functools import reduce
 
 import pytest
 
-from ccakit.cayley import build_cayley, enumerate_connection_sets
+from ccakit.cayley import (
+    build_cayley,
+    connection_set_orbits,
+    inverse_pairs,
+    mask_to_connection_set,
+)
 from ccakit.groups import all_subgroups, group_from_name, left_regular_group
 from ccakit.perms import (
     BlockSystem,
@@ -298,10 +303,12 @@ def _check_block_lattice(group):
 
 
 def test_block_lattice_of_f21_color_groups(f21):
-    reps = list(enumerate_connection_sets(f21, connected_only=True, up_to_aut=True))
+    reps = connection_set_orbits(f21, connected_only=True)
     assert len(reps) == 51
-    for cs in reps:
-        _check_block_lattice(color_preserving_group(build_cayley(f21, cs)))
+    pairs = inverse_pairs(f21)
+    for mask, _ in reps:
+        graph = build_cayley(f21, mask_to_connection_set(f21, pairs, mask))
+        _check_block_lattice(color_preserving_group(graph))
 
 
 def test_block_lattice_of_product_color_group(product_ao):

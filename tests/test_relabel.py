@@ -9,8 +9,10 @@ from ccakit.cartesian import stabilizer_classes
 from ccakit.cayley import (
     build_cayley,
     cartesian_product,
-    enumerate_connection_sets,
+    connection_set_orbits,
     f21_noncca_connection_set,
+    inverse_pairs,
+    mask_to_connection_set,
 )
 from ccakit.cca import cca_group_verdict, cca_verdict
 from ccakit.groups import GroupTable, group_automorphisms, group_from_name, make_cyclic
@@ -51,7 +53,7 @@ def test_f21_verdicts_survive_renumbering(f21, through_automorphism):
         )
         new = [new[phi[a]] for a in range(21)]
     group = renumber(f21, new)
-    reps = list(enumerate_connection_sets(group, connected_only=True, up_to_aut=True))
+    reps = connection_set_orbits(group, connected_only=True)
     ok, failing = cca_group_verdict(group)
     assert len(reps) == 51
     assert not ok and len(failing) == 1
@@ -108,8 +110,9 @@ def test_uncolored_class_counts_survive_renumbering(name, classes):
     base = group_from_name(name)
     group = renumber(base, shuffled(base.order, seed=11))
     reps: dict[int, list] = {}
-    for cs in enumerate_connection_sets(group, connected_only=True, up_to_aut=True):
-        graph = build_cayley(group, cs)
+    pairs = inverse_pairs(group)
+    for mask, _ in connection_set_orbits(group, connected_only=True):
+        graph = build_cayley(group, mask_to_connection_set(group, pairs, mask))
         same_valency = reps.setdefault(graph.valency, [])
         for rep in same_valency:
             iso = are_isomorphic(graph, rep, respect_colors=False)

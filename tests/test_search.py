@@ -93,6 +93,46 @@ def test_matrix_aut_group_rejects_bad_seed():
         matrix_aut_group(m, seeds=[(1, 0, 2, 3, 4)])
 
 
+def _oracle_color_map(m1, m2, perm):
+    """The color map built entry by entry with two dicts, or None."""
+    forward, backward = {}, {}
+    for u, v in itertools.product(range(len(perm)), repeat=2):
+        x, y = int(m1[u, v]), int(m2[perm[u], perm[v]])
+        if (x == 0) != (y == 0):
+            return None
+        if forward.setdefault(x, y) != y or backward.setdefault(y, x) != x:
+            return None
+    return {x: y for x, y in forward.items() if x != 0}
+
+
+def test_color_bijection_matches_dict_oracle():
+    rng = np.random.default_rng(5)
+    group = group_from_name("z3xf21")
+    m1 = build_cayley(group, "(1,e),(2,e),(e,a),(e,a^2),(e,x),(e,x^6)").color_matrix
+    colors = np.unique(m1[m1 != 0])
+    assert len(colors) == 3
+    # Relabel the vertices by perm and the colors by a bijection.
+    perm = rng.permutation(len(m1))
+    relabel = np.zeros(m1.max() + 1, dtype=np.int64)
+    relabel[colors] = rng.permutation(colors) + 100
+    m2 = np.empty_like(m1)
+    m2[np.ix_(perm, perm)] = relabel[m1]
+    expected = {int(c): int(relabel[c]) for c in colors}
+    assert color_bijection_between(m1, m2, perm) == expected
+    assert _oracle_color_map(m1, m2, perm) == expected
+    # Near misses, each wrong at one place.
+    non_edge = tuple(perm[np.argwhere(m1 == 0)[1]])
+    edge = tuple(perm[np.argwhere(m1 == colors[0])[0]])
+    to_edge = m2.copy()
+    to_edge[non_edge] = relabel[colors[0]]
+    merged = np.where(m2 == relabel[colors[1]], relabel[colors[0]], m2)
+    split = m2.copy()
+    split[edge] = 999
+    for bad in (to_edge, merged, split):
+        assert color_bijection_between(m1, bad, perm) is None
+        assert _oracle_color_map(m1, bad, perm) is None
+
+
 def test_matrix_isomorphism_modes():
     # same cycle wearing different color ids
     m1 = build_cayley(make_cyclic(7), {1, 6}).color_matrix
