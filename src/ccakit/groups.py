@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import permutations
-from typing import Iterable, Sequence
+from math import factorial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .perms import Perm, PermGroup, permgroup_from_elements
 
 __all__ = [
+    "MAX_GROUP_ORDER",
     "GroupTable",
     "make_cyclic",
     "make_f21",
@@ -46,6 +48,14 @@ __all__ = [
     "group_to_json",
     "group_from_json",
 ]
+
+
+MAX_GROUP_ORDER = 2048
+"""The largest order group_from_name and group_from_json build.
+
+A table holds order**2 entries as Python ints: at 2048 that is about 240 MB
+and a second or two to build.  Larger inputs raise ValueError before any
+table is allocated."""
 
 
 def _is_associative(m: np.ndarray, identity: int) -> bool:
@@ -94,7 +104,16 @@ class GroupTable:
         # array; they are checked first, so the first bad row is the one named.
         k = next((a for a, row in enumerate(mult) if len(row) != n), n)
         m = np.asarray(mult[:k]) if k else np.empty((0, n), dtype=np.intp)
-        if m.dtype.kind not in "iu" or m.shape != (k, n):
+        # numpy stores a list mixing ints and bools as ints, so the entries
+        # of a list are also looked at; an array's dtype says it all.
+        if (
+            m.dtype.kind not in "iu"
+            or m.shape != (k, n)
+            or (
+                not isinstance(mult, np.ndarray)
+                and any(isinstance(x, (bool, np.bool_)) for row in mult[:k] for x in row)
+            )
+        ):
             raise ValueError("table entries must be integers")
         m = m.astype(np.intp, copy=False)
         span = np.arange(n)
@@ -574,33 +593,51 @@ def group_from_name(name: str) -> GroupTable:
     return _group_from_text(name.strip().lower().replace(" ", ""))
 
 
+# Every nontrivial factor at least doubles the order.
+_MAX_FACTORS = MAX_GROUP_ORDER.bit_length() - 1
+
+# Constructor and order of each family, by the letters of its name.
+_FAMILIES: dict[str, tuple[Callable[[int], GroupTable], Callable[[int], int]]] = {
+    "z": (make_cyclic, int),
+    "c": (make_cyclic, int),
+    "d": (make_dihedral, lambda k: 2 * k),
+    "s": (make_symmetric_table, factorial),
+}
+
+
+def _parse_factor(part: str) -> tuple[Callable[[], GroupTable], int, int] | None:
+    """(constructor, order, power) of one factor of a group name, or None."""
+    if part == "f21":
+        return make_f21, 21, 1
+    if part == "q8":
+        return make_q8, 8, 1
+    m = _ATOM_RE.match(part)
+    if not m or m.group(1) not in _FAMILIES:
+        return None
+    build, order_of = _FAMILIES[m.group(1)]
+    num = int(m.group(2))
+    # Each family has order at least num; no factorial of a huge num.
+    size = order_of(num) if num <= MAX_GROUP_ORDER else MAX_GROUP_ORDER + 1
+    return partial(build, num), size, int(m.group(3) or 1)
+
+
 @lru_cache(maxsize=64)
 def _group_from_text(text: str) -> GroupTable:
-    parts = text.split("x")
+    """Parse every factor and check the order against MAX_GROUP_ORDER, then build."""
+    factors = [_parse_factor(part) for part in text.split("x")]
+    # A name whose every factor has power 0 names no table.
+    if None in factors or not any(power for _, _, power in factors):
+        raise ValueError(f"bad group name {text!r}")
+    if sum(power for _, _, power in factors) > _MAX_FACTORS:
+        raise ValueError(f"group name {text!r} has more than {_MAX_FACTORS} factors")
+    order = 1
+    for _, size, power in factors:
+        order *= size**power
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(f"group {text!r} is larger than {MAX_GROUP_ORDER} elements")
     tables: list[GroupTable] = []
-    for part in parts:
-        if not part:
-            raise ValueError(f"bad group name {text!r}")
-        if part == "f21":
-            tables.append(make_f21())
-            continue
-        if part == "q8":
-            tables.append(make_q8())
-            continue
-        m = _ATOM_RE.match(part)
-        if not m:
-            raise ValueError(f"bad group name {text!r}")
-        kind, num, power = m.group(1), int(m.group(2)), m.group(3)
-        if kind in ("z", "c"):
-            base = make_cyclic(num)
-        elif kind == "d":
-            base = make_dihedral(num)
-        elif kind == "s":
-            base = make_symmetric_table(num)
-        else:
-            raise ValueError(f"bad group name {text!r}")
-        for _ in range(int(power) if power else 1):
-            tables.append(base)
+    for make, _, power in factors:
+        tables.extend([make()] * power)
     out = tables[0]
     for t in tables[1:]:
         out = direct_product(out, t)
@@ -621,8 +658,11 @@ def group_to_json(group: GroupTable) -> dict:
 
 def group_from_json(data: dict) -> GroupTable:
     n = int(data["order"])
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {n} is larger than {MAX_GROUP_ORDER}")
     flat = data["mult"]
     if len(flat) != n * n:
         raise ValueError("flat table has wrong length")
-    mult = np.asarray(flat).reshape(n, n)
+    # Rows as lists, so that from_mult refuses bool entries among the ints.
+    mult = [flat[i : i + n] for i in range(0, n * n, n)]
     return GroupTable.from_mult(mult, data.get("labels"), name=data.get("name", "group"))

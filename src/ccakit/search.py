@@ -23,6 +23,13 @@ the fixed side is individualized and refined once, and each candidate
 image on the other side is refined against that trace, stopping at the
 first pass that differs.
 
+Isomorphism of two Cayley graphs branches once at the root.  A graph made by
+build_cayley has the left translations of its group among its automorphisms,
+colored or not, so an isomorphism followed by a translation maps vertex 0 to
+vertex 0: the search individualizes vertex 0 on both sides and is complete
+below that one node.  matrix_isomorphism, whose matrices need not be
+vertex-transitive, tries every root image.
+
 The automorphism group is built one base point at a time: at each level the
 target cell bounds the orbit of the base point, and for every candidate
 image not yet reachable by already-found generators a single constrained
@@ -154,13 +161,19 @@ def _individualize(cells: Cells, index: int, v: int) -> Cells:
 
 
 def _search_pair(
-    s1: Struct, s2: Struct, cells1: Cells, cells2: Cells, accept: Callable[[Perm], bool]
+    s1: Struct,
+    s2: Struct,
+    cells1: Cells,
+    cells2: Cells,
+    accept: Callable[[Perm], bool],
+    first_image_only: bool = False,
 ) -> Perm | None:
     """A map accepted at a leaf below two refined partitions with equal traces.
 
     The fixed side individualizes the first vertex of its target cell and is
     refined once; each candidate image on the other side is refined against
-    that trace.
+    that trace.  With first_image_only, this node tries only the first
+    vertex of the other side's target cell; the nodes below try them all.
     """
     t = _target_cell(cells1)
     if t is None:
@@ -170,7 +183,7 @@ def _search_pair(
         perm = tuple(image)
         return perm if accept(perm) else None
     child1, trace = _refine(s1, _individualize(cells1, t, cells1[t][0]))
-    for w in cells2[t]:
+    for w in cells2[t][:1] if first_image_only else cells2[t]:
         child2 = _refine(s2, _individualize(cells2, t, w), trace)
         if child2 is not None:
             found = _search_pair(s1, s2, child1, child2[0], accept)
@@ -276,6 +289,18 @@ def matrix_isomorphism(
     """
     if match_colors not in ("exact", "bijection"):
         raise ValueError(f"unknown color matching mode {match_colors!r}")
+    return _isomorphism(m1, m2, match_colors, vertex_transitive=False)
+
+
+def _isomorphism(
+    m1: np.ndarray, m2: np.ndarray, match_colors: str, vertex_transitive: bool
+) -> Perm | None:
+    """matrix_isomorphism, branching once at the root if vertex_transitive.
+
+    That flag may be set only when automorphisms of m2 move any vertex to
+    any other: then an isomorphism, followed by one of them, maps the
+    first vertex of the root cell to itself.
+    """
     if m1.shape != m2.shape:
         return None
     m1 = np.asarray(m1, dtype=np.int64)
@@ -296,7 +321,7 @@ def matrix_isomorphism(
     refined = _refine(s2, root, trace)
     if refined is None:
         return None
-    return _search_pair(s1, s2, cells1, refined[0], accept)
+    return _search_pair(s1, s2, cells1, refined[0], accept, vertex_transitive)
 
 
 def _bucket_by_class_size(m: np.ndarray) -> np.ndarray:
@@ -369,14 +394,25 @@ def are_isomorphic(
 
     With respect_colors, colors must match under some global bijection of
     color ids; otherwise only adjacency matters.
+
+    The search branches once at the root.  Graphs made by build_cayley, in
+    graph and digraph mode, have the left translations x -> hx among the
+    automorphisms of both their color and uncolored matrices: the arc
+    (x, xs) goes to (hx, hxs), with the same color.  Bucketing colors by
+    class size keeps that.  So if some isomorphism exists, following it by
+    a translation of g2 gives one that maps vertex 0 to vertex 0, and the
+    search below that single pair of individualized vertices is complete.
+    The returned map is any isomorphism, not a canonical one.
     """
     if g1.n != g2.n:
         raise ValueError("vertex counts differ")
     if g1.digraph_mode != g2.digraph_mode:
         raise ValueError("mixed graph and digraph modes")
     if respect_colors:
-        return matrix_isomorphism(g1.color_matrix, g2.color_matrix, "bijection")
-    return matrix_isomorphism(g1.uncolored_matrix, g2.uncolored_matrix, "exact")
+        m1, m2, mode = g1.color_matrix, g2.color_matrix, "bijection"
+    else:
+        m1, m2, mode = g1.uncolored_matrix, g2.uncolored_matrix, "exact"
+    return _isomorphism(m1, m2, mode, vertex_transitive=True)
 
 
 def pair_orbit_matrix(group: PermGroup) -> np.ndarray:

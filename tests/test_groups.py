@@ -3,8 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+import time
+
 from ccakit.groups import (
+    MAX_GROUP_ORDER,
     GroupTable,
+    _group_from_text,
     _is_associative,
     all_subgroups,
     center,
@@ -264,6 +268,7 @@ def test_group_from_name():
     assert group_from_name("q8xz2^2").order == 32
     assert group_from_name("d5").order == 10
     assert group_from_name("s4").order == 24
+    assert group_from_name("z3xz2^0").order == 3
     for bad in ("", "foo", "zx", "q9"):
         with pytest.raises(ValueError):
             group_from_name(bad)
@@ -276,6 +281,43 @@ def test_group_from_name_keeps_one_table_per_name():
         for _ in range(2):
             with pytest.raises(ValueError):
                 group_from_name(bad)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("z1000000", "larger than 2048"),
+        ("s8", "larger than 2048"),
+        ("z3000", "larger than 2048"),
+        ("s1000000", "larger than 2048"),
+        ("z2^6xz3^2xz5", "larger than 2048"),
+        ("z1^1000000", "more than 11 factors"),
+        ("z2^0", "bad group name"),
+    ],
+)
+def test_group_from_name_refuses_up_front(name, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        group_from_name(name)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_group_from_json_refuses_up_front():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="larger than 2048"):
+        group_from_json({"order": 1_000_000, "mult": []})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_groups_at_the_order_cap_build():
+    assert MAX_GROUP_ORDER == 2048
+    a = np.arange(MAX_GROUP_ORDER)
+    flat = ((a[:, None] + a) % MAX_GROUP_ORDER).ravel().tolist()
+    assert group_from_json({"order": MAX_GROUP_ORDER, "mult": flat}).order == 2048
+    try:
+        assert group_from_name("z2048").order == 2048
+    finally:
+        _group_from_text.cache_clear()  # a 2048-element table is large to keep
 
 
 def test_hamiltonian_2group_builder():
@@ -358,12 +400,19 @@ def test_from_mult_refuses_non_associative_loops(table):
         ([[0, 1, 1], [1, 2, 0], [2, 0]], "row 0"),
         ([[1], [0]], "row 0"),
         ([[[0], [1]], [[1], [0]]], "entries must be integers"),
+        # numpy stores these as int64 arrays; the bools must still be seen.
+        ([[0, True], [True, 0]], "entries must be integers"),
+        ({"order": 2, "mult": [0, True, True, 0]}, "entries must be integers"),
     ],
-    ids=["row", "column", "identity", "inverse", "short-row", "bad-then-short", "long-row", "nested"],
+    ids=[
+        "row", "column", "identity", "inverse", "short-row", "bad-then-short",
+        "long-row", "nested", "int-and-bool", "json-int-and-bool",
+    ],
 )
 def test_from_mult_refusals(table, message):
+    build = group_from_json if isinstance(table, dict) else GroupTable.from_mult
     with pytest.raises(ValueError, match=message):
-        GroupTable.from_mult(table)
+        build(table)
 
 
 @pytest.mark.parametrize(

@@ -151,6 +151,7 @@ def test_cli_verbose_echoes_rows(capsys):
 def test_cli_usage_errors(capsys):
     assert main(["verdict", "--group", "z9", "--set", "1"]) == 2
     assert main(["verdict", "--group", "nope", "--set", "1,8"]) == 2
+    assert main(["verdict", "--group", "z1000000", "--set", "1"]) == 2
     assert main(["product-demo", "--m", "3"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["f21-census", "--jobs", "2"])  # the census runs in one process

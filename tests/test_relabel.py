@@ -103,7 +103,7 @@ def test_block_systems_follow_relabeling(color_group, request):
     assert len(systems) > 1
 
 
-@pytest.mark.parametrize("name, classes", [("f21", 51), ("z3xs3", 131)])
+@pytest.mark.parametrize("name, classes", [("f21", 51), ("z3xs3", 131), ("d8", 190)])
 def test_uncolored_class_counts_survive_renumbering(name, classes):
     # Pairwise isomorphism tests within equal valency, as in the
     # iso-classify benchmark workload, on a renumbered copy of the group.

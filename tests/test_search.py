@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from ccakit import search
-from ccakit.cayley import build_cayley, cartesian_product
-from ccakit.groups import group_from_name, make_cyclic, make_symmetric_table
+from ccakit.cayley import (
+    build_cayley,
+    cartesian_product,
+    connection_set_orbits,
+    inverse_pairs,
+    mask_to_connection_set,
+)
+from ccakit.groups import GroupTable, group_from_name, make_cyclic, make_symmetric_table
 from ccakit.perms import PermGroup, permgroup_from_elements
 from ccakit.search import (
     are_isomorphic,
@@ -281,6 +287,112 @@ def test_are_isomorphic_negative():
     assert g1.valency == g2.valency == 4
     assert not are_isomorphic(g1, g2, respect_colors=False)
     assert not are_isomorphic(g1, g2, respect_colors=True)
+
+
+def _renumbered(group, seed):
+    """The same group with its elements renumbered at random."""
+    new = np.random.default_rng(seed).permutation(group.order)
+    old = np.argsort(new)
+    mult = new[group.mult_array[np.ix_(old, old)]]
+    return GroupTable.from_mult(mult, [group.labels[a] for a in old], name=group.name)
+
+
+def _same_answer_as_full_search(g1, g2, respect_colors):
+    """are_isomorphic agrees with the full search of matrix_isomorphism,
+    and a map it returns carries one matrix onto the other."""
+    if respect_colors:
+        m1, m2, mode = g1.color_matrix, g2.color_matrix, "bijection"
+    else:
+        m1, m2, mode = g1.uncolored_matrix, g2.uncolored_matrix, "exact"
+    found = are_isomorphic(g1, g2, respect_colors)
+    assert (found is None) == (matrix_isomorphism(m1, m2, mode) is None), (g1, g2)
+    if found is not None:
+        if respect_colors:
+            assert color_bijection_between(m1, m2, found) is not None
+        else:
+            p = np.asarray(found, dtype=np.intp)
+            assert np.array_equal(m2[np.ix_(p, p)], m1)
+    return found is not None
+
+
+def _carried(graph, copy):
+    """The same Cayley graph built on a renumbered copy of its group."""
+    labels = graph.group.labels
+    members = [copy.index_of(labels[s]) for s in graph.connection.members]
+    return build_cayley(copy, members, digraph_mode=graph.digraph_mode)
+
+
+@pytest.mark.parametrize("respect_colors", [False, True])
+def test_one_top_branch_matches_full_search_on_f21(respect_colors):
+    # Every pair of equal valency among the connected orbit representatives,
+    # which are 51 uncolored classes.  Uncolored, the second graph is carried
+    # to a renumbered copy of F21, so that the maps found are not the
+    # identity.  Colored graphs are compared as built: all color classes of
+    # a complete F21 graph have one size, so refinement sees only K21 and a
+    # relabeled positive pair can take either search up to 20! leaves.
+    f21 = group_from_name("f21")
+    pairs = inverse_pairs(f21)
+    reps = [
+        build_cayley(f21, mask_to_connection_set(f21, pairs, mask))
+        for mask, _ in connection_set_orbits(f21, connected_only=True)
+    ]
+    copy = _renumbered(f21, seed=21)
+    others = reps if respect_colors else [_carried(graph, copy) for graph in reps]
+    for i, a in enumerate(reps):
+        for j, b in enumerate(others):
+            if a.valency == b.valency:
+                assert _same_answer_as_full_search(a, b, respect_colors) == (i == j)
+
+
+@pytest.mark.parametrize("name", ["f21", "z3xs3", "q8"])
+def test_one_top_branch_matches_full_search_on_digraphs(name):
+    rng = np.random.default_rng(9)
+    group = group_from_name(name)
+    copy = _renumbered(group, seed=3)
+    others = np.arange(1, group.order)  # every constructor puts e at 0
+    answers = []
+    for k in range(24):
+        size = 1 + k % 4
+        s = rng.choice(others, size=size, replace=False).tolist()
+        t = rng.choice(others, size=size, replace=False).tolist()
+        g1 = build_cayley(group, s, digraph_mode=True)
+        for target in (s, t):
+            g2 = _carried(build_cayley(group, target, digraph_mode=True), copy)
+            for respect_colors in (False, True):
+                answers.append(_same_answer_as_full_search(g1, g2, respect_colors))
+    assert 48 <= sum(answers) < len(answers)
+
+
+def test_one_top_branch_on_degrees_one_and_two():
+    z1, z2 = make_cyclic(1), make_cyclic(2)
+    point = build_cayley(z1, set())
+    assert are_isomorphic(point, point, True) == are_isomorphic(point, point, False) == (0,)
+    for digraph_mode in (False, True):
+        empty = build_cayley(z2, set(), digraph_mode=digraph_mode)
+        edge = build_cayley(z2, {1}, digraph_mode=digraph_mode)
+        for respect_colors in (False, True):
+            assert _same_answer_as_full_search(edge, edge, respect_colors)
+            assert _same_answer_as_full_search(empty, empty, respect_colors)
+            assert not _same_answer_as_full_search(empty, edge, respect_colors)
+
+
+def test_shrikhande_and_rook_graph_are_told_apart_below_the_top_branch():
+    # Two strongly regular graphs with parameters (16, 6, 2, 2).  Their
+    # traces agree at the root and after vertex 0 is individualized, so
+    # only the search below the single top branch can refute the pair.
+    z4z4 = group_from_name("z4xz4")  # (a, b) at index 4a + b
+    shrikhande = build_cayley(z4z4, {4, 12, 1, 3, 5, 15})
+    rook = build_cayley(z4z4, {4, 12, 8, 1, 3, 2})
+    s1, s2 = search._prep(shrikhande.uncolored_matrix), search._prep(rook.uncolored_matrix)
+    root = [list(range(16))]
+    top = [[0], list(range(1, 16))]
+    _, trace = search._refine(s1, root)
+    assert search._refine(s2, root, trace) is not None
+    cells, trace = search._refine(s1, top)
+    assert [len(c) for c in cells] == [1, 9, 6]
+    assert search._refine(s2, top, trace) is not None
+    for respect_colors in (False, True):
+        assert not _same_answer_as_full_search(shrikhande, rook, respect_colors)
 
 
 def test_are_isomorphic_size_mismatch():
