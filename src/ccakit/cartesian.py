@@ -121,9 +121,12 @@ class StrippedGraph:
 def strip_block_edges(graph: ColoredCayleyGraph, b: BlockSystem) -> StrippedGraph:
     if b.degree != graph.n:
         raise ValueError("degree mismatch")
+    # Arc (u, u·s) has the color of s, which the identity's row holds.
+    row_e = graph.color_matrix[graph.group.identity]
+    arcs = [(s, int(row_e[s]) - 1) for s in graph.connection.sorted_members()]
     adjacency = tuple(
-        tuple((v, c) for v, c in nbrs if b.block_of[v] != b.block_of[u])
-        for u, nbrs in enumerate(graph.adjacency)
+        tuple((row[s], c) for s, c in arcs if b.block_of[row[s]] != b.block_of[u])
+        for u, row in enumerate(graph.group.mult)
     )
     seen = [False] * graph.n
     components: list[tuple[int, ...]] = []

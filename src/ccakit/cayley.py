@@ -78,12 +78,13 @@ def inverse_pairs(group: GroupTable) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ColoredCayleyGraph:
-    """A Cayley graph with its canonical coloring and adjacency."""
+    """A Cayley graph as its color matrix: n x n, 0 for non-adjacent,
+    otherwise 1 + color id; read-only."""
 
     group: GroupTable
     connection: ConnectionSet
     digraph_mode: bool
-    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    color_matrix: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -94,26 +95,14 @@ class ColoredCayleyGraph:
         return len(self.connection.members)
 
     @cached_property
-    def color_matrix(self) -> np.ndarray:
-        """n x n matrix: 0 for non-adjacent, otherwise 1 + color id."""
-        m = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, nbrs in enumerate(self.adjacency):
-            for v, c in nbrs:
-                m[u, v] = c + 1
-        m.setflags(write=False)
-        return m
-
-    @cached_property
     def uncolored_matrix(self) -> np.ndarray:
         m = (self.color_matrix != 0).astype(np.int64)
         m.setflags(write=False)
         return m
 
     def edge_count(self) -> int:
-        arcs = sum(len(nbrs) for nbrs in self.adjacency)
-        if self.digraph_mode:
-            return arcs
-        return arcs // 2
+        arcs = int(np.count_nonzero(self.color_matrix))
+        return arcs if self.digraph_mode else arcs // 2
 
     def __repr__(self) -> str:
         kind = "digraph" if self.digraph_mode else "graph"
@@ -149,12 +138,11 @@ def build_cayley(
         )
     members = connection.sorted_members()
     colors = [s if digraph_mode else min(s, group.inv[s]) for s in members]
-    # tuple() of a list, not of a generator: a generator's tuple grows by
-    # resizing, which over many graphs leaves the heap fragmented.
-    adjacency = tuple(
-        [tuple([(row[s], c) for s, c in zip(members, colors)]) for row in group.mult]
-    )
-    return ColoredCayleyGraph(group, connection, digraph_mode, adjacency)
+    n = group.order
+    matrix = np.zeros((n, n), dtype=np.int64)
+    matrix[np.arange(n)[:, None], group.mult_array[:, list(members)]] = np.add(colors, 1)
+    matrix.setflags(write=False)
+    return ColoredCayleyGraph(group, connection, digraph_mode, matrix)
 
 
 def is_connected(graph: ColoredCayleyGraph) -> bool:
@@ -365,13 +353,14 @@ def f21_noncca_graph() -> ColoredCayleyGraph:
 
 
 def graph_to_json(graph: ColoredCayleyGraph) -> dict:
+    m = graph.color_matrix
+    us, vs = np.nonzero(m)
     return {
         "group": graph.group.name,
         "order": graph.n,
         "digraph": graph.digraph_mode,
         "connection_set": list(graph.connection.sorted_members()),
         "connection_labels": list(graph.connection.labels()),
-        "edges": sorted(
-            (u, v, c) for u, nbrs in enumerate(graph.adjacency) for v, c in nbrs
-        ),
+        # Row-major order is sorted by (u, v), and each arc has one color.
+        "edges": list(zip(us.tolist(), vs.tolist(), (m[us, vs] - 1).tolist())),
     }

@@ -15,12 +15,12 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .perms import Perm, PermGroup, permgroup_from_elements
+from .perms import Perm, PermGroup, orbit_of_point
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -53,9 +53,10 @@ __all__ = [
 MAX_GROUP_ORDER = 2048
 """The largest order group_from_name and group_from_json build.
 
-A table holds order**2 entries as Python ints: at 2048 that is about 240 MB
-and a second or two to build.  Larger inputs raise ValueError before any
-table is allocated."""
+A table holds its order**2 entries twice, as tuples of Python ints and as
+an int64 array: at 2048 that is about 240 MB resident, 32 MB of it the
+array, and about a second to build.  Larger inputs raise ValueError before
+any table is allocated."""
 
 
 def _is_associative(m: np.ndarray, identity: int) -> bool:
@@ -82,13 +83,16 @@ def _is_associative(m: np.ndarray, identity: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class GroupTable:
-    """An immutable finite group given by its multiplication table."""
+    """An immutable finite group given by its multiplication table: tuple
+    rows in mult, and the read-only array they were validated on in
+    mult_array."""
 
     order: int
     mult: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
     labels: tuple[str, ...]
+    mult_array: np.ndarray = field(repr=False)
     name: str = field(default="group", compare=False)
 
     @staticmethod
@@ -115,7 +119,9 @@ class GroupTable:
             )
         ):
             raise ValueError("table entries must be integers")
-        m = m.astype(np.intp, copy=False)
+        # A copy, so that no array of the caller's is kept.
+        m = m.astype(np.intp)
+        m.setflags(write=False)
         span = np.arange(n)
         bad = np.flatnonzero((np.sort(m, axis=1) != span).any(axis=1))
         if bad.size or k < n:
@@ -142,7 +148,7 @@ class GroupTable:
             if len(labels) != n or len(set(labels)) != n:
                 raise ValueError("labels must be distinct, one per element")
         rows = tuple([tuple(row) for row in m.tolist()])
-        return GroupTable(n, rows, identity, tuple(inv.tolist()), labels, name)
+        return GroupTable(n, rows, identity, tuple(inv.tolist()), labels, m, name)
 
     def mul(self, a: int, b: int) -> int:
         return self.mult[a][b]
@@ -179,17 +185,7 @@ class GroupTable:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return all(
-            self.mult[a][b] == self.mult[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
-    @cached_property
-    def mult_array(self) -> np.ndarray:
-        arr = np.array(self.mult, dtype=np.int32)
-        arr.setflags(write=False)
-        return arr
+        return bool(np.array_equal(self.mult_array, self.mult_array.T))
 
     def label_of(self, a: int) -> str:
         return self.labels[a]
@@ -349,11 +345,8 @@ def is_normal(group: GroupTable, members: Iterable[int]) -> bool:
 
 
 def center(group: GroupTable) -> frozenset[int]:
-    return frozenset(
-        z
-        for z in range(group.order)
-        if all(group.mult[z][g] == group.mult[g][z] for g in range(group.order))
-    )
+    m = group.mult_array
+    return frozenset(np.flatnonzero((m == m.T).all(axis=1)).tolist())
 
 
 def quotient(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tuple[int, ...]]:
@@ -373,19 +366,13 @@ def quotient(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tup
                     f"not normal: conjugating {group.labels[h]} by "
                     f"{group.labels[g]} gives {group.labels[c]}"
                 )
-    coset_map = [-1] * group.order
-    reps: list[int] = []
-    for g in range(group.order):
-        if coset_map[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in mem:
-            coset_map[group.mul(g, h)] = idx
-    mult = np.array(coset_map)[group.mult_array[np.ix_(reps, reps)]]
+    least = group.mult_array[:, sorted(mem)].min(axis=1)  # the least of each gN
+    reps = np.unique(least)
+    coset_map = np.searchsorted(reps, least)
+    mult = coset_map[group.mult_array[np.ix_(reps, reps)]]
     labels = [f"[{group.labels[r]}]" for r in reps]
     table = GroupTable.from_mult(mult, labels, name=f"{group.name}/N{len(mem)}")
-    return table, tuple(coset_map)
+    return table, tuple(coset_map.tolist())
 
 
 def subgroup_table(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tuple[int, ...]]:
@@ -442,59 +429,73 @@ def minimal_generating_set(group: GroupTable) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _extend_hom(
-    group: GroupTable, mapping: dict[int, int], gen: int, image: int
-) -> dict[int, int] | None:
-    """Extend a partial homomorphism by gen -> image; None on conflict."""
-    if gen in mapping:
-        return dict(mapping) if mapping[gen] == image else None
-    m = dict(mapping)
-    m[gen] = image
-    queue = [gen]
-    while queue:
-        u = queue.pop()
-        mu = m[u]
-        for v in list(m.keys()):
-            mv = m[v]
-            for p, ip in (
-                (group.mul(u, v), group.mul(mu, mv)),
-                (group.mul(v, u), group.mul(mv, mu)),
-            ):
-                if p in m:
-                    if m[p] != ip:
-                        return None
-                else:
-                    m[p] = ip
-                    queue.append(p)
-    return m
+def _hom_on(
+    group: GroupTable, gens: Sequence[int], images: Sequence[int]
+) -> list[int] | None:
+    """phi with phi(gens[j]) = images[j] on the subgroup the gens generate
+    (-1 elsewhere), walked from the identity by phi(x·g) = phi(x)·phi(g);
+    None unless every step agrees and phi is injective.  A map that passes
+    every step is a homomorphism, by induction on word length."""
+    mult = group.mult
+    phi = [-1] * group.order
+    phi[group.identity] = group.identity
+    reached = [group.identity]
+    for x in reached:  # grows while it is read
+        for g, h in zip(gens, images):
+            y, fy = mult[x][g], mult[phi[x]][h]
+            if phi[y] < 0:
+                phi[y] = fy
+                reached.append(y)
+            elif phi[y] != fy:
+                return None
+    return phi if len({phi[x] for x in reached}) == len(reached) else None
 
 
 @lru_cache(maxsize=64)
 def group_automorphisms(group: GroupTable) -> PermGroup:
-    """All table automorphisms, found by backtracking over generator images.
+    """All table automorphisms, one generator image at a time.
 
-    Tables are immutable and compare by identity, so one group is kept per
-    table."""
-    n = group.order
+    An automorphism is fixed by its images of gens = minimal_generating_set.
+    At level i, each image h of gens[i] of the same element order, not yet
+    in the orbit of gens[i] under the found automorphisms that fix gens[:i],
+    gets one backtrack over the later images: it finds an automorphism or
+    proves there is none.  So |Aut(G)| is the product of the orbit lengths,
+    which the chain of the found automorphisms must match.  Tables are
+    immutable and compare by identity, so one group is kept per table."""
     gens = minimal_generating_set(group)
-    if not gens:
-        return PermGroup(n, [])
     orders = group.element_orders
-    candidates = [[h for h in range(n) if orders[h] == orders[g]] for g in gens]
+    candidates = [[h for h in range(group.order) if orders[h] == orders[g]] for g in gens]
+
+    def extend(images: list[int]) -> Perm | None:
+        """An automorphism sending gens[j] to images[j] for each j given."""
+        phi = _hom_on(group, gens[: len(images)], images)
+        if phi is None:
+            return None
+        if len(images) == len(gens):
+            return tuple(phi)
+        autos = (extend(images + [h]) for h in candidates[len(images)])
+        return next((a for a in autos if a is not None), None)
+
     found: list[Perm] = []
-
-    def backtrack(i: int, mapping: dict[int, int]) -> None:
-        if i == len(gens):
-            if len(mapping) == n and len(set(mapping.values())) == n:
-                found.append(tuple(mapping[x] for x in range(n)))
-            return
-        for image in candidates[i]:
-            extended = _extend_hom(group, mapping, gens[i], image)
-            if extended is not None:
-                backtrack(i + 1, extended)
-
-    backtrack(0, {group.identity: group.identity})
-    return permgroup_from_elements(n, found)
+    orbit_lengths: list[int] = []
+    for i, g in enumerate(gens):
+        fixing = [a for a in found if all(a[p] == p for p in gens[:i])]
+        orbit = set(orbit_of_point(g, fixing))
+        for h in candidates[i]:
+            if h in orbit:
+                continue
+            auto = extend([*gens[:i], h])
+            if auto is not None:
+                found.append(auto)
+                fixing.append(auto)
+                orbit = set(orbit_of_point(g, fixing))
+        orbit_lengths.append(len(orbit))
+    out = PermGroup(group.order, found)
+    if out.order() != prod(orbit_lengths):
+        raise AssertionError(
+            f"chain order {out.order()} differs from the orbit lengths {orbit_lengths}"
+        )
+    return out
 
 
 def left_translation(group: GroupTable, g: int) -> Perm:

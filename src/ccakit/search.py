@@ -26,8 +26,8 @@ first pass that differs.
 Isomorphism of two Cayley graphs branches once at the root.  A graph made by
 build_cayley has the left translations of its group among its automorphisms,
 colored or not, so an isomorphism followed by a translation maps vertex 0 to
-vertex 0: the search individualizes vertex 0 on both sides and is complete
-below that one node.  matrix_isomorphism, whose matrices need not be
+vertex 0: the search starts from the partition {0}, {1..n-1} on both sides
+and is complete below it.  matrix_isomorphism, whose matrices need not be
 vertex-transitive, tries every root image.
 
 The automorphism group is built one base point at a time: at each level the
@@ -166,14 +166,12 @@ def _search_pair(
     cells1: Cells,
     cells2: Cells,
     accept: Callable[[Perm], bool],
-    first_image_only: bool = False,
 ) -> Perm | None:
     """A map accepted at a leaf below two refined partitions with equal traces.
 
     The fixed side individualizes the first vertex of its target cell and is
     refined once; each candidate image on the other side is refined against
-    that trace.  With first_image_only, this node tries only the first
-    vertex of the other side's target cell; the nodes below try them all.
+    that trace.
     """
     t = _target_cell(cells1)
     if t is None:
@@ -183,7 +181,7 @@ def _search_pair(
         perm = tuple(image)
         return perm if accept(perm) else None
     child1, trace = _refine(s1, _individualize(cells1, t, cells1[t][0]))
-    for w in cells2[t][:1] if first_image_only else cells2[t]:
+    for w in cells2[t]:
         child2 = _refine(s2, _individualize(cells2, t, w), trace)
         if child2 is not None:
             found = _search_pair(s1, s2, child1, child2[0], accept)
@@ -289,17 +287,16 @@ def matrix_isomorphism(
     """
     if match_colors not in ("exact", "bijection"):
         raise ValueError(f"unknown color matching mode {match_colors!r}")
-    return _isomorphism(m1, m2, match_colors, vertex_transitive=False)
+    return _isomorphism(m1, m2, match_colors, [list(range(m1.shape[0]))])
 
 
 def _isomorphism(
-    m1: np.ndarray, m2: np.ndarray, match_colors: str, vertex_transitive: bool
+    m1: np.ndarray, m2: np.ndarray, match_colors: str, root: Cells
 ) -> Perm | None:
-    """matrix_isomorphism, branching once at the root if vertex_transitive.
+    """matrix_isomorphism below the same root partition on both sides.
 
-    That flag may be set only when automorphisms of m2 move any vertex to
-    any other: then an isomorphism, followed by one of them, maps the
-    first vertex of the root cell to itself.
+    The search is complete only for isomorphisms that map each cell of
+    root onto the same cell.
     """
     if m1.shape != m2.shape:
         return None
@@ -316,12 +313,11 @@ def _isomorphism(
             return bool(np.array_equal(m2[np.ix_(p, p)], m1))
         return color_bijection_between(m1, m2, perm) is not None
 
-    root = [list(range(m1.shape[0]))]
     cells1, trace = _refine(s1, root)
     refined = _refine(s2, root, trace)
     if refined is None:
         return None
-    return _search_pair(s1, s2, cells1, refined[0], accept, vertex_transitive)
+    return _search_pair(s1, s2, cells1, refined[0], accept)
 
 
 def _bucket_by_class_size(m: np.ndarray) -> np.ndarray:
@@ -395,14 +391,19 @@ def are_isomorphic(
     With respect_colors, colors must match under some global bijection of
     color ids; otherwise only adjacency matters.
 
-    The search branches once at the root.  Graphs made by build_cayley, in
-    graph and digraph mode, have the left translations x -> hx among the
-    automorphisms of both their color and uncolored matrices: the arc
-    (x, xs) goes to (hx, hxs), with the same color.  Bucketing colors by
-    class size keeps that.  So if some isomorphism exists, following it by
-    a translation of g2 gives one that maps vertex 0 to vertex 0, and the
-    search below that single pair of individualized vertices is complete.
-    The returned map is any isomorphism, not a canonical one.
+    Both sides start from the partition {0}, {1..n-1}.  Graphs made by
+    build_cayley, in graph and digraph mode, have the left translations
+    x -> hx among the automorphisms of both their color and uncolored
+    matrices: the arc (x, xs) goes to (hx, hxs), with the same color.
+    Bucketing colors by class size keeps that.  So if some isomorphism
+    exists, following it by a translation of g2 gives one that maps vertex 0
+    to vertex 0, and the search below that root is complete.  The returned
+    map is any isomorphism, not a canonical one.
+
+    With respect_colors the time can be exponential in n: when all color
+    classes have one size, refinement sees only the uncolored graph, and
+    the color bijection is found only at the leaves.  Complete graphs of
+    F21 with such colorings can take minutes.
     """
     if g1.n != g2.n:
         raise ValueError("vertex counts differ")
@@ -412,7 +413,8 @@ def are_isomorphic(
         m1, m2, mode = g1.color_matrix, g2.color_matrix, "bijection"
     else:
         m1, m2, mode = g1.uncolored_matrix, g2.uncolored_matrix, "exact"
-    return _isomorphism(m1, m2, mode, vertex_transitive=True)
+    root = [[0], list(range(1, g1.n))] if g1.n > 1 else [[0]]
+    return _isomorphism(m1, m2, mode, root)
 
 
 def pair_orbit_matrix(group: PermGroup) -> np.ndarray:

@@ -93,9 +93,10 @@ def test_strip_block_edges(small_product):
     stripped = strip_block_edges(prod, fiber_system(15, 5))
     assert len(stripped.components) == 5
     assert all(len(c) == 3 for c in stripped.components)
-    # only cross-fiber edges survive
-    assert all(
-        v // 5 != u // 5 for u in range(15) for v, _ in stripped.adjacency[u]
+    # only cross-fiber edges survive, per vertex u as u·s over the sorted
+    # members s = 5, 10 of the Z3 factor, whose pair has color 5
+    assert stripped.adjacency == tuple(
+        tuple(((u + s) % 15, 5) for s in (5, 10)) for u in range(15)
     )
 
 

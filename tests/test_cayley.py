@@ -28,6 +28,7 @@ from ccakit.groups import (
     make_f21,
     subgroup_generated,
 )
+from ccakit.suites import groups_up_to_order_8
 
 
 def test_connection_set_validation():
@@ -263,3 +264,42 @@ def test_graph_to_json_shape():
     assert data["digraph"] is False
     assert data["connection_set"] == [1, 4]
     assert len(data["edges"]) == 10  # both arc directions
+
+
+def _color_matrix_by_definition(graph):
+    """m[g, g·s] = color(s) + 1, entry by entry."""
+    group = graph.group
+    m = np.zeros((graph.n, graph.n), dtype=np.int64)
+    for g in range(graph.n):
+        for s in graph.connection.members:
+            color = s if graph.digraph_mode else min(s, group.inv[s])
+            m[g, group.mult[g][s]] = color + 1
+    return m
+
+
+SMALL_GROUPS = groups_up_to_order_8()
+
+
+@pytest.mark.parametrize(
+    "group", [g for _, g in SMALL_GROUPS], ids=[name for name, _ in SMALL_GROUPS]
+)
+def test_color_matrix_matches_its_definition(group):
+    pairs = inverse_pairs(group)
+    graphs = [  # every inverse-closed set, the empty one included
+        build_cayley(group, mask_to_connection_set(group, pairs, mask))
+        for mask in range(1 << len(pairs))
+    ]
+    rng = random.Random(group.name)
+    others = [s for s in range(group.order) if s != group.identity]
+    graphs += [
+        build_cayley(group, rng.sample(others, rng.randint(0, len(others))), digraph_mode=True)
+        for _ in range(8)
+    ]
+    for graph in graphs:
+        m = graph.color_matrix
+        assert np.array_equal(m, _color_matrix_by_definition(graph))
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1
+        arcs = graph.n * graph.valency
+        assert graph.edge_count() == (arcs if graph.digraph_mode else arcs // 2)

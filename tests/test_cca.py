@@ -3,6 +3,7 @@ import pytest
 from ccakit.cayley import (
     build_cayley,
     connection_set_mask,
+    connection_set_orbits,
     f21_noncca_graph,
     inverse_pairs,
     mask_orbit,
@@ -101,6 +102,13 @@ def test_group_verdict_f21(f21):
     ]
     assert len(expanded) == 21
     assert all(len(cs.members) == 4 for cs in expanded)
+
+
+def test_group_verdict_z2_4():
+    z2_4 = group_from_name("z2^4")
+    ok, failing = cca_group_verdict(z2_4)
+    assert ok and failing == []
+    assert len(connection_set_orbits(z2_4, connected_only=True)) == 36
 
 
 def test_hamiltonian_2group_detection():

@@ -34,6 +34,7 @@ from ccakit.groups import (
     subgroup_table,
 )
 from ccakit.harness import DEFAULT_ROSTER
+from ccakit.suites import groups_up_to_order_8
 
 
 def test_cyclic_arithmetic():
@@ -231,6 +232,42 @@ def test_automorphism_group_orders():
     assert group_automorphisms(make_q8()).order() == 24
     assert group_automorphisms(group_from_name("z2^3")).order() == 168
     assert group_automorphisms(make_symmetric_table(3)).order() == 6
+
+
+SMALL_GROUPS = groups_up_to_order_8()
+
+
+@pytest.mark.parametrize(
+    "group", [g for _, g in SMALL_GROUPS], ids=[name for name, _ in SMALL_GROUPS]
+)
+def test_automorphism_count_matches_brute_force(group):
+    """|Aut(G)| is the number of identity-fixing bijections that are
+    homomorphisms."""
+    n, e = group.order, group.identity
+    m = np.array(group.mult)
+    others = [x for x in range(n) if x != e]
+    images = list(itertools.permutations(others))
+    phis = np.empty((len(images), n), dtype=np.intp)
+    phis[:, e] = e
+    phis[:, others] = images
+    homs = (phis[:, m] == m[phis[:, :, None], phis[:, None, :]]).all(axis=(1, 2))
+    auts = group_automorphisms(group)
+    assert auts.order() == int(homs.sum())
+    assert set(auts.generators) <= set(map(tuple, phis[homs].tolist()))
+
+
+@pytest.mark.parametrize(
+    "group", [g for _, g in SMALL_GROUPS], ids=[name for name, _ in SMALL_GROUPS]
+)
+def test_center_and_commutativity_match_their_definition(group):
+    commutes = {
+        (a, b) for a in range(group.order) for b in range(group.order)
+        if group.mult[a][b] == group.mult[b][a]
+    }
+    assert center(group) == {
+        z for z in range(group.order) if all((z, g) in commutes for g in range(group.order))
+    }
+    assert group.is_abelian == (len(commutes) == group.order**2)
 
 
 def test_left_regular_group():
@@ -435,3 +472,14 @@ def test_light_test_matches_exhaustive_associativity(name):
     g = group_from_name(name)
     assert _oracle_associative(g.mult)
     assert _is_associative(np.array(g.mult, dtype=np.intp), g.identity)
+
+
+def test_from_mult_keeps_its_own_array():
+    a = np.arange(5)
+    arr = (a[:, None] + a) % 5
+    table = GroupTable.from_mult(arr)
+    arr[[0, 1]] = arr[[1, 0]]
+    assert table.mult[0] == (0, 1, 2, 3, 4)
+    assert np.array_equal(table.mult_array, (a[:, None] + a) % 5)
+    assert np.array_equal(table.mult_array, np.array(table.mult))
+    assert not table.mult_array.flags.writeable
