@@ -336,7 +336,7 @@ def product_structure_verdict(
 
     Searches candidate invariant partitions of the color group for a
     successful factorization having an order-21 factor isomorphic, colors
-    ignored, to the canonical order-21 negative instance.  The returned
+    respected, to the canonical order-21 negative instance.  The returned
     pair puts that factor second.  None when no candidate works.
     """
     group = graph.group
@@ -361,7 +361,7 @@ def _factor_product(
         f1, f2 = result.factor1, result.factor2
         assert f1 is not None and f2 is not None
         for other, f in ((f1, f2), (f2, f1)):
-            if f.n == 21 and are_isomorphic(f, canon, respect_colors=False):
+            if f.n == 21 and are_isomorphic(f, canon, respect_colors=True):
                 return other, f
     return None
 

@@ -318,20 +318,51 @@ def enumerate_connection_sets(
         yield mask_to_connection_set(group, pairs, mask)
 
 
+def _cycle_masks(perm: Sequence[int]) -> list[int]:
+    """The cycles of a permutation of pair indices, each as a mask."""
+    seen = 0
+    out: list[int] = []
+    for i in range(len(perm)):
+        if seen >> i & 1:
+            continue
+        cycle, j = 0, i
+        while not cycle >> j & 1:
+            cycle |= 1 << j
+            j = perm[j]
+        seen |= cycle
+        out.append(cycle)
+    return out
+
+
+def _unions(masks: Sequence[int]) -> np.ndarray:
+    """All 2^len(masks) unions of the given disjoint masks."""
+    out = np.zeros(1, dtype=np.int64)
+    for mask in masks:
+        out = np.concatenate([out, out | mask])
+    return out
+
+
 def count_orbits_burnside(group: GroupTable, connected_only: bool = False) -> int:
-    """Independent orbit count: average number of fixed masks over Aut(G)."""
+    """Independent orbit count: average number of fixed masks over Aut(G).
+
+    A mask is fixed by an automorphism exactly when it is a union of the
+    automorphism's cycles on inverse pairs, so each automorphism counts the
+    eligible masks among those unions, at most 2^16 of them at a time.
+    """
     pairs = _enumerable_pairs(group)
-    eligible = [
-        mask
-        for mask in range(1, 1 << len(pairs))
-        if not connected_only or _mask_generates(group, pairs, mask)
-    ]
+    eligible = np.ones(1 << len(pairs), dtype=bool)
+    eligible[0] = False
+    if connected_only:
+        for mask in range(1, 1 << len(pairs)):
+            eligible[mask] = _mask_generates(group, pairs, mask)
     # All automorphisms, not just distinct pair actions, must be averaged.
     auts = group_automorphisms(group)
     total = 0
     for a in auts.elements(limit=100_000):
-        perm = _pair_perm_from_automorphism(group, pairs, a)
-        total += sum(1 for mask in eligible if _apply_pair_perm(mask, perm) == mask)
+        cycles = _cycle_masks(_pair_perm_from_automorphism(group, pairs, a))
+        low = _unions(cycles[:16])
+        for high in _unions(cycles[16:]).tolist():
+            total += int(np.count_nonzero(eligible[low | high]))
     count, rem = divmod(total, auts.order())
     if rem:
         raise AssertionError("orbit count is not an integer")

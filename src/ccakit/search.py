@@ -14,14 +14,24 @@ are ordered by signature value, so refinement is deterministic.  The
 branching rule individualizes the first smallest non-singleton cell and
 tries images in ascending vertex order.
 
-One routine, _refine, does all refinement, one partition at a time.  It
-records a trace: per pass, the signature key of each cell that stays whole
-and the sorted (key, count) pairs of each cell that splits.  Two aligned
-partitions refine alike exactly when their traces are equal (McKay and
-Piperno, "Practical graph isomorphism, II", 2014).  So at each search node
-the fixed side is individualized and refined once, and each candidate
-image on the other side is refined against that trace, stopping at the
-first pass that differs.
+When colors may be relabeled, the color ids form a second ordered
+partition, refined beside the vertices: a vertex's signature reads the
+cell of each color instead of the color, and a color's signature is the
+sorted multiset of (cell(u), cell(v)) over its arcs.  Both partitions
+split until neither changes.  Exact colors are the discrete case: the
+matrix is read as is and no color is refined.  Relabeled colors start as
+one cell, and at a leaf the aligned color cells give the color map, so one
+leaf test serves both: the vertex map must carry the recolored first
+matrix onto the second.
+
+One routine, _refine, does all refinement, one pair of partitions at a
+time.  It records a trace: per pass, the signature key of each vertex or
+color cell that stays whole and the sorted (key, count) pairs of each cell
+that splits.  Two aligned partitions refine alike exactly when their
+traces are equal (McKay and Piperno, "Practical graph isomorphism, II",
+2014).  So at each search node the fixed side is individualized and
+refined once, and each candidate image on the other side is refined
+against that trace, stopping at the first pass that differs.
 
 Isomorphism of two Cayley graphs branches once at the root.  A graph made by
 build_cayley has the left translations of its group among its automorphisms,
@@ -41,10 +51,9 @@ current prefix pointwise are used).
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import permutations as iter_permutations
 from math import prod
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,15 +80,30 @@ _BRUTE_FORCE_MAX = 10
 _TWO_CLOSURE_MAX_DEGREE = 150
 
 Cells = list[list[int]]
-Struct = tuple[np.ndarray, np.ndarray, bool]
+Struct = tuple[np.ndarray, np.ndarray, bool, tuple | None]
 Trace = list[list]
 
 
-def _prep(matrix: np.ndarray) -> Struct:
+def _prep(matrix: np.ndarray, relabel: bool = False) -> Struct:
+    """The matrix, its transpose, whether they differ, and the arcs.
+
+    With relabel, the colors are ranked 1..k and arcs holds every arc's
+    color, tail and head, ordered by color, with the bounds between colors;
+    otherwise arcs is None and the colors stay as given.
+    """
     m = np.ascontiguousarray(matrix, dtype=np.int64)
+    arcs = None
+    if relabel:
+        values = np.unique(m[m != 0])
+        m = np.where(m != 0, np.searchsorted(values, m) + 1, 0)
+        tails, heads = np.nonzero(m)
+        order = np.argsort(m[tails, heads], kind="stable")
+        tails, heads = tails[order], heads[order]
+        colors = m[tails, heads]
+        arcs = (colors, tails, heads, np.cumsum(np.bincount(colors))[1:-1])
     mt = np.ascontiguousarray(m.T)
     asym = not np.array_equal(m, mt)
-    return m, mt, asym
+    return m, mt, asym, arcs
 
 
 def _signatures(
@@ -102,45 +126,79 @@ def _cell_ids(cells: Cells, n: int) -> np.ndarray:
     return np.array(ids, dtype=np.int64)
 
 
-def _refine(
-    struct: Struct, cells: Cells, expect: Trace | None = None
-) -> tuple[Cells, Trace] | None:
-    """Split cells by signature until equitable, recording the trace.
+def _split(cells: Cells, keys: Sequence[bytes]) -> tuple[Cells, list]:
+    """Split each cell by the keys of its members, pieces in key order.
 
-    The trace has one entry per pass, the last one splitting nothing.  An
-    entry lists, cell by cell, the signature key of a cell that did not
-    split, or the sorted (key, count) pairs of its pieces.  Returns
-    (cells, trace), or None at the first pass that differs from expect.
+    The trace entry lists, cell by cell, the key of a cell that stays whole
+    or the sorted (key, count) pairs of its pieces.
     """
-    m, mt, asym = struct
+    new_cells: Cells = []
+    entry: list = []
+    for cell in cells:
+        if len(cell) == 1:
+            entry.append(keys[cell[0]])
+            new_cells.append(cell)
+            continue
+        groups: dict[bytes, list[int]] = {}
+        for x in cell:
+            groups.setdefault(keys[x], []).append(x)
+        if len(groups) == 1:
+            entry.extend(groups)  # its one key
+            new_cells.append(cell)
+        else:
+            ordered = sorted(groups)
+            entry.append([(key, len(groups[key])) for key in ordered])
+            new_cells.extend(groups[key] for key in ordered)
+    return new_cells, entry
+
+
+def _refine(
+    struct: Struct,
+    cells: Cells,
+    colors: Cells | None = None,
+    expect: Trace | None = None,
+) -> tuple[Cells, Cells | None, Trace] | None:
+    """Split vertex and color cells until neither splits, recording the trace.
+
+    colors is None when colors are fixed: the matrix is read as is and no
+    color is refined.  Otherwise it partitions the ranked colors of a
+    relabeled struct: a vertex's signature reads color-cell ids, and a
+    color's signature is the sorted multiset of (cell(u), cell(v)) over its
+    arcs.  The trace has one entry per pass, the last one splitting nothing:
+    the vertex cells' entries, then the color cells'.  Returns
+    (cells, colors, trace), or None at the first pass that differs from
+    expect.
+    """
+    m, mt, asym, arcs = struct
     n = m.shape[0]
     trace: Trace = []
     while True:
-        sig = _signatures(m, mt, asym, _cell_ids(cells, n), len(cells))
-        new_cells: Cells = []
-        entry: list = []
-        for cell in cells:
-            if len(cell) == 1:
-                entry.append(sig[cell[0]].tobytes())
-                new_cells.append(cell)
-                continue
-            groups: dict[bytes, list[int]] = {}
-            for v in cell:
-                groups.setdefault(sig[v].tobytes(), []).append(v)
-            if len(groups) == 1:
-                entry.extend(groups)  # its one key
-                new_cells.append(cell)
-            else:
-                keys = sorted(groups)
-                entry.append([(key, len(groups[key])) for key in keys])
-                new_cells.extend(groups[key] for key in keys)
+        ids = _cell_ids(cells, n)
+        ncells = len(cells)
+        new_colors, color_entry = None, []
+        if colors is None:
+            sig = _signatures(m, mt, asym, ids, ncells)
+        else:
+            lut = _cell_ids(colors, 1 + sum(map(len, colors))) + 1
+            lut[0] = 0  # non-adjacent stays apart from every color
+            sig = _signatures(lut[m], lut[mt], asym, ids, ncells)
+            arc_colors, tails, heads, bounds = arcs
+            square = ncells * ncells
+            codes = arc_colors * square + ids[tails] * ncells + ids[heads]
+            pieces = np.split(np.sort(codes) % square, bounds)
+            color_keys = [b""] + [piece.tobytes() for piece in pieces]
+            new_colors, color_entry = _split(colors, color_keys)
+        # Each row as one bytes key, converted in a single call.
+        rows = sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1])))
+        new_cells, entry = _split(cells, rows.ravel().tolist())
+        entry += color_entry
         # A pass equal to expect's last one splits nothing and ends here too.
         if expect is not None and entry != expect[len(trace)]:
             return None
         trace.append(entry)
-        if len(new_cells) == len(cells):
-            return cells, trace
-        cells = new_cells
+        if len(new_cells) == ncells and new_colors == colors:
+            return cells, colors, trace
+        cells, colors = new_cells, new_colors
 
 
 def _target_cell(cells: Cells) -> int | None:
@@ -165,26 +223,37 @@ def _search_pair(
     s2: Struct,
     cells1: Cells,
     cells2: Cells,
-    accept: Callable[[Perm], bool],
+    colors1: Cells | None,
+    colors2: Cells | None,
 ) -> Perm | None:
-    """A map accepted at a leaf below two refined partitions with equal traces.
+    """A map carrying s1 onto s2 below two refined partitions with equal traces.
 
     The fixed side individualizes the first vertex of its target cell and is
     refined once; each candidate image on the other side is refined against
-    that trace.
+    that trace.  At a leaf, aligned color cells give the color map; a color
+    left unmatched maps to -1, which no entry equals.
     """
     t = _target_cell(cells1)
     if t is None:
         image = [0] * len(cells1)
         for c1, c2 in zip(cells1, cells2):
             image[c1[0]] = c2[0]
-        perm = tuple(image)
-        return perm if accept(perm) else None
-    child1, trace = _refine(s1, _individualize(cells1, t, cells1[t][0]))
+        m1 = s1[0]
+        if colors1 is not None:
+            lut = np.full(1 + sum(map(len, colors1)), -1, dtype=np.int64)
+            lut[0] = 0
+            for a, b in zip(colors1, colors2):
+                lut[a[0]] = b[0]
+            m1 = lut[m1]
+        p = np.asarray(image, dtype=np.intp)
+        return tuple(image) if np.array_equal(s2[0][np.ix_(p, p)], m1) else None
+    child1, below1, trace = _refine(
+        s1, _individualize(cells1, t, cells1[t][0]), colors1
+    )
     for w in cells2[t]:
-        child2 = _refine(s2, _individualize(cells2, t, w), trace)
+        child2 = _refine(s2, _individualize(cells2, t, w), colors2, trace)
         if child2 is not None:
-            found = _search_pair(s1, s2, child1, child2[0], accept)
+            found = _search_pair(s1, s2, child1, child2[0], below1, child2[1])
             if found is not None:
                 return found
     return None
@@ -231,17 +300,16 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
     struct = _prep(matrix)
     m = struct[0]
     n = m.shape[0]
-    accept = partial(preserves_matrix, m)
     gens: list[Perm] = []
     for seed in seeds:
         perm = tuple(seed)
         if len(perm) != n:
             raise ValueError("seed degree mismatch")
-        if not accept(perm):
+        if not preserves_matrix(m, perm):
             raise ValueError("seed does not preserve the matrix")
         if any(i != x for i, x in enumerate(perm)) and perm not in gens:
             gens.append(perm)
-    cells, _ = _refine(struct, [list(range(n))])
+    cells, _, _ = _refine(struct, [list(range(n))])
     prefix: list[int] = []
     orbit_lengths: list[int] = []
     while True:
@@ -250,16 +318,16 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
             break
         cell = cells[t]
         b = cell[0]
-        child, trace = _refine(struct, _individualize(cells, t, b))
+        child, _, trace = _refine(struct, _individualize(cells, t, b))
         fixing = [g for g in gens if all(g[p] == p for p in prefix)]
         orbit = set(orbit_of_point(b, fixing))
         for w in cell[1:]:
             if w in orbit:
                 continue
-            other = _refine(struct, _individualize(cells, t, w), trace)
+            other = _refine(struct, _individualize(cells, t, w), None, trace)
             if other is None:
                 continue
-            found = _search_pair(struct, struct, child, other[0], accept)
+            found = _search_pair(struct, struct, child, other[0], None, None)
             if found is not None:
                 gens.append(found)
                 fixing.append(found)
@@ -282,8 +350,9 @@ def matrix_isomorphism(
     """A vertex bijection carrying matrix m1 onto m2, or None.
 
     match_colors: "exact" keeps color values fixed, "bijection" allows a
-    global color relabeling (discovered greedily at the leaves, with
-    refinement driven by color-class sizes so it stays sound).
+    global color relabeling, found by refining the colors as a partition
+    beside the vertices.  Every root image is tried, so the search needs no
+    symmetry of the matrices.
     """
     if match_colors not in ("exact", "bijection"):
         raise ValueError(f"unknown color matching mode {match_colors!r}")
@@ -296,40 +365,24 @@ def _isomorphism(
     """matrix_isomorphism below the same root partition on both sides.
 
     The search is complete only for isomorphisms that map each cell of
-    root onto the same cell.
+    root onto the same cell.  Exact colors stay fixed; relabeled colors
+    start as one cell on each side, which needs as many colors on both.
     """
     if m1.shape != m2.shape:
         return None
-    m1 = np.asarray(m1, dtype=np.int64)
-    m2 = np.asarray(m2, dtype=np.int64)
-    if match_colors == "exact":
-        s1, s2 = _prep(m1), _prep(m2)
-    else:
-        s1, s2 = _prep(_bucket_by_class_size(m1)), _prep(_bucket_by_class_size(m2))
-
-    def accept(perm: Perm) -> bool:
-        if match_colors == "exact":
-            p = np.asarray(perm, dtype=np.intp)
-            return bool(np.array_equal(m2[np.ix_(p, p)], m1))
-        return color_bijection_between(m1, m2, perm) is not None
-
-    cells1, trace = _refine(s1, root)
-    refined = _refine(s2, root, trace)
+    relabel = match_colors == "bijection"
+    s1, s2 = _prep(m1, relabel), _prep(m2, relabel)
+    colors = None
+    if relabel:
+        k = int(s1[0].max(initial=0))
+        if k != int(s2[0].max(initial=0)):
+            return None
+        colors = [list(range(1, k + 1))] if k else []
+    cells1, colors1, trace = _refine(s1, root, colors)
+    refined = _refine(s2, root, colors, trace)
     if refined is None:
         return None
-    return _search_pair(s1, s2, cells1, refined[0], accept)
-
-
-def _bucket_by_class_size(m: np.ndarray) -> np.ndarray:
-    """Replace colors by the size rank of their class; 0 stays 0."""
-    values, counts = np.unique(m[m != 0], return_counts=True)
-    order = sorted(zip(values.tolist(), counts.tolist()), key=lambda vc: (vc[1], vc[0]))
-    sizes = sorted({c for _, c in order})
-    rank = {size: i + 1 for i, size in enumerate(sizes)}
-    out = np.zeros_like(m)
-    for value, cnt in order:
-        out[m == value] = rank[cnt]
-    return out
+    return _search_pair(s1, s2, cells1, refined[0], colors1, refined[1])
 
 
 # -- public graph operations --------------------------------------------------
@@ -395,15 +448,10 @@ def are_isomorphic(
     build_cayley, in graph and digraph mode, have the left translations
     x -> hx among the automorphisms of both their color and uncolored
     matrices: the arc (x, xs) goes to (hx, hxs), with the same color.
-    Bucketing colors by class size keeps that.  So if some isomorphism
-    exists, following it by a translation of g2 gives one that maps vertex 0
-    to vertex 0, and the search below that root is complete.  The returned
-    map is any isomorphism, not a canonical one.
-
-    With respect_colors the time can be exponential in n: when all color
-    classes have one size, refinement sees only the uncolored graph, and
-    the color bijection is found only at the leaves.  Complete graphs of
-    F21 with such colorings can take minutes.
+    So if some isomorphism exists, following it by a translation of g2
+    gives one that maps vertex 0 to vertex 0, and the search below that
+    root is complete.  The returned map is any isomorphism, not a canonical
+    one.
     """
     if g1.n != g2.n:
         raise ValueError("vertex counts differ")

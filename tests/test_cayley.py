@@ -303,3 +303,48 @@ def test_color_matrix_matches_its_definition(group):
             m[0, 0] = 1
         arcs = graph.n * graph.valency
         assert graph.edge_count() == (arcs if graph.digraph_mode else arcs // 2)
+
+
+def _burnside_per_mask(group, connected_only):
+    """Burnside's count testing every eligible mask against the pair action
+    of every automorphism, one mask at a time."""
+    pairs = inverse_pairs(group)
+    index = {p[0]: i for i, p in enumerate(pairs)}
+
+    def members(mask):
+        return [p[0] for i, p in enumerate(pairs) if mask >> i & 1]
+
+    eligible = [
+        mask
+        for mask in range(1, 1 << len(pairs))
+        if not connected_only
+        or len(subgroup_generated(group, members(mask))) == group.order
+    ]
+    auts = list(group_automorphisms(group).elements())
+    total = 0
+    for a in auts:
+        perm = [index[min(a[p[0]], group.inv[a[p[0]]])] for p in pairs]
+        for mask in eligible:
+            image = sum(1 << perm[i] for i in range(len(pairs)) if mask >> i & 1)
+            total += image == mask
+    count, rem = divmod(total, len(auts))
+    assert rem == 0
+    return count
+
+
+@pytest.mark.parametrize("connected_only", [False, True])
+@pytest.mark.parametrize(
+    "group", [g for _, g in SMALL_GROUPS], ids=[name for name, _ in SMALL_GROUPS]
+)
+def test_burnside_by_cycles_matches_per_mask_count(group, connected_only):
+    expected = _burnside_per_mask(group, connected_only)
+    assert count_orbits_burnside(group, connected_only) == expected
+    assert len(connection_set_orbits(group, connected_only)) == expected
+
+
+def test_burnside_counts_past_sixteen_pairs():
+    # Z35 has 17 inverse pairs, so the identity's 2^17 unions are counted
+    # in chunks of 2^16.
+    z35 = make_cyclic(35)
+    assert len(inverse_pairs(z35)) == 17
+    assert count_orbits_burnside(z35) == len(connection_set_orbits(z35)) == 11143

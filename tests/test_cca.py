@@ -4,6 +4,7 @@ from ccakit.cayley import (
     build_cayley,
     connection_set_mask,
     connection_set_orbits,
+    count_orbits_burnside,
     f21_noncca_graph,
     inverse_pairs,
     mask_orbit,
@@ -109,6 +110,7 @@ def test_group_verdict_z2_4():
     ok, failing = cca_group_verdict(z2_4)
     assert ok and failing == []
     assert len(connection_set_orbits(z2_4, connected_only=True)) == 36
+    assert count_orbits_burnside(z2_4, connected_only=True) == 36
 
 
 def test_hamiltonian_2group_detection():

@@ -12,6 +12,7 @@ from ccakit.harness import (
     cmd_verdict,
     f21_census,
 )
+from ccakit.suites import lemma_property_suite
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,15 @@ def test_census_builds_aut_f21_at_most_once():
     misses = group_automorphisms.cache_info().misses
     check_f21_census(f21_census())
     assert group_automorphisms.cache_info().misses - misses <= 1
+
+
+def test_lemma_property_suite_rows_all_hold():
+    # The lemma rows of `ccakit oracle-suite`: translations, coset blocks,
+    # fixers and the quotient lemma, mostly on the order-21 negative graph.
+    rows = lemma_property_suite()
+    assert len(rows) == 18
+    assert all(row["suite"] == "lemma" for row in rows)
+    assert [row["name"] for row in rows if not row["ok"]] == []
 
 
 def test_cmd_complete_cca_custom_roster():

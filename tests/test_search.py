@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -168,24 +169,41 @@ def test_refinement_trace():
     triangles = _graph_matrix(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     k33 = _graph_matrix(6, [(u, v) for u in range(3) for v in range(3, 6)])
     # regular graphs: one pass that keeps the root whole
-    cells, trace = refine(prep(c6), root)
-    assert cells == root and len(trace) == 1 and len(trace[0]) == 1
+    cells, colors, trace = refine(prep(c6), root)
+    assert cells == root and colors is None
+    assert len(trace) == 1 and len(trace[0]) == 1
     # equal valency: the root refinement cannot tell these two apart ...
-    assert refine(prep(triangles), root, trace) == (root, trace)
+    assert refine(prep(triangles), root, None, trace) == (root, None, trace)
     # ... but one individualized vertex can
-    _, below = refine(prep(c6), [[0], [1, 2, 3, 4, 5]])
-    assert refine(prep(triangles), [[0], [1, 2, 3, 4, 5]], below) is None
+    _, _, below = refine(prep(c6), [[0], [1, 2, 3, 4, 5]])
+    assert refine(prep(triangles), [[0], [1, 2, 3, 4, 5]], None, below) is None
     # a whole cell is compared by its signature key
-    assert refine(prep(k33), root, trace) is None
+    assert refine(prep(k33), root, None, trace) is None
     # a split cell records its pieces with their sizes
     p5 = _graph_matrix(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     root = [list(range(5))]
-    _, trace = refine(prep(p5), root)
+    _, _, trace = refine(prep(p5), root)
     assert sorted(count for _, count in trace[0][0]) == [2, 3]
     # ends, then the center split off; the last pass keeps every cell whole
     assert len(trace) == 3 and all(isinstance(key, bytes) for key in trace[-1])
     p3_p2 = _graph_matrix(5, [(0, 1), (1, 2), (3, 4)])
-    assert refine(prep(p3_p2), root, trace) is None
+    assert refine(prep(p3_p2), root, None, trace) is None
+    # The path 0-1-2-3 with colors 7, 7, 9: the color classes differ in size,
+    # so the one color cell splits in the first pass, beside the vertices.
+    path = _graph_matrix(4, [(0, 1), (1, 2)]) * 7
+    path[2, 3] = path[3, 2] = 9
+    root, one_cell = [list(range(4))], [[1, 2]]  # colors ranked 1, 2
+    cells, colors, trace = refine(prep(path, relabel=True), root, one_cell)
+    assert sorted(map(len, cells)) == [1, 1, 1, 1]
+    assert sorted(colors) == [[1], [2]]
+    vertex_entry, color_entry = trace[0][:-1], trace[0][-1]
+    assert [count for _, count in vertex_entry[0]] == [2, 2]
+    assert [count for _, count in color_entry] == [1, 1]
+    # Swapped colors refine alike; one color on every edge does not.
+    swapped = np.where(path == 7, 9, np.where(path == 9, 7, 0))
+    assert refine(prep(swapped, relabel=True), root, one_cell, trace) is not None
+    uniform = _graph_matrix(4, [(0, 1), (1, 2), (2, 3)]) * 7
+    assert refine(prep(uniform, relabel=True), root, [[1]], trace) is None
 
 
 def _random_matrix(rng, n, colors, symmetric):
@@ -215,6 +233,28 @@ def _near_miss(rng, m):
     out[i, j] = (out[i, j] + 1) % (m.max() + 2)
     if np.array_equal(m, m.T):
         out[j, i] = out[i, j]
+    return out
+
+
+def _one_class_size(rng, n, colors, complete):
+    """A symmetric matrix whose color classes all have one size; complete
+    ones need colors to divide n(n-1)/2."""
+    upper = np.triu_indices(n, 1)
+    size = len(upper[0]) // (colors if complete else colors + 1)
+    values = np.zeros(len(upper[0]), dtype=np.int64)
+    values[: size * colors] = np.repeat(np.arange(1, colors + 1), size)
+    m = np.zeros((n, n), dtype=np.int64)
+    m[upper] = rng.permutation(values)
+    return m + m.T
+
+
+def _two_edges_swapped(rng, m):
+    """A relabeled, recolored copy with the colors of an edge of color 1 and
+    an edge of color 2 exchanged, so every class keeps its size."""
+    out = _relabeled(rng, m, recolor=True)
+    (a, b), (c, d) = np.argwhere(out == 1)[0], np.argwhere(out == 2)[0]
+    out[a, b] = out[b, a] = 2
+    out[c, d] = out[d, c] = 1
     return out
 
 
@@ -251,6 +291,14 @@ def _oracle_pairs():
     c6 = build_cayley(make_cyclic(6), {1, 5}).uncolored_matrix
     triangles = np.kron(np.eye(2, dtype=c6.dtype), 1 - np.eye(3, dtype=c6.dtype))
     pairs.append((c6, triangles))
+    # color classes of one size, which only refining the colors tells apart
+    for n, colors, complete in (
+        (4, 3, True), (5, 2, True), (6, 3, True), (7, 3, True),
+        (5, 3, False), (6, 2, False), (7, 2, False),
+    ):
+        m = _one_class_size(rng, n, colors, complete)
+        pairs.append((m, _relabeled(rng, m, recolor=True)))
+        pairs.append((m, _two_edges_swapped(rng, m)))
     return pairs
 
 
@@ -325,11 +373,8 @@ def _carried(graph, copy):
 @pytest.mark.parametrize("respect_colors", [False, True])
 def test_one_top_branch_matches_full_search_on_f21(respect_colors):
     # Every pair of equal valency among the connected orbit representatives,
-    # which are 51 uncolored classes.  Uncolored, the second graph is carried
-    # to a renumbered copy of F21, so that the maps found are not the
-    # identity.  Colored graphs are compared as built: all color classes of
-    # a complete F21 graph have one size, so refinement sees only K21 and a
-    # relabeled positive pair can take either search up to 20! leaves.
+    # which are 51 classes, colored or not.  The second graph is carried to
+    # a renumbered copy of F21, so that the maps found are not the identity.
     f21 = group_from_name("f21")
     pairs = inverse_pairs(f21)
     reps = [
@@ -337,11 +382,31 @@ def test_one_top_branch_matches_full_search_on_f21(respect_colors):
         for mask, _ in connection_set_orbits(f21, connected_only=True)
     ]
     copy = _renumbered(f21, seed=21)
-    others = reps if respect_colors else [_carried(graph, copy) for graph in reps]
+    others = [_carried(graph, copy) for graph in reps]
     for i, a in enumerate(reps):
         for j, b in enumerate(others):
             if a.valency == b.valency:
                 assert _same_answer_as_full_search(a, b, respect_colors) == (i == j)
+
+
+def test_complete_graphs_of_order_21_colored():
+    # All ten color classes of a complete graph on F21 or Z21 have 42 arcs,
+    # and uncolored both graphs are K21, so only refining the colors as a
+    # partition separates them.  Each answer takes milliseconds on a 2-core
+    # VM; a search that meets the color map only at the leaves runs for
+    # minutes.
+    f21, z21 = group_from_name("f21"), group_from_name("z21")
+    copy = _renumbered(f21, seed=21)
+    kf, kc, kz = (
+        build_cayley(g, [x for x in range(21) if x != g.identity])
+        for g in (f21, copy, z21)
+    )
+    assert np.unique(kz.color_matrix, return_counts=True)[1][1:].tolist() == [42] * 10
+    assert are_isomorphic(kf, kz, respect_colors=False) is not None
+    start = time.perf_counter()
+    assert _same_answer_as_full_search(kf, kc, respect_colors=True)
+    assert not _same_answer_as_full_search(kf, kz, respect_colors=True)
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("name", ["f21", "z3xs3", "q8"])
@@ -386,11 +451,11 @@ def test_shrikhande_and_rook_graph_are_told_apart_below_the_top_branch():
     s1, s2 = search._prep(shrikhande.uncolored_matrix), search._prep(rook.uncolored_matrix)
     root = [list(range(16))]
     top = [[0], list(range(1, 16))]
-    _, trace = search._refine(s1, root)
-    assert search._refine(s2, root, trace) is not None
-    cells, trace = search._refine(s1, top)
+    _, _, trace = search._refine(s1, root)
+    assert search._refine(s2, root, None, trace) is not None
+    cells, _, trace = search._refine(s1, top)
     assert [len(c) for c in cells] == [1, 9, 6]
-    assert search._refine(s2, top, trace) is not None
+    assert search._refine(s2, top, None, trace) is not None
     for respect_colors in (False, True):
         assert not _same_answer_as_full_search(shrikhande, rook, respect_colors)
 
