@@ -6,13 +6,14 @@ per orbit of that kernel; the classes E of that comparison form a second
 invariant partition.  When every class meets every block exactly once (odd
 group order required), the connection set splits along the block at the
 identity and the graph is a color-respecting Cartesian product of the two
-induced factor graphs.  The search wrapper tries the nontrivial block
-systems of the color group, then the singleton partition, until a
-factorization with a distinguished order-21 factor appears.
+induced factor graphs.  The product theorem's check names its block system
+from the connection set: the left cosets of the subgroup generated by a
+class of pairwise non-commuting generators of order 21.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -36,10 +37,8 @@ from .perms import (
     Perm,
     PermGroup,
     _block_image,
-    all_block_systems,
     fixer,
     point_stabilizer,
-    singleton_partition,
 )
 from .search import (
     are_isomorphic,
@@ -314,19 +313,18 @@ def _is_square_free(n: int) -> bool:
     return True
 
 
-def _candidate_systems(ao: PermGroup) -> list[BlockSystem]:
-    """The nontrivial block systems of ao by ``block_of``, then the singletons.
-
-    A trivial partition gives factor orders 1 and n, so it yields an
-    order-21 factor only when n = 21, where no nontrivial system can; last,
-    it spares a product a whole n-vertex decomposition before its fibers.
-    The singletons always decompose (trivial fixer) into the one-block
-    partition's orders mirrored, so that one is left out.  Fixer orbits are
-    already listed: a fixer is normal in the transitive ao, so its orbits
-    form a block system (Dixon & Mortimer, *Permutation Groups*, 1996, ch. 1).
-    """
-    systems = [b for b in all_block_systems(ao) if not b.is_trivial()]
-    return systems + [singleton_partition(ao.degree)]
+def _noncommuting_classes(group: GroupTable, members: frozenset[int]) -> Iterator[list[int]]:
+    """S's inverse pairs, one element each, joined when they do not commute
+    and closed transitively.  Swapping s for s^-1 changes neither what s
+    commutes with nor the subgroup a class generates."""
+    mult = group.mult
+    rest = [s for s in sorted(members) if s <= group.inv[s]]
+    while rest:
+        cls = [rest.pop(0)]
+        for s in cls:  # cls grows as pairs join it
+            cls += [t for t in rest if mult[s][t] != mult[t][s]]
+            rest = [t for t in rest if mult[s][t] == mult[t][s]]
+        yield cls
 
 
 def product_structure_verdict(
@@ -334,10 +332,8 @@ def product_structure_verdict(
 ) -> tuple[ColoredCayleyGraph, ColoredCayleyGraph] | None:
     """Factor a connected negative-verdict graph of odd square-free order.
 
-    Searches candidate invariant partitions of the color group for a
-    successful factorization having an order-21 factor isomorphic, colors
-    respected, to the canonical order-21 negative instance.  The returned
-    pair puts that factor second.  None when no candidate works.
+    Cay(G,S) = Cay(H,P) □ Γ, with Γ the order-21 negative instance up to
+    colored isomorphism, as the pair (Cay(H,P), Γ); None when there is none.
     """
     group = graph.group
     if group.order % 2 == 0 or not _is_square_free(group.order):
@@ -345,24 +341,28 @@ def product_structure_verdict(
     verdict, ao = cca_verdict_with_group(graph)
     if verdict.is_cca:
         raise ValueError("verdict requires a graph with a negative verdict")
-    return _factor_product(graph, ao)
+    result = _factor_product(graph, ao)
+    return None if result is None else (result.factor1, result.factor2)
 
 
-def _factor_product(
-    graph: ColoredCayleyGraph, ao: PermGroup
-) -> tuple[ColoredCayleyGraph, ColoredCayleyGraph] | None:
-    """The candidate-system search of product_structure_verdict, given the
-    graph's color group ao."""
+def _factor_product(graph: ColoredCayleyGraph, ao: PermGroup) -> DecompositionResult | None:
+    """The decomposition, given the color group ao, whose second factor is
+    the order-21 instance; None when there is none.  Cay(H,P) □ Cay(K,Q) is
+    Cay(H × K, P ∪ Q) (Imrich & Klavžar, *Product Graphs*, 2000), and with
+    K ≅ F21 (trivial center; normal subgroups 1, Z7, F21) Q is one
+    noncommuting class.  The left cosets of ⟨Q⟩, the components of Q's
+    colors, are a block system of ao: one decomposition per such class.
+    """
+    group = graph.group
     canon = f21_noncca_graph()
-    for system in _candidate_systems(ao):
-        result = cartesian_decompose(graph, ao, system)
-        if not result.success:
+    for q in _noncommuting_classes(group, graph.connection.members):
+        k = subgroup_generated(group, q)
+        if len(k) != 21:
             continue
-        f1, f2 = result.factor1, result.factor2
-        assert f1 is not None and f2 is not None
-        for other, f in ((f1, f2), (f2, f1)):
-            if f.n == 21 and are_isomorphic(f, canon, respect_colors=True):
-                return other, f
+        cosets = {frozenset(group.mult[g][h] for h in k) for g in range(graph.n)}
+        result = cartesian_decompose(graph, ao, BlockSystem.from_blocks(graph.n, cosets))
+        if result.success and are_isomorphic(result.factor2, canon, respect_colors=True):
+            return result
     return None
 
 

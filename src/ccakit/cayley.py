@@ -181,8 +181,9 @@ def cartesian_product(
     if g1.digraph_mode or g2.digraph_mode:
         raise ValueError("cartesian product is defined for graph mode")
     prod = direct_product(g1.group, g2.group)
-    m = g2.group.order
-    members = {s * m for s in g1.connection.members} | set(g2.connection.members)
+    m, e1, e2 = g2.group.order, g1.group.identity, g2.group.identity
+    members = {s * m + e2 for s in g1.connection.members}
+    members |= {e1 * m + t for t in g2.connection.members}
     return build_cayley(prod, members)
 
 

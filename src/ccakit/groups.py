@@ -516,18 +516,25 @@ def left_regular_group(group: GroupTable) -> PermGroup:
 # -- labels, parsing, registry ------------------------------------------------
 
 
+_MAX_NESTING = 100
+"""The deepest parenthesis nesting parse_elements reads; each level is one
+recursive call."""
+
+
 def parse_elements(group: GroupTable, text: str) -> tuple[int, ...]:
     """Resolve a comma-separated list of element expressions to indices.
 
     Each item is either an exact label or a word in labels with optional
     parenthesized subwords and integer exponents, e.g. ``a,x^2,(ax)^-1``.
     Only commas outside parentheses separate items, so product labels such
-    as ``(e,a)`` can be named.
+    as ``(e,a)`` can be named.  Nesting deeper than _MAX_NESTING is refused.
     """
     out: list[int] = []
     depth, start = 0, 0
     for i, ch in enumerate(text + ","):
         depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth > _MAX_NESTING:
+            raise ValueError(f"parentheses nested deeper than {_MAX_NESTING}")
         if ch == "," and depth == 0:
             item = text[start:i].strip()
             if not item:

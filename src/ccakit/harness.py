@@ -13,8 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cartesian import _factor_product, _is_square_free, cartesian_decompose
+from .cartesian import _factor_product, _is_square_free
 from .cayley import (
+    _MAX_PAIRS_FOR_ENUMERATION,
     ColoredCayleyGraph,
     ConnectionSet,
     build_cayley,
@@ -30,6 +31,7 @@ from .cayley import (
 )
 from .cca import (
     CcaVerdict,
+    cca_group_verdict,
     cca_verdict,
     cca_verdict_with_group,
     complete_graph,
@@ -40,8 +42,9 @@ from .groups import (
     group_from_name,
     make_cyclic,
     subgroup_generated,
+    subgroup_table,
 )
-from .perms import BlockSystem, PermGroup
+from .perms import PermGroup
 from .search import are_isomorphic, uncolored_aut_group
 from .suites import run_oracle_suites
 
@@ -58,6 +61,12 @@ DEFAULT_ROSTER = (
     "s3",
     "f21",
 )
+
+
+def _check(ok: bool, message: object) -> None:
+    """A failed check; unlike a bare assert, it also runs under python -O."""
+    if not ok:
+        raise AssertionError(message)
 
 
 @dataclass
@@ -153,25 +162,26 @@ def f21_census() -> CensusReport:
 
 def check_f21_census(report: CensusReport) -> None:
     """Assert the known shape of the F21 sweep."""
-    assert report.total_sets == 1023, report.total_sets
-    assert report.orbit_count == report.burnside_orbit_count, (
+    _check(report.total_sets == 1023, report.total_sets)
+    _check(
+        report.orbit_count == report.burnside_orbit_count,
         f"orbit dedup found {report.orbit_count}, "
-        f"Burnside says {report.burnside_orbit_count}"
+        f"Burnside says {report.burnside_orbit_count}",
     )
     noncca = [row for row in report.rows if not row["is_cca"]]
-    assert report.noncca_class_count == 1, report.noncca_class_count
-    assert report.noncca_sets_per_class == [21], report.noncca_sets_per_class
-    assert len(noncca) == 1
+    _check(report.noncca_class_count == 1, report.noncca_class_count)
+    _check(report.noncca_sets_per_class == [21], report.noncca_sets_per_class)
+    _check(len(noncca) == 1, f"{len(noncca)} negative rows")
     row = noncca[0]
-    assert row["valency"] == 4, row
-    assert row["ao_order"] == 168, row
-    assert row["aut_order"] == 336, row
+    _check(row["valency"] == 4, row)
+    _check(row["ao_order"] == 168, row)
+    _check(row["aut_order"] == 336, row)
     # The canonical set {a, a^-1, ax, (ax)^-1} must land in that orbit.
     group = group_from_name("f21")
     canonical = connection_set_mask(
         group, inverse_pairs(group), f21_noncca_connection_set(group)
     )
-    assert canonical in mask_orbit(group, row["mask"]), "canonical set missing"
+    _check(canonical in mask_orbit(group, row["mask"]), "canonical set missing")
 
 
 def cmd_f21_census() -> tuple[list[dict], list[str]]:
@@ -224,7 +234,7 @@ def cmd_complete_cca(
         )
         if not ok:
             bad.append(name)
-    assert not bad, f"verdict disagrees with the subgroup criterion for {bad}"
+    _check(not bad, f"verdict disagrees with the subgroup criterion for {bad}")
     positive = sum(1 for row in rows if row["is_cca"])
     summary = [
         f"complete graphs over {len(rows)} groups: "
@@ -254,27 +264,35 @@ def _product_theorem_factors(
 ) -> dict:
     """The paper's product theorem as a check on one verdict.
 
-    A negative verdict on a group of odd square-free order must factor as a
-    Cartesian product with the order-21 negative instance; the two factor
-    orders are returned as row fields.  Other verdicts give no fields.
+    A negative verdict on a group of odd square-free order must factor as
+    Cay(H,P) □ Γ with Γ the order-21 negative instance, and H = ⟨P⟩ must be
+    CCA; that clause is decided by cca_group_verdict when H has at most
+    _MAX_PAIRS_FOR_ENUMERATION inverse pairs.  The two factor orders are
+    returned as row fields.  Other verdicts give no fields.
     """
     order = graph.n
     if verdict.is_cca or order % 2 == 0 or not _is_square_free(order):
         return {}
-    factors = _factor_product(graph, ao)
-    if factors is None:
-        raise AssertionError(
-            f"negative verdict of odd square-free order {order} has no "
-            "factor isomorphic to the order-21 instance"
+    result = _factor_product(graph, ao)
+    _check(
+        result is not None,
+        f"negative verdict of odd square-free order {order} has no "
+        "factor isomorphic to the order-21 instance",
+    )
+    h, _ = subgroup_table(graph.group, result.g1)
+    if len(inverse_pairs(h)) <= _MAX_PAIRS_FOR_ENUMERATION:
+        _check(
+            cca_group_verdict(h)[0],
+            f"product theorem: the factor H of order {h.order} is not CCA",
         )
-    return {"factor1_n": factors[0].n, "factor2_n": factors[1].n}
+    return {"factor1_n": result.factor1.n, "factor2_n": result.factor2.n}
 
 
 def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
     """Build the m-cycle product of the order-21 negative instance, confirm
-    the verdict stays negative, and recover both factors from the color
-    group alone.  Also reports verdicts for three seeded random sets of the
-    product group; a negative one must factor by the product theorem."""
+    the verdict stays negative, and recover both factors in one decomposition
+    over the order-21 fibers named by the connection set.  Also reports three
+    seeded random sets; a negative one must pass the product theorem."""
     if m < 1 or m % 2 == 0 or math.gcd(m, 21) != 1 or 21 * m > 105:
         raise ValueError("m must be odd, coprime to 21, with 21*m at most 105")
     if not _is_square_free(m):
@@ -282,8 +300,8 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
     base = f21_noncca_graph()
     prod = cartesian_product(_demo_cycle_factor(m), base)
     verdict, ao = cca_verdict_with_group(prod)
-    assert not verdict.is_cca, "the product should keep a negative verdict"
-    assert ao.order() == {1: 168, 5: 1680}[m], ao.order()
+    _check(not verdict.is_cca, "the product should keep a negative verdict")
+    _check(ao.order() == {1: 168, 5: 1680}[m], ao.order())
     rows: list[dict] = [
         {
             "kind": "verdict",
@@ -294,17 +312,12 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
         }
     ]
 
-    factors = _factor_product(prod, ao)
-    assert factors is not None, "no candidate block system factors the product"
-    f1, f2 = factors
-    assert f1.n == m and f2.n == 21, (f1.n, f2.n)
-    fibers = BlockSystem.from_blocks(
-        prod.n, [range(a * 21, (a + 1) * 21) for a in range(m)]
-    )
-    result = cartesian_decompose(prod, ao, fibers)
-    assert result.success, "decomposition over the order-21 fibers failed"
-    assert result.phrasings_agree
-    assert len(result.g1) == m and len(result.g2) == 21
+    result = _factor_product(prod, ao)
+    _check(result is not None, "the product does not factor through the order-21 instance")
+    fibers = tuple(v // 21 for v in range(prod.n))
+    _check(result.block_system.block_of == fibers, "not factored over the order-21 fibers")
+    _check(result.success and result.phrasings_agree, "intersection phrasings disagree")
+    f1, f2 = result.factor1, result.factor2
     rows.append(
         {
             "kind": "factors",
@@ -391,5 +404,5 @@ def cmd_oracle_suite(seed: int = 0) -> tuple[list[dict], list[str]]:
         for name, group in by_suite.items()
     ]
     failures = [row["name"] for row in rows if not row["ok"]]
-    assert not failures, "failing rows: " + ", ".join(failures)
+    _check(not failures, "failing rows: " + ", ".join(failures))
     return rows, summary

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -185,20 +186,54 @@ def _theorem_sets(name, m):
     return group, sets
 
 
-@pytest.mark.parametrize("name, m", [("z3xf21", 3), ("z5xf21", 5)])
-def test_negative_verdicts_factor_through_the_order_21_instance(name, m):
+@lru_cache(maxsize=None)
+def _theorem_negatives(name, m):
+    """The negative-verdict graphs among _theorem_sets, with color groups."""
     group, sets = _theorem_sets(name, m)
-    negatives = 0
+    out = []
     for members in sets:
         graph = build_cayley(group, members)
         verdict, ao = cca_verdict_with_group(graph)
-        if verdict.is_cca:
-            continue
-        negatives += 1
+        if not verdict.is_cca:
+            out.append((graph, ao))
+    return out
+
+
+THEOREM_GROUPS = [("z3xf21", 3), ("z5xf21", 5)]
+
+
+@pytest.mark.parametrize("name, m", THEOREM_GROUPS)
+def test_negative_verdicts_factor_through_the_order_21_instance(name, m):
+    negatives = _theorem_negatives(name, m)
+    for graph, ao in negatives:
         factors = _factor_product(graph, ao)
-        assert factors is not None, sorted(members)
-        assert (factors[0].n, factors[1].n) == (m, 21)
-    assert negatives >= 1
+        assert factors is not None, graph.connection.labels()
+        assert (factors.factor1.n, factors.factor2.n) == (m, 21)
+    assert len(negatives) >= 1
+
+
+def _lattice_search(graph, ao):
+    """Reference: the factor orders of the first block system of ao, the
+    nontrivial ones in block_of order and then the singletons, that
+    decomposes with a factor isomorphic, colors respected, to the order-21
+    instance."""
+    canon = f21_noncca_graph()
+    systems = [b for b in all_block_systems(ao) if not b.is_trivial()]
+    for system in systems + [singleton_partition(ao.degree)]:
+        result = cartesian_decompose(graph, ao, system)
+        if not result.success:
+            continue
+        for other, f in ((result.factor1, result.factor2), (result.factor2, result.factor1)):
+            if f.n == 21 and are_isomorphic(f, canon, respect_colors=True):
+                return other.n, f.n
+    return None
+
+
+@pytest.mark.parametrize("name, m", THEOREM_GROUPS)
+def test_factor_product_matches_the_block_system_search(name, m):
+    for graph, ao in _theorem_negatives(name, m):
+        result = _factor_product(graph, ao)
+        assert (result.factor1.n, result.factor2.n) == _lattice_search(graph, ao)
 
 
 def test_aut_product_check_coprime_cycles():

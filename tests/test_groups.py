@@ -6,6 +6,7 @@ import pytest
 import time
 
 from ccakit.groups import (
+    _MAX_NESTING,
     MAX_GROUP_ORDER,
     GroupTable,
     _group_from_text,
@@ -287,6 +288,12 @@ def test_parse_elements():
     assert {g.labels[i] for i in got} == {"a", "a^2", "x^4a", "x^6a^2"}
     with pytest.raises(ValueError):
         parse_elements(g, "b")
+    # nesting is refused before the recursion that reads it
+    deepest = "(" * _MAX_NESTING + "a" + ")" * _MAX_NESTING
+    assert parse_elements(g, deepest) == (g.index_of("a"),)
+    for depth in (_MAX_NESTING + 1, 3000):
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_elements(g, "x," + "(" * depth + "a" + ")" * depth)
 
 
 @pytest.mark.parametrize("name", list(DEFAULT_ROSTER) + ["z3xf21", "z2xq8"])

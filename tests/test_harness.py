@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ccakit
 from ccakit import harness
 from ccakit.cli import main
 from ccakit.groups import group_automorphisms
@@ -38,6 +43,22 @@ def test_census_rows_are_sorted_and_tagged(census):
     assert len(negatives) == 1
     assert negatives[0]["iso_class"] == 0
     assert all(row["iso_class"] is None for row in census.rows if row["is_cca"])
+
+
+def test_census_check_survives_optimized_mode():
+    # python -O strips bare asserts; the census check must still fail on a
+    # report with total_sets = 1 and noncca_class_count = 7.
+    code = (
+        "from ccakit.harness import CensusReport, check_f21_census\n"
+        "check_f21_census(CensusReport('F21', 1, 0, 0, 0, 0, 7, [], []))\n"
+    )
+    src = str(Path(ccakit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
 
 
 def test_census_builds_aut_f21_at_most_once():
@@ -91,6 +112,7 @@ def test_cmd_verdict_roundtrip():
 
 
 F21_NEGATIVE = "a,a^2,x^4a,x^6a^2"
+Z5XF21_NEGATIVE = "(1,e),(4,e),(e,a),(e,a^2),(e,x^4a),(e,x^6a^2)"
 
 
 def test_cmd_verdict_checks_the_product_theorem():
@@ -98,7 +120,7 @@ def test_cmd_verdict_checks_the_product_theorem():
     assert rows[0]["is_cca"] is False
     assert (rows[0]["factor1_n"], rows[0]["factor2_n"]) == (1, 21)
     assert "factors on 1 and 21 vertices" in summary[-1]
-    rows, _ = cmd_verdict("z5xf21", "(1,e),(4,e),(e,a),(e,a^2),(e,x^4a),(e,x^6a^2)")
+    rows, _ = cmd_verdict("z5xf21", Z5XF21_NEGATIVE)
     assert rows[0]["is_cca"] is False
     assert (rows[0]["factor1_n"], rows[0]["factor2_n"]) == (5, 21)
     # the theorem covers neither positive verdicts nor even orders
@@ -106,6 +128,21 @@ def test_cmd_verdict_checks_the_product_theorem():
     assert "factor1_n" not in rows[0]
     rows, _ = cmd_verdict("q8", "-1,i,-i,j,-j,k,-k")
     assert rows[0]["is_cca"] is False and "factor1_n" not in rows[0]
+
+
+def test_theorem_checks_that_h_is_cca(monkeypatch, capsys):
+    seen = []
+
+    def not_cca(group):
+        seen.append(group.order)
+        return False, []
+
+    monkeypatch.setattr(harness, "cca_group_verdict", not_cca)
+    with pytest.raises(AssertionError, match="H of order 5 is not CCA"):
+        cmd_verdict("z5xf21", Z5XF21_NEGATIVE)
+    assert main(["verdict", "--group", "f21", "--set", F21_NEGATIVE]) == 1
+    assert seen == [5, 1]
+    capsys.readouterr()
 
 
 def test_theorem_check_failure_is_a_check_failure(monkeypatch, capsys):
@@ -163,6 +200,8 @@ def test_cli_usage_errors(capsys):
     assert main(["verdict", "--group", "nope", "--set", "1,8"]) == 2
     assert main(["verdict", "--group", "z1000000", "--set", "1"]) == 2
     assert main(["product-demo", "--m", "3"]) == 2
+    deep = "(" * 3000 + "a" + ")" * 3000
+    assert main(["verdict", "--group", "f21", "--set", deep]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["f21-census", "--jobs", "2"])  # the census runs in one process
     assert exc.value.code == 2

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ccakit.cartesian import stabilizer_classes
+from ccakit.cartesian import _factor_product, stabilizer_classes
 from ccakit.cayley import (
     build_cayley,
     cartesian_product,
@@ -14,8 +14,14 @@ from ccakit.cayley import (
     inverse_pairs,
     mask_to_connection_set,
 )
-from ccakit.cca import cca_group_verdict, cca_verdict
-from ccakit.groups import GroupTable, group_automorphisms, group_from_name, make_cyclic
+from ccakit.cca import cca_group_verdict, cca_verdict, cca_verdict_with_group
+from ccakit.groups import (
+    GroupTable,
+    group_automorphisms,
+    group_from_name,
+    make_cyclic,
+    parse_elements,
+)
 from ccakit.perms import BlockSystem, PermGroup, all_block_systems
 from ccakit.search import are_isomorphic, color_preserving_group
 
@@ -75,6 +81,32 @@ def test_stabilizer_classes_survive_renumbering():
     assert e.block_count == 5 and e.block_size == 3
     assert {frozenset(blk) for blk in e.blocks} == {
         frozenset(new[v] for v in (b, b + 5, b + 10)) for b in range(5)
+    }
+
+
+def test_cartesian_product_embeds_beside_each_identity():
+    # Z3 with its identity at 2 and Z5 with its identity at 3; pair (a, b)
+    # is element 5a + b of the product.
+    three = build_cayley(renumber(make_cyclic(3), [2, 0, 1]), {0, 1})
+    five = build_cayley(renumber(make_cyclic(5), [3, 0, 1, 2, 4]), {0, 4})
+    prod = cartesian_product(three, five)
+    assert prod.group.identity == 13
+    assert prod.connection.members == {3, 8, 10, 14}
+
+
+def test_product_factors_over_the_renumbered_fibers():
+    # (c, f) is element 21c + f of z5xf21, so its order-21 fibers are v // 21.
+    base = group_from_name("z5xf21")
+    members = parse_elements(base, "(1,e),(4,e),(e,a),(e,a^2),(e,x^4a),(e,x^6a^2)")
+    new = shuffled(105, seed=13)
+    group = renumber(base, new)
+    graph = build_cayley(group, {new[s] for s in members})
+    verdict, ao = cca_verdict_with_group(graph)
+    assert not verdict.is_cca
+    result = _factor_product(graph, ao)
+    assert (result.factor1.n, result.factor2.n) == (5, 21)
+    assert {frozenset(blk) for blk in result.block_system.blocks} == {
+        frozenset(new[v] for v in range(21 * c, 21 * c + 21)) for c in range(5)
     }
 
 
