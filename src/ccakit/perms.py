@@ -26,10 +26,11 @@ would add nothing more, so the chain is the one a full run builds (Seress,
 ``fixer`` then read the stabilizer off the chain's tail levels.
 
 A block system of a transitive group is held as the int bitmask of its
-block through the first base point; ``all_block_systems`` closes one
-minimal block per pair of paired suborbits under joins (Seress,
-*Permutation Group Algorithms*, 2003, ch. 5), and ``minimal_block_system``
-is Atkinson's union-find (1975) from any seed pair.
+block through the first base point; ``all_block_systems`` closes the
+minimal blocks under joins, one join per orbit of a block's stabilizer on
+the blocks of its system (Seress, *Permutation Group Algorithms*, 2003,
+ch. 5), and ``minimal_block_system`` is Atkinson's union-find (1975) from
+any seed pair.
 """
 
 from __future__ import annotations
@@ -467,7 +468,8 @@ def _uf_blocks(uf: _UnionFind, degree: int) -> BlockSystem:
 
 
 def join_block_systems(a: BlockSystem, b: BlockSystem) -> BlockSystem:
-    """Coarsest common refinement target: connected components of a union b."""
+    """Finest common coarsening of two partitions: the connected components
+    of a union b."""
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
     uf = _UnionFind(a.degree)
@@ -514,24 +516,33 @@ def all_block_systems(group: PermGroup) -> list[BlockSystem]:
     base point of the group's chain.  Systems are invariant, so seeding at
     b0 finds the same systems as seeding at any other point.
 
-    Atoms are the minimal blocks containing {b0, p}.  Blocks through b0
-    correspond to the subgroups containing Stab(b0), so the atom of p is
-    the orbit of b0 under Stab(b0) and u_p, the level-0 transversal element
-    taking b0 to p; Stab(b0) is generated by the chain's strong generators
-    past level 0.  The atom is the same for every p in one suborbit (orbit
-    of Stab(b0)) and for its paired suborbit, that of u_p^-1(b0), so one
-    atom is computed per pair of paired suborbits.  The same minimal blocks
-    come from Atkinson's union-find (1975) in ``minimal_block_system``.
+    Blocks B through b0 correspond to the subgroups K_B containing Stab(b0),
+    K_B being B's setwise stabilizer and B = K_B(b0) (Seress, *Permutation
+    Group Algorithms*, 2003, ch. 5).  The atom of p, the minimal block
+    containing {b0, p}, is the orbit of b0 under K = <Stab(b0), u_p>, where
+    u_p is the level-0 transversal element taking b0 to p and Stab(b0) is
+    generated by the chain's strong generators past level 0.  The atom is
+    the same for every p in one suborbit (orbit of Stab(b0)) and for its
+    paired suborbit, that of u_p^-1(b0), so one atom is computed per pair.
+    The same minimal blocks come from Atkinson's union-find (1975) in
+    ``minimal_block_system``.
 
     Every block through b0 is the join of the atoms inside it, so joining
-    each block found with each atom not inside it reaches every system
-    (Seress, *Permutation Group Algorithms*, 2003, ch. 5).  The join of a
-    block B with the atom of p is the smallest block containing B and p,
-    which depends only on the block of B's system that holds p, so one
-    atom per such block is tried.  The join of two blocks starts from
-    their union and ORs in every block of either system that meets it
-    until nothing changes; the blocks of the system through B are the
-    images u_x(B), cached per call.
+    each block found with every atom not inside it reaches every system.
+    The join J of a block B with the atom of p is the smallest block
+    containing B and p, and its stabilizer is generated by K_B and u_p; so
+    each block keeps the points q, one per join that built it, whose u_q
+    generate K_B with Stab(b0).  Every k in K_B maps J to a block meeting
+    J in B, so to J itself: J depends only on the K_B-orbit of the block of
+    B's system that holds p.  One join is made per such orbit, read off the
+    cached block table, and none twice with the same atom.  The join of two
+    blocks starts from their union and ORs in every block of either system
+    that meets it until nothing changes.
+
+    The blocks of the system through B are its images u_x(B), cached per
+    call as a per-point block table in least-point order, with a check
+    that no two images overlap; each system is built from that table
+    directly.
     """
     n = group.degree
     if n <= 1:
@@ -542,34 +553,44 @@ def all_block_systems(group: PermGroup) -> list[BlockSystem]:
     transversal = group._levels[0].transversal
     stab_gens = [g for lvl in group.strong_generators_by_level()[1:] for g in lvl]
 
-    atoms: dict[int, int] = {}  # atom bitmask -> a point p it was seeded at
-    seeded = {b0}
+    atom_of = [0] * n  # per point p != b0, the bitmask of its atom
+    seeds: dict[int, tuple[int, ...]] = {}  # block -> points q generating K_B
     for p in range(n):
-        if p in seeded:
+        if p == b0 or atom_of[p]:
             continue
         u = transversal[p]
-        seeded.update(orbit_of_point(p, stab_gens))
-        seeded.update(orbit_of_point(u.index(b0), stab_gens))
-        atoms.setdefault(sum(1 << x for x in orbit_of_point(b0, stab_gens + [u])), p)
+        atom = sum(1 << x for x in orbit_of_point(b0, stab_gens + [u]))
+        for x in orbit_of_point(p, stab_gens) + orbit_of_point(u.index(b0), stab_gens):
+            atom_of[x] = atom
+        seeds.setdefault(atom, (p,))
 
-    cache: dict[int, list[int]] = {}
+    cache: dict[int, tuple[list[int], list[int], list[int]]] = {}
 
-    def blocks_at(block: int) -> list[int]:
-        """Per point, the block containing it in the system of ``block``."""
+    def system_of(block: int) -> tuple[list[int], list[int], list[int]]:
+        """The system of ``block``: per point the bitmask and the index of
+        the block holding it, and the least point of each block, ascending."""
         if block not in cache:
             members = [x for x in range(n) if block >> x & 1]
             at = [0] * n
+            index = [0] * n
+            firsts: list[int] = []
+            covered = 0
             for x in range(n):
                 if not at[x]:
                     image = [transversal[x][y] for y in members]
                     mask = sum(1 << y for y in image)
+                    if mask & covered:
+                        raise ValueError("blocks do not partition 0..n-1")
+                    covered |= mask
                     for y in image:
                         at[y] = mask
-            cache[block] = at
+                        index[y] = len(firsts)
+                    firsts.append(x)
+            cache[block] = at, index, firsts
         return cache[block]
 
     def join(a: int, b: int) -> int:
-        at_a, at_b = blocks_at(a), blocks_at(b)
+        at_a, at_b = system_of(a)[0], system_of(b)[0]
         while True:
             # Grow a, a union of its system's blocks, over every block meeting b.
             rest = b & ~a
@@ -581,20 +602,45 @@ def all_block_systems(group: PermGroup) -> list[BlockSystem]:
                 return a
             a, b, at_a, at_b = b, a, at_b, at_a
 
-    found = set(atoms)
-    queue = list(atoms)
+    queue = list(seeds)
     while queue:
         block = queue.pop()
-        at = blocks_at(block)
-        tried = {block}
-        for atom, p in atoms.items():
-            if at[p] not in tried:
-                tried.add(at[p])
-                joined = join(block, atom)
-                if joined not in found:
-                    found.add(joined)
-                    queue.append(joined)
-    systems = [BlockSystem.from_block_of(blocks_at(block)) for block in found]
+        _, index, firsts = system_of(block)
+        gens = stab_gens + [transversal[q] for q in seeds[block]]
+        seen = [False] * len(firsts)
+        seen[index[b0]] = True
+        tried = set()
+        for i, p in enumerate(firsts):
+            if seen[i]:
+                continue
+            # Block i opens a new K_B-orbit of blocks: mark it, join once.
+            seen[i] = True
+            stack = [p]
+            while stack:
+                x = stack.pop()
+                for g in gens:
+                    y = g[x]
+                    if not seen[index[y]]:
+                        seen[index[y]] = True
+                        stack.append(y)
+            atom = atom_of[p]
+            if atom in tried:
+                continue
+            tried.add(atom)
+            joined = join(block, atom)
+            if joined not in seeds:
+                seeds[joined] = seeds[block] + (p,)
+                queue.append(joined)
+
+    systems = []
+    for block in seeds:
+        _, index, firsts = system_of(block)
+        blocks: list[list[int]] = [[] for _ in firsts]
+        for y, i in enumerate(index):
+            blocks[i].append(y)
+        # tuple() of a list, not of a generator: on CPython 3.11 the generator
+        # form left about 0.6 MB in the tuple free lists over the sweep roster.
+        systems.append(BlockSystem(n, tuple([tuple(b) for b in blocks]), tuple(index)))
     return sorted(systems, key=lambda bs: bs.block_of)
 
 

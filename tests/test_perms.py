@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import reduce
 
 import pytest
@@ -10,6 +11,7 @@ from ccakit.cayley import (
     mask_to_connection_set,
 )
 from ccakit.groups import all_subgroups, group_from_name, left_regular_group
+from ccakit.harness import _random_connected_set
 from ccakit.perms import (
     BlockSystem,
     PermGroup,
@@ -265,16 +267,31 @@ def test_all_block_systems_edge_cases():
         all_block_systems(PermGroup(4, [(1, 0, 2, 3)]))
 
 
-def test_all_block_systems_do_not_depend_on_first_base_point(noncca_ao):
-    expected = all_block_systems(noncca_ao)
-    for k in (5, 20):
-        rebased = PermGroup(noncca_ao.degree, noncca_ao.generators, base_prefix=(k,))
-        assert rebased.base[0] == k
-        assert all_block_systems(rebased) == expected
+def _seeded_color_group(name, seed):
+    """The color group of a seeded connected set.  Its point stabilizer is
+    nontrivial, so a block's stabilizer holds more than translations."""
+    group = group_from_name(name)
+    members = _random_connected_set(group, random.Random(seed)).members
+    ao = color_preserving_group(build_cayley(group, members))
+    assert ao.order() > group.order
+    return ao
+
+
+def test_all_block_systems_do_not_depend_on_first_base_point(noncca_ao, product_ao):
+    # The joins skipped are read off the chain at b0, so a new b0 must not
+    # change the list.
+    for group in (noncca_ao, product_ao, _seeded_color_group("d25", 2)):
+        assert group.order() > group.degree
+        expected = all_block_systems(group)
+        for k in (5, 20):
+            rebased = PermGroup(group.degree, group.generators, base_prefix=(k,))
+            assert rebased.base[0] == k
+            assert all_block_systems(rebased) == expected
 
 
 @pytest.mark.parametrize(
-    "name", ["f21", "d8", "z3xs3", "z2xq8", "z3xz9", "d16", "q8xz2^2"]
+    "name",
+    ["f21", "d8", "z3xs3", "z2xq8", "z3xz9", "d16", "q8xz2^2", "d25", "d27", "z3xf21"],
 )
 def test_regular_group_systems_are_the_subgroups(name):
     # The blocks of a regular action containing the identity are exactly
@@ -313,6 +330,18 @@ def test_block_lattice_of_f21_color_groups(f21):
 
 def test_block_lattice_of_product_color_group(product_ao):
     _check_block_lattice(product_ao)
+
+
+@pytest.mark.parametrize("name", ["d25", "d27", "z3xf21"])
+def test_block_lattice_of_regular_groups(name):
+    _check_block_lattice(left_regular_group(group_from_name(name)))
+
+
+@pytest.mark.parametrize(
+    "name, seed", [("d16", 1), ("d25", 2), ("z3xf21", 0), ("q8xz2^2", 2)]
+)
+def test_block_lattice_of_seeded_color_groups(name, seed):
+    _check_block_lattice(_seeded_color_group(name, seed))
 
 
 def test_block_action_and_fixer():
