@@ -29,16 +29,20 @@ time.  It records a trace: per pass, the signature key of each vertex or
 color cell that stays whole and the sorted (key, count) pairs of each cell
 that splits.  Two aligned partitions refine alike exactly when their
 traces are equal (McKay and Piperno, "Practical graph isomorphism, II",
-2014).  So at each search node the fixed side is individualized and
-refined once, and each candidate image on the other side is refined
-against that trace, stopping at the first pass that differs.
+2014).  The fixed side only ever individualizes the first vertex of its
+target cell, so its nodes form one first path, refined once per search
+and shared by every branch; each candidate image on the other side is
+refined against the trace of the path's next node, stopping at the first
+pass that differs.
 
 Isomorphism of two Cayley graphs branches once at the root.  A graph made by
 build_cayley has the left translations of its group among its automorphisms,
 colored or not, so an isomorphism followed by a translation maps vertex 0 to
 vertex 0: the search starts from the partition {0}, {1..n-1} on both sides
-and is complete below it.  matrix_isomorphism, whose matrices need not be
-vertex-transitive, tries every root image.
+and is complete below it.  The trace of that root refinement is a graph
+invariant, so each graph keeps a hash of it per color mode, and two graphs
+whose hashes differ are told apart without a search.  matrix_isomorphism,
+whose matrices need not be vertex-transitive, tries every root image.
 
 The automorphism group is built one base point at a time: at each level the
 target cell bounds the orbit of the base point, and for every candidate
@@ -46,7 +50,8 @@ image not yet reachable by already-found generators a single constrained
 isomorphism search either produces a coset representative or proves the
 image impossible.  Discovered generators prune sibling candidates through
 the orbit of the base point (weak pruning: only generators fixing the
-current prefix pointwise are used).
+current prefix pointwise are used).  The base points are the first path's,
+so the levels and all their searches share one path.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from __future__ import annotations
 from itertools import permutations as iter_permutations
 from math import prod
 from typing import Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -82,6 +88,7 @@ _TWO_CLOSURE_MAX_DEGREE = 150
 Cells = list[list[int]]
 Struct = tuple[np.ndarray, np.ndarray, bool, tuple | None]
 Trace = list[list]
+Node = tuple[Cells, Cells | None, Trace]
 
 
 def _prep(matrix: np.ndarray, relabel: bool = False) -> Struct:
@@ -157,7 +164,7 @@ def _refine(
     cells: Cells,
     colors: Cells | None = None,
     expect: Trace | None = None,
-) -> tuple[Cells, Cells | None, Trace] | None:
+) -> Node | None:
     """Split vertex and color cells until neither splits, recording the trace.
 
     colors is None when colors are fixed: the matrix is read as is and no
@@ -218,27 +225,45 @@ def _individualize(cells: Cells, index: int, v: int) -> Cells:
     return cells[:index] + [[v], rest] + cells[index + 1 :]
 
 
-def _search_pair(
-    s1: Struct,
-    s2: Struct,
-    cells1: Cells,
-    cells2: Cells,
-    colors1: Cells | None,
-    colors2: Cells | None,
-) -> Perm | None:
-    """A map carrying s1 onto s2 below two refined partitions with equal traces.
+class _FirstPath:
+    """The fixed side's path of a search, refined once per search.
 
-    The fixed side individualizes the first vertex of its target cell and is
-    refined once; each candidate image on the other side is refined against
-    that trace.  At a leaf, aligned color cells give the color map; a color
-    left unmatched maps to -1, which no entry equals.
+    Node 0 is a refined start; node d+1 individualizes the first vertex of
+    node d's target cell and refines, and is computed when first read.
+    Each node is what _refine returns: (cells, colors, trace).
     """
+
+    def __init__(self, struct: Struct, start: Node) -> None:
+        self.struct = struct
+        self.nodes = [start]
+
+    def node(self, depth: int) -> Node:
+        while len(self.nodes) <= depth:
+            cells, colors, _ = self.nodes[-1]
+            t = _target_cell(cells)
+            self.nodes.append(
+                _refine(self.struct, _individualize(cells, t, cells[t][0]), colors)
+            )
+        return self.nodes[depth]
+
+
+def _search_pair(
+    path: _FirstPath, s2: Struct, depth: int, cells2: Cells, colors2: Cells | None
+) -> Perm | None:
+    """A map carrying the path's struct onto s2 below node depth of the path
+    and a refined partition of s2 with the same trace.
+
+    Each candidate image on the other side is refined against the trace of
+    the path's next node.  At a leaf, aligned color cells give the color
+    map; a color left unmatched maps to -1, which no entry equals.
+    """
+    cells1, colors1, _ = path.node(depth)
     t = _target_cell(cells1)
     if t is None:
         image = [0] * len(cells1)
         for c1, c2 in zip(cells1, cells2):
             image[c1[0]] = c2[0]
-        m1 = s1[0]
+        m1 = path.struct[0]
         if colors1 is not None:
             lut = np.full(1 + sum(map(len, colors1)), -1, dtype=np.int64)
             lut[0] = 0
@@ -247,13 +272,11 @@ def _search_pair(
             m1 = lut[m1]
         p = np.asarray(image, dtype=np.intp)
         return tuple(image) if np.array_equal(s2[0][np.ix_(p, p)], m1) else None
-    child1, below1, trace = _refine(
-        s1, _individualize(cells1, t, cells1[t][0]), colors1
-    )
+    trace = path.node(depth + 1)[2]
     for w in cells2[t]:
         child2 = _refine(s2, _individualize(cells2, t, w), colors2, trace)
         if child2 is not None:
-            found = _search_pair(s1, s2, child1, child2[0], below1, child2[1])
+            found = _search_pair(path, s2, depth + 1, child2[0], child2[1])
             if found is not None:
                 return found
     return None
@@ -309,16 +332,17 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
             raise ValueError("seed does not preserve the matrix")
         if any(i != x for i, x in enumerate(perm)) and perm not in gens:
             gens.append(perm)
-    cells, _, _ = _refine(struct, [list(range(n))])
+    path = _FirstPath(struct, _refine(struct, [list(range(n))]))
     prefix: list[int] = []
     orbit_lengths: list[int] = []
     while True:
+        cells = path.node(len(prefix))[0]
         t = _target_cell(cells)
         if t is None:
             break
         cell = cells[t]
         b = cell[0]
-        child, _, trace = _refine(struct, _individualize(cells, t, b))
+        trace = path.node(len(prefix) + 1)[2]
         fixing = [g for g in gens if all(g[p] == p for p in prefix)]
         orbit = set(orbit_of_point(b, fixing))
         for w in cell[1:]:
@@ -327,13 +351,12 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
             other = _refine(struct, _individualize(cells, t, w), None, trace)
             if other is None:
                 continue
-            found = _search_pair(struct, struct, child, other[0], None, None)
+            found = _search_pair(path, struct, len(prefix) + 1, other[0], None)
             if found is not None:
                 gens.append(found)
                 fixing.append(found)
                 orbit = set(orbit_of_point(b, fixing))
         orbit_lengths.append(len(orbit))
-        cells = child
         prefix.append(b)
     group = PermGroup(n, gens)
     if group.order() != prod(orbit_lengths):
@@ -372,17 +395,24 @@ def _isomorphism(
         return None
     relabel = match_colors == "bijection"
     s1, s2 = _prep(m1, relabel), _prep(m2, relabel)
-    colors = None
-    if relabel:
-        k = int(s1[0].max(initial=0))
-        if k != int(s2[0].max(initial=0)):
-            return None
-        colors = [list(range(1, k + 1))] if k else []
-    cells1, colors1, trace = _refine(s1, root, colors)
-    refined = _refine(s2, root, colors, trace)
+    if relabel and s1[0].max(initial=0) != s2[0].max(initial=0):
+        return None
+    first = _refine_start(s1, root)
+    refined = _refine_start(s2, root, first[2])
     if refined is None:
         return None
-    return _search_pair(s1, s2, cells1, refined[0], colors1, refined[1])
+    return _search_pair(_FirstPath(s1, first), s2, 0, refined[0], refined[1])
+
+
+def _refine_start(
+    struct: Struct, root: Cells, expect: Trace | None = None
+) -> Node | None:
+    """_refine from root, the colors of a relabeled struct in one cell."""
+    colors = None
+    if struct[3] is not None:
+        k = int(struct[0].max(initial=0))
+        colors = [list(range(1, k + 1))] if k else []
+    return _refine(struct, root, colors, expect)
 
 
 # -- public graph operations --------------------------------------------------
@@ -436,6 +466,40 @@ def brute_force_color_group(graph: ColoredCayleyGraph) -> PermGroup:
     return permgroup_from_elements(graph.n, brute_force_color_perms(graph))
 
 
+def _top_root(n: int) -> Cells:
+    """The partition {0}, {1..n-1}."""
+    return [[0], list(range(1, n))] if n > 1 else [[0]]
+
+
+def _root_digest(matrix: np.ndarray, relabel: bool) -> int:
+    """A hash of the trace that refines {0}, {1..n-1} of matrix, with the
+    colors relabeled or not, as _isomorphism refines it."""
+    struct = _prep(matrix, relabel)
+    digest = 0
+    # One key or (key, count) pair at a time: hashing the trace as nested
+    # tuples kept about 1 MB in the tuple free lists on iso-classify.
+    for entry in _refine_start(struct, _top_root(matrix.shape[0]))[2]:
+        for e in entry:
+            for x in (e,) if isinstance(e, bytes) else e:
+                digest = hash((digest, x))
+    return digest
+
+
+# Per graph, the root digest of each mode (respect_colors) asked for so far.
+_ROOT_DIGESTS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _graph_root_digest(graph: ColoredCayleyGraph, respect_colors: bool) -> int:
+    """The root digest of the graph's color or uncolored matrix, kept per
+    graph when its color matrix is read-only, as build_cayley makes it."""
+    kept = not graph.color_matrix.flags.writeable
+    digests = _ROOT_DIGESTS.setdefault(graph, {}) if kept else {}
+    if respect_colors not in digests:
+        matrix = graph.color_matrix if respect_colors else graph.uncolored_matrix
+        digests[respect_colors] = _root_digest(matrix, respect_colors)
+    return digests[respect_colors]
+
+
 def are_isomorphic(
     g1: ColoredCayleyGraph, g2: ColoredCayleyGraph, respect_colors: bool
 ) -> Perm | None:
@@ -452,17 +516,28 @@ def are_isomorphic(
     gives one that maps vertex 0 to vertex 0, and the search below that
     root is complete.  The returned map is any isomorphism, not a canonical
     one.
+
+    The trace that refines that root is a graph invariant.  Each graph
+    keeps a hash of it per mode, computed at its first call, and two graphs
+    whose hashes differ are not isomorphic: refining the second side
+    against the first side's trace would stop at the first pass that
+    differs.  Equal hashes only let the search run, so a collision costs
+    time and cannot change an answer.  Keeping the hash relies on the
+    graph's matrices being read-only.
     """
     if g1.n != g2.n:
         raise ValueError("vertex counts differ")
     if g1.digraph_mode != g2.digraph_mode:
         raise ValueError("mixed graph and digraph modes")
+    if _graph_root_digest(g1, respect_colors) != _graph_root_digest(
+        g2, respect_colors
+    ):
+        return None
     if respect_colors:
         m1, m2, mode = g1.color_matrix, g2.color_matrix, "bijection"
     else:
         m1, m2, mode = g1.uncolored_matrix, g2.uncolored_matrix, "exact"
-    root = [[0], list(range(1, g1.n))] if g1.n > 1 else [[0]]
-    return _isomorphism(m1, m2, mode, root)
+    return _isomorphism(m1, m2, mode, _top_root(g1.n))
 
 
 def pair_orbit_matrix(group: PermGroup) -> np.ndarray:

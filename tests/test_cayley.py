@@ -301,6 +301,7 @@ def test_color_matrix_matches_its_definition(group):
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 1
+        assert not graph.uncolored_matrix.flags.writeable
         arcs = graph.n * graph.valency
         assert graph.edge_count() == (arcs if graph.digraph_mode else arcs // 2)
 

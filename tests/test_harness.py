@@ -224,3 +224,20 @@ def test_cli_roster_file(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert '"group": "z5"' in out and '"group": "q8"' in out
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["f21-census"], "f21_census.jsonl"),
+        (["product-demo", "--m", "5"], "product_demo_m5.jsonl"),
+    ],
+)
+def test_cli_rows_match_golden_files(argv, golden, tmp_path, capsys):
+    # The rows of fixed inputs hold only orders, verdicts, classes and
+    # notes, never a found generator or map, so any difference is a change
+    # of answers.
+    out = tmp_path / "rows.jsonl"
+    assert main(argv + ["--json", str(out)]) == 0
+    expected = Path(__file__).parent / "data" / golden
+    assert out.read_text(encoding="utf-8") == expected.read_text(encoding="utf-8")

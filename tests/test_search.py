@@ -6,6 +6,7 @@ import pytest
 
 from ccakit import search
 from ccakit.cayley import (
+    ColoredCayleyGraph,
     build_cayley,
     cartesian_product,
     connection_set_orbits,
@@ -370,11 +371,25 @@ def _carried(graph, copy):
     return build_cayley(copy, members, digraph_mode=graph.digraph_mode)
 
 
-@pytest.mark.parametrize("respect_colors", [False, True])
-def test_one_top_branch_matches_full_search_on_f21(respect_colors):
+def _equal_digests(monkeypatch):
+    """Give every graph built from now on the same root digest, so that the
+    exact search decides every pair that are_isomorphic is asked."""
+    monkeypatch.setattr(search, "_root_digest", lambda matrix, relabel: 0)
+
+
+@pytest.mark.parametrize(
+    "respect_colors, equal_digests",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-equal-digests", "True-equal-digests"],
+)
+def test_one_top_branch_matches_full_search_on_f21(
+    respect_colors, equal_digests, monkeypatch
+):
     # Every pair of equal valency among the connected orbit representatives,
     # which are 51 classes, colored or not.  The second graph is carried to
     # a renumbered copy of F21, so that the maps found are not the identity.
+    if equal_digests:
+        _equal_digests(monkeypatch)
     f21 = group_from_name("f21")
     pairs = inverse_pairs(f21)
     reps = [
@@ -441,7 +456,7 @@ def test_one_top_branch_on_degrees_one_and_two():
             assert not _same_answer_as_full_search(empty, edge, respect_colors)
 
 
-def test_shrikhande_and_rook_graph_are_told_apart_below_the_top_branch():
+def test_shrikhande_and_rook_graph_are_told_apart_below_the_top_branch(monkeypatch):
     # Two strongly regular graphs with parameters (16, 6, 2, 2).  Their
     # traces agree at the root and after vertex 0 is individualized, so
     # only the search below the single top branch can refute the pair.
@@ -458,6 +473,68 @@ def test_shrikhande_and_rook_graph_are_told_apart_below_the_top_branch():
     assert search._refine(s2, top, None, trace) is not None
     for respect_colors in (False, True):
         assert not _same_answer_as_full_search(shrikhande, rook, respect_colors)
+    # Again on new graph objects, all with one root digest: the exact
+    # search decides the pair.
+    _equal_digests(monkeypatch)
+    shrikhande, rook = (build_cayley(z4z4, g.connection) for g in (shrikhande, rook))
+    for respect_colors in (False, True):
+        assert not _same_answer_as_full_search(shrikhande, rook, respect_colors)
+
+
+def test_root_digests_are_kept_per_mode():
+    # Uncolored, the complete graphs on Z4 and Z2 x Z2 are both K4; colored,
+    # they have 2 and 3 colors, and their root digests differ.  The same two
+    # graph objects are compared in both modes and both argument orders,
+    # once with each mode asked first, so a digest kept for one mode must
+    # not answer for the other.
+    for first in (True, False):
+        k4, kv = (build_cayley(group_from_name(g), {1, 2, 3}) for g in ("z4", "z2^2"))
+        assert search._root_digest(k4.color_matrix, True) != search._root_digest(
+            kv.color_matrix, True
+        )
+        for respect_colors in (first, not first):
+            for a, b in ((k4, kv), (kv, k4)):
+                assert _same_answer_as_full_search(a, b, respect_colors) != respect_colors
+
+
+def test_root_digest_is_not_kept_for_a_writable_matrix():
+    # A graph whose color matrix can still change keeps no digest: once the
+    # matrix is edited, the answer follows the new matrix.
+    z4 = make_cyclic(4)
+    cycle, k4 = build_cayley(z4, {1, 3}), build_cayley(z4, {1, 2, 3})
+    m = k4.color_matrix.copy()
+    edited = ColoredCayleyGraph(z4, k4.connection, False, m)
+    assert are_isomorphic(edited, k4, respect_colors=True) is not None
+    m[:] = cycle.color_matrix
+    assert are_isomorphic(edited, cycle, respect_colors=True) is not None
+
+
+def test_aut_group_refines_the_first_path_once(monkeypatch):
+    # The F21 set of mask 877 gives the complete tripartite graph K(7,7,7),
+    # whose automorphism group S7 wr S3 has order 7!^3 * 3!.  Every
+    # refinement without a trace to match walks the fixed side's first
+    # path, which the whole search shares: one per node of that path, the
+    # root included.
+    f21 = group_from_name("f21")
+    graph = build_cayley(f21, mask_to_connection_set(f21, inverse_pairs(f21), 877))
+    struct = search._prep(graph.uncolored_matrix)
+    cells = search._refine(struct, [list(range(graph.n))])[0]
+    nodes = 1
+    while (t := search._target_cell(cells)) is not None:
+        cells = search._refine(struct, search._individualize(cells, t, cells[t][0]))[0]
+        nodes += 1
+    refine = search._refine
+    unmatched = []
+
+    def counting(struct, cells, colors=None, expect=None):
+        if expect is None:
+            unmatched.append(cells)
+        return refine(struct, cells, colors, expect)
+
+    monkeypatch.setattr(search, "_refine", counting)
+    group = uncolored_aut_group(graph)
+    assert group.order() == 5040**3 * 6
+    assert len(unmatched) <= nodes
 
 
 def test_are_isomorphic_size_mismatch():
