@@ -6,12 +6,20 @@ automorphisms are all affine gets a positive verdict; a group gets one when
 every connected Cayley graph of it does.  Two independent criteria are
 computed for every graph and must agree: normality of the left-translation
 subgroup inside the color group, and the per-generator affinity test.
+
+The verdict also notes whether the color group is primitive.  It contains
+the left-regular group G_L, whose block systems are the left coset
+partitions {gH} of the subgroups H (Dixon & Mortimer, *Permutation Groups*,
+1996, section 1.5); so the color group's systems are those coset partitions
+that each of its generators preserves, and the note stops at the first
+nontrivial one.  G_L and its coset partitions are built once per group
+table and kept while the table lives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,8 +34,10 @@ from .cayley import (
 )
 from .groups import GroupTable, all_subgroups, is_normal, left_regular_group
 from .perms import (
+    BlockSystem,
     Perm,
     PermGroup,
+    _block_image,
     all_block_systems,
     is_normal_subgroup,
 )
@@ -88,6 +98,14 @@ class CcaVerdict:
         return out
 
 
+def _color_group_systems(gl: PermGroup, ao: PermGroup) -> Iterator[BlockSystem]:
+    """The block systems of a group ao containing gl, in the order of
+    all_block_systems: those of gl that every generator of ao preserves."""
+    for bs in all_block_systems(gl):
+        if all(_block_image(g, bs) is not None for g in ao.generators):
+            yield bs
+
+
 def cca_verdict_with_group(
     graph: ColoredCayleyGraph,
 ) -> tuple[CcaVerdict, PermGroup]:
@@ -109,7 +127,7 @@ def cca_verdict_with_group(
         raise AssertionError("witness does not preserve the coloring")
     n = graph.n
     ao_primitive = all(
-        len(bs.blocks) in (1, n) for bs in all_block_systems(ao)
+        len(bs.blocks) in (1, n) for bs in _color_group_systems(gl, ao)
     )
     verdict = CcaVerdict(
         is_cca=gl_normal,

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, wraps
 from itertools import permutations
 from math import factorial, prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .perms import Perm, PermGroup, orbit_of_point
+from .perms import Perm, PermGroup, _Level, orbit_of_point
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -411,6 +412,27 @@ def all_subgroups(group: GroupTable) -> list[frozenset[int]]:
 # -- automorphisms ------------------------------------------------------------
 
 
+_T = TypeVar("_T")
+
+
+def _per_table(fn: Callable[[GroupTable], _T]) -> Callable[[GroupTable], _T]:
+    """fn computed once per table and kept while the table lives.
+
+    Tables are immutable and compare by identity, so the values are kept
+    under weak keys; none of them refers to its table, so a table that is
+    no longer used is freed with everything kept for it."""
+    kept: WeakKeyDictionary = WeakKeyDictionary()
+
+    @wraps(fn)
+    def per_table(group: GroupTable) -> _T:
+        if group not in kept:
+            kept[group] = fn(group)
+        return kept[group]
+
+    return per_table
+
+
+@_per_table
 def minimal_generating_set(group: GroupTable) -> tuple[int, ...]:
     """A small generating set, scanning elements by descending order."""
     if group.order == 1:
@@ -451,7 +473,7 @@ def _hom_on(
     return phi if len({phi[x] for x in reached}) == len(reached) else None
 
 
-@lru_cache(maxsize=64)
+@_per_table
 def group_automorphisms(group: GroupTable) -> PermGroup:
     """All table automorphisms, one generator image at a time.
 
@@ -460,8 +482,7 @@ def group_automorphisms(group: GroupTable) -> PermGroup:
     in the orbit of gens[i] under the found automorphisms that fix gens[:i],
     gets one backtrack over the later images: it finds an automorphism or
     proves there is none.  So |Aut(G)| is the product of the orbit lengths,
-    which the chain of the found automorphisms must match.  Tables are
-    immutable and compare by identity, so one group is kept per table."""
+    which the chain of the found automorphisms must match."""
     gens = minimal_generating_set(group)
     orders = group.element_orders
     candidates = [[h for h in range(group.order) if orders[h] == orders[g]] for g in gens]
@@ -502,15 +523,24 @@ def left_translation(group: GroupTable, g: int) -> Perm:
     return tuple(group.mult[g])
 
 
+@_per_table
 def left_regular_group(group: GroupTable) -> PermGroup:
     """The left translations as a permutation group.
 
-    The representation is regular, so its chain stops at the order n."""
-    gens = [left_translation(group, g) for g in minimal_generating_set(group)]
-    out = PermGroup(group.order, gens, _order=group.order)
-    if out.order() != group.order:
-        raise AssertionError("left regular representation has wrong order")
-    return out
+    The representation is regular, so its chain is one level at the
+    identity, read off the table: u_x is the translation by x, the row
+    mult[x], and u_x^-1 is the row of x's inverse.  No row is copied and
+    no Schreier-Sims runs."""
+    mult, inv = group.mult, group.inv
+    gens = minimal_generating_set(group)
+    level = _Level(group.identity)
+    level.gens = [mult[g] for g in gens]
+    level.gen_invs = [mult[inv[g]] for g in gens]
+    if len(orbit_of_point(group.identity, level.gens)) != group.order:
+        raise AssertionError("the generators do not reach every element")
+    level.transversal = dict(enumerate(mult))
+    level.inverses = {x: mult[inv[x]] for x in range(group.order)}
+    return PermGroup._from_levels(group.order, [level] if group.order > 1 else [])
 
 
 # -- labels, parsing, registry ------------------------------------------------

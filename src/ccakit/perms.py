@@ -16,21 +16,21 @@ Schreier generators u_{s(x)}^-1 s u_x never invert a permutation; a
 Schreier generator is skipped as soon as s u_x equals u_{s(x)}.
 
 When the group order is fixed in advance (a rebased chain of a known group,
-the faithful block extension in ``fixer``, a regular representation),
-Schreier-Sims stops as soon as the product of the basic-orbit lengths
-reaches it.  That stop is sound: each basic orbit of a partial chain lies
-inside the true one, so the product reaches |G| only when every basic
-orbit is full and the strong generating set is complete; verification
-would add nothing more, so the chain is the one a full run builds (Seress,
-*Permutation Group Algorithms*, 2003, ch. 4).  ``point_stabilizer`` and
-``fixer`` then read the stabilizer off the chain's tail levels.
+the faithful block extension in ``fixer``), Schreier-Sims stops as soon as
+the product of the basic-orbit lengths reaches it.  That stop is sound:
+each basic orbit of a partial chain lies inside the true one, so the
+product reaches |G| only when every basic orbit is full and the strong
+generating set is complete; verification would add nothing more, so the
+chain is the one a full run builds (Seress, *Permutation Group
+Algorithms*, 2003, ch. 4).  ``point_stabilizer`` and ``fixer`` then read
+the stabilizer off the chain's tail levels.
 
 A block system of a transitive group is held as the int bitmask of its
 block through the first base point; ``all_block_systems`` closes the
 minimal blocks under joins, one join per orbit of a block's stabilizer on
 the blocks of its system (Seress, *Permutation Group Algorithms*, 2003,
-ch. 5), and ``minimal_block_system`` is Atkinson's union-find (1975) from
-any seed pair.
+ch. 5), and keeps its result per group while the group lives;
+``minimal_block_system`` is Atkinson's union-find (1975) from any seed pair.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from functools import lru_cache
 from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
+from weakref import WeakKeyDictionary
 
 Perm = tuple[int, ...]
 
@@ -508,9 +509,16 @@ def minimal_block_system(group: PermGroup, seed: tuple[int, int]) -> BlockSystem
     return system
 
 
+# Per group, the systems all_block_systems found for it.
+_BLOCK_SYSTEMS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def all_block_systems(group: PermGroup) -> list[BlockSystem]:
     """Every block system of a transitive group except the singletons,
     sorted by ``block_of``; ``[]`` for degree 1.
+
+    Groups are immutable, so the systems are kept per group while it lives,
+    and each call returns a new list of them.
 
     Each system is held as one int bitmask: its block through b0, the first
     base point of the group's chain.  Systems are invariant, so seeding at
@@ -544,6 +552,8 @@ def all_block_systems(group: PermGroup) -> list[BlockSystem]:
     that no two images overlap; each system is built from that table
     directly.
     """
+    if group in _BLOCK_SYSTEMS:
+        return list(_BLOCK_SYSTEMS[group])
     n = group.degree
     if n <= 1:
         return []
@@ -641,7 +651,9 @@ def all_block_systems(group: PermGroup) -> list[BlockSystem]:
         # tuple() of a list, not of a generator: on CPython 3.11 the generator
         # form left about 0.6 MB in the tuple free lists over the sweep roster.
         systems.append(BlockSystem(n, tuple([tuple(b) for b in blocks]), tuple(index)))
-    return sorted(systems, key=lambda bs: bs.block_of)
+    systems.sort(key=lambda bs: bs.block_of)
+    _BLOCK_SYSTEMS[group] = tuple(systems)
+    return systems
 
 
 def _block_image(g: Perm, system: BlockSystem) -> Perm | None:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ccakit.cayley import (
@@ -11,6 +13,7 @@ from ccakit.cayley import (
     mask_to_connection_set,
 )
 from ccakit.cca import (
+    _color_group_systems,
     affine_elements,
     cca_group_verdict,
     cca_verdict,
@@ -23,11 +26,14 @@ from ccakit.cca import (
 )
 from ccakit.groups import (
     group_from_name,
+    left_regular_group,
     left_translation,
     make_cyclic,
     make_f21,
     make_q8,
 )
+from ccakit.harness import DEFAULT_ROSTER, _random_connected_set
+from ccakit.perms import all_block_systems, minimal_block_system
 from ccakit.search import color_preserving_group, preserves_matrix
 
 
@@ -111,6 +117,50 @@ def test_group_verdict_z2_4():
     assert ok and failing == []
     assert len(connection_set_orbits(z2_4, connected_only=True)) == 36
     assert count_orbits_burnside(z2_4, connected_only=True) == 36
+
+
+def test_group_verdict_s4():
+    s4 = group_from_name("s4")
+    ok, failing = cca_group_verdict(s4)
+    assert not ok and len(failing) == 6
+    assert len(connection_set_orbits(s4, connected_only=True)) == 3751
+    assert count_orbits_burnside(s4, connected_only=True) == 3751
+
+
+def _oracle_graphs():
+    """Every connected representative of f21, z3xs3 and d8, seeded sets on
+    groups of order 32-105, and the complete graphs of the default roster."""
+    for name in ("f21", "z3xs3", "d8"):
+        group = group_from_name(name)
+        pairs = inverse_pairs(group)
+        for mask, _ in connection_set_orbits(group, connected_only=True):
+            yield build_cayley(group, mask_to_connection_set(group, pairs, mask))
+    for name in ("d16", "q8xz2^2", "d25", "z3xf21", "z5xf21"):
+        group = group_from_name(name)
+        rng = random.Random(0)
+        for _ in range(30):
+            yield build_cayley(group, _random_connected_set(group, rng).members)
+    for name in DEFAULT_ROSTER:
+        yield complete_graph(group_from_name(name))
+
+
+def test_color_group_systems_match_the_closure():
+    # The coset partitions a color group preserves are its block systems:
+    # the closure on the color group itself is the reference, and Atkinson's
+    # minimal systems from every seed pair decide primitivity independently.
+    count = primitive = 0
+    for graph in _oracle_graphs():
+        ao = color_preserving_group(graph)
+        gl = left_regular_group(graph.group)
+        assert list(_color_group_systems(gl, ao)) == all_block_systems(ao)
+        atkinson = all(
+            minimal_block_system(ao, (0, p)).block_count == 1 for p in range(1, graph.n)
+        )
+        assert cca_verdict(graph).notes["ao_primitive"] == atkinson
+        count += 1
+        primitive += atkinson
+    assert count == 51 + 217 + 280 + 5 * 30 + len(DEFAULT_ROSTER)
+    assert primitive == 2  # the complete graphs of z5 and z7
 
 
 def test_hamiltonian_2group_detection():

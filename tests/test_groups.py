@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -34,7 +36,10 @@ from ccakit.groups import (
     subgroup_generated,
     subgroup_table,
 )
+from ccakit.cayley import build_cayley
+from ccakit.cca import cca_verdict
 from ccakit.harness import DEFAULT_ROSTER
+from ccakit.perms import _BLOCK_SYSTEMS, PermGroup
 from ccakit.suites import groups_up_to_order_8
 
 
@@ -279,6 +284,46 @@ def test_left_regular_group():
     t = left_translation(g, g.index_of("a"))
     assert t[g.identity] == g.index_of("a")
     assert reg.contains(t)
+
+
+# The groups the verdict-stream benchmark serves.
+STREAM_GROUPS = (
+    "d16", "q8xz2^2", "z2xz16", "z35", "d25", "d27", "z7xz9", "z3xf21", "z5xf21",
+)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [g for _, g in SMALL_GROUPS] + [group_from_name(name) for name in STREAM_GROUPS],
+    ids=[name for name, _ in SMALL_GROUPS] + list(STREAM_GROUPS),
+)
+def test_left_regular_group_read_off_the_table(group):
+    # The chain read off the table is the one Schreier-Sims builds.
+    n = group.order
+    translations = [left_translation(group, g) for g in range(n)]
+    reference = PermGroup(n, translations)
+    reg = left_regular_group(group)
+    assert reg.order() == reference.order() == n
+    assert reg.base == reference.base
+    assert set(reg.elements()) == set(reference.elements()) == set(translations)
+    rights = [tuple(group.mult[x][g] for x in range(n)) for g in range(n)]
+    others = rights + list(group_automorphisms(group).generators)
+    assert [reg.contains(p) for p in others] == [reference.contains(p) for p in others]
+
+
+def test_per_table_caches_die_with_their_table():
+    # Every value kept for a table is dropped with it: none refers back.
+    table = direct_product(make_cyclic(3), make_f21())
+    members = {table.index_of("(1,e)"), table.index_of("(2,e)")}
+    members |= set(parse_elements(table, "(e,a),(e,a^2),(e,x),(e,x^6)"))
+    assert cca_verdict(build_cayley(table, members)).is_cca
+    group_automorphisms(table)
+    gl = left_regular_group(table)
+    assert minimal_generating_set(table) and gl in _BLOCK_SYSTEMS
+    refs = [weakref.ref(table), weakref.ref(gl)]
+    del table, gl
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_parse_elements():

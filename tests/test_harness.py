@@ -7,9 +7,8 @@ from pathlib import Path
 import pytest
 
 import ccakit
-from ccakit import harness
+from ccakit import groups, harness
 from ccakit.cli import main
-from ccakit.groups import group_automorphisms
 from ccakit.harness import (
     check_f21_census,
     cmd_complete_cca,
@@ -61,11 +60,20 @@ def test_census_check_survives_optimized_mode():
     assert "AssertionError" in proc.stderr
 
 
-def test_census_builds_aut_f21_at_most_once():
+def test_census_builds_aut_f21_at_most_once(monkeypatch):
     # Aut(G) is kept per table, and the census and its check share one table.
-    misses = group_automorphisms.cache_info().misses
+    # Only group_automorphisms builds a PermGroup by Schreier-Sims in groups.
+    built = []
+
+    class Counted(groups.PermGroup):
+        def __init__(self, degree, *args, **kwargs):
+            built.append(degree)
+            super().__init__(degree, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "PermGroup", Counted)
+    groups._group_from_text.cache_clear()  # a new F21 table, with nothing kept
     check_f21_census(f21_census())
-    assert group_automorphisms.cache_info().misses - misses <= 1
+    assert built == [21]
 
 
 def test_lemma_property_suite_rows_all_hold():

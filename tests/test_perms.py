@@ -267,6 +267,19 @@ def test_all_block_systems_edge_cases():
         all_block_systems(PermGroup(4, [(1, 0, 2, 3)]))
 
 
+def test_all_block_systems_returns_a_new_list():
+    # The systems are kept per group; changing a returned list changes
+    # neither the kept systems nor the next call's list.
+    group = PermGroup(8, [tuple((x + 1) % 8 for x in range(8))])
+    expected = [bs.block_of for bs in all_block_systems(group)]
+    for _ in range(2):
+        systems = all_block_systems(group)
+        assert [bs.block_of for bs in systems] == expected
+        systems.append(singleton_partition(8))
+        systems.reverse()
+    assert [bs.block_of for bs in all_block_systems(group)] == expected
+
+
 def _seeded_color_group(name, seed):
     """The color group of a seeded connected set.  Its point stabilizer is
     nontrivial, so a block's stabilizer holds more than translations."""
