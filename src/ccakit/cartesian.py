@@ -1,14 +1,15 @@
 """Cartesian factorization of colored Cayley graphs through block systems.
 
 Given an invariant partition B of the vertices, points are compared by
-their stabilizers inside the kernel of the block action, one stabilizer
-per orbit of that kernel; the classes E of that comparison form a second
-invariant partition.  When every class meets every block exactly once (odd
-group order required), the connection set splits along the block at the
-identity and the graph is a color-respecting Cartesian product of the two
-induced factor graphs.  The product theorem's check names its block system
-from the connection set: the left cosets of the subgroup generated by a
-class of pairwise non-commuting generators of order 21.
+their stabilizers inside the kernel of the block action; that kernel is
+normal, so one stabilizer, carried along the transitive group by
+conjugation, gives them all.  The classes E of that comparison form a
+second invariant partition.  When every class meets every block exactly
+once (odd group order required), the connection set splits along the block
+at the identity and the graph is a color-respecting Cartesian product of
+the two induced factor graphs.  The product theorem's check names its
+block system from the connection set: the left cosets of the subgroup
+generated by a class of pairwise non-commuting generators of order 21.
 """
 
 from __future__ import annotations
@@ -66,27 +67,22 @@ def _stabilizer_classes(
 ) -> tuple[BlockSystem, list[frozenset[int]]]:
     """The classes, plus the points F(p) fixed by each point's stabilizer.
 
-    Stab(s(p)) = s Stab(p) s^-1 gives F(s(p)) = s(F(p)), so one stabilizer
-    per fixer orbit suffices; stabilizers are equal exactly when their
-    fixed-point sets are.
+    The fixer K is normal in a, so Stab_K(s(p)) = s Stab_K(p) s^-1 for every
+    s in a, which gives F(s(p)) = s(F(p)); a is transitive, so one
+    stabilizer, carried along a's generators, suffices.  Stabilizers are
+    equal exactly when their fixed-point sets are.
     """
     if not a.is_transitive():
         raise ValueError("stabilizer classes require a transitive group")
-    fx = fixer(a, b)
     n = a.degree
-    fixed: dict[int, frozenset[int]] = {}
-    for r in range(n):
-        if r in fixed:
-            continue
-        gens = point_stabilizer(fx, r).generators
-        fixed[r] = frozenset(v for v in range(n) if all(g[v] == v for g in gens))
-        queue = [r]
-        while queue:
-            p = queue.pop()
-            for s in fx.generators:
-                if s[p] not in fixed:
-                    fixed[s[p]] = frozenset(s[v] for v in fixed[p])
-                    queue.append(s[p])
+    gens = point_stabilizer(fixer(a, b), 0).generators
+    fixed = {0: frozenset(v for v in range(n) if all(g[v] == v for g in gens))}
+    reached = [0]
+    for p in reached:  # grows while it is read
+        for s in a.generators:
+            if s[p] not in fixed:
+                fixed[s[p]] = frozenset(s[v] for v in fixed[p])
+                reached.append(s[p])
     members: dict[frozenset[int], list[int]] = {}
     for p in range(n):
         members.setdefault(fixed[p], []).append(p)
@@ -100,7 +96,7 @@ def _stabilizer_classes(
 def stabilizer_classes(a: PermGroup, b: BlockSystem) -> BlockSystem:
     """Partition of the points by equality of stabilizers in fixer(a, b).
 
-    Built from one stabilizer per fixer orbit, carried along the orbit by
+    Built from one point's stabilizer, carried to the other points by
     conjugation.  The classes always form an invariant partition of a
     transitive group; this is asserted on every generator before returning.
     """

@@ -32,7 +32,7 @@ from .cayley import (
     is_connected,
     mask_to_connection_set,
 )
-from .groups import GroupTable, all_subgroups, is_normal, left_regular_group
+from .groups import GroupTable, is_normal, left_regular_group, subgroup_generated
 from .perms import (
     BlockSystem,
     Perm,
@@ -162,13 +162,15 @@ def cca_group_verdict(group: GroupTable) -> tuple[bool, list[ConnectionSet]]:
 
 
 def is_hamiltonian_2group(group: GroupTable) -> bool:
-    """Nonabelian 2-group in which every subgroup is normal."""
+    """Nonabelian 2-group in which every subgroup is normal.
+
+    A subgroup is generated by its cyclic subgroups, and a product of normal
+    subgroups is normal, so every subgroup is normal exactly when every
+    cyclic one is (Dedekind, 1897)."""
     n = group.order
-    if n & (n - 1) != 0:
+    if n & (n - 1) != 0 or group.is_abelian:
         return False
-    if group.is_abelian:
-        return False
-    return all(is_normal(group, h) for h in all_subgroups(group))
+    return all(is_normal(group, subgroup_generated(group, [g])) for g in range(n))
 
 
 def complete_connection_set(group: GroupTable) -> ConnectionSet:

@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="factor an m-cycle product of the order-21 negative instance",
     )
-    p.add_argument("--m", type=int, required=True, help="cycle length (odd)")
+    p.add_argument("--m", type=int, required=True, help="cycle length, 1 or 5")
     p.add_argument(
         "--seed", type=int, default=0, help="seed for the extra random sets"
     )

@@ -313,18 +313,17 @@ def make_hamiltonian_2group(k: int) -> GroupTable:
 
 
 def subgroup_generated(group: GroupTable, gens: Iterable[int]) -> frozenset[int]:
-    seen = {group.identity}
+    """The subgroup the gens generate: the identity's closure under them."""
     gens = list(gens)
-    frontier = [group.identity]
-    while frontier:
-        new: list[int] = []
-        for u in frontier:
-            for s in gens:
-                v = group.mul(u, s)
-                if v not in seen:
-                    seen.add(v)
-                    new.append(v)
-        frontier = new
+    mult = group.mult
+    seen = {group.identity}
+    reached = [group.identity]
+    for u in reached:  # grows while it is read
+        row = mult[u]
+        for s in gens:
+            if row[s] not in seen:
+                seen.add(row[s])
+                reached.append(row[s])
     return frozenset(seen)
 
 
@@ -336,12 +335,15 @@ def is_subgroup(group: GroupTable, members: Iterable[int]) -> bool:
 
 
 def is_normal(group: GroupTable, members: Iterable[int]) -> bool:
-    """Whether a subgroup is normal; raises if members is not a subgroup."""
+    """Whether a subgroup is normal; raises if members is not a subgroup.
+
+    The g with g^-1 H g = H form a subgroup, the normalizer of H, so H is
+    normal once every element of a generating set of G normalizes it."""
     mem = frozenset(members)
     if not is_subgroup(group, mem):
         raise ValueError("not a subgroup")
     return all(
-        group.conjugate(g, h) in mem for g in range(group.order) for h in mem
+        group.conjugate(g, h) in mem for g in minimal_generating_set(group) for h in mem
     )
 
 
@@ -359,7 +361,7 @@ def quotient(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tup
     mem = frozenset(members)
     if not is_subgroup(group, mem):
         raise ValueError("not a subgroup")
-    for g in range(group.order):
+    for g in minimal_generating_set(group):  # normal once each generator normalizes it
         for h in mem:
             c = group.conjugate(g, h)
             if c not in mem:
@@ -390,7 +392,8 @@ def subgroup_table(group: GroupTable, members: Iterable[int]) -> tuple[GroupTabl
 
 
 def all_subgroups(group: GroupTable) -> list[frozenset[int]]:
-    """Every subgroup, by closing the cyclic subgroups under pairwise joins."""
+    """Every subgroup, by closing the cyclic subgroups under pairwise joins:
+    the tests' oracle for the subgroup lattice."""
     if group.order > 64:
         raise ValueError("subgroup enumeration capped at order 64")
     subs: set[frozenset[int]] = {frozenset({group.identity})}

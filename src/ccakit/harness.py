@@ -8,7 +8,6 @@ to exit codes.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,7 +41,6 @@ from .groups import (
     group_from_name,
     make_cyclic,
     subgroup_generated,
-    subgroup_table,
 )
 from .perms import PermGroup
 from .search import are_isomorphic, uncolored_aut_group
@@ -279,7 +277,7 @@ def _product_theorem_factors(
         f"negative verdict of odd square-free order {order} has no "
         "factor isomorphic to the order-21 instance",
     )
-    h, _ = subgroup_table(graph.group, result.g1)
+    h = result.factor1.group
     if len(inverse_pairs(h)) <= _MAX_PAIRS_FOR_ENUMERATION:
         _check(
             cca_group_verdict(h)[0],
@@ -293,10 +291,8 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
     the verdict stays negative, and recover both factors in one decomposition
     over the order-21 fibers named by the connection set.  Also reports three
     seeded random sets; a negative one must pass the product theorem."""
-    if m < 1 or m % 2 == 0 or math.gcd(m, 21) != 1 or 21 * m > 105:
-        raise ValueError("m must be odd, coprime to 21, with 21*m at most 105")
-    if not _is_square_free(m):
-        raise ValueError("m must be square-free")
+    if m not in (1, 5):
+        raise ValueError("m must be odd, square-free, coprime to 21 and at most 5: 1 or 5")
     base = f21_noncca_graph()
     prod = cartesian_product(_demo_cycle_factor(m), base)
     verdict, ao = cca_verdict_with_group(prod)

@@ -68,11 +68,13 @@ def per_point_fixed_sets(a, b):
     return out
 
 
-@pytest.mark.parametrize("instance", ["small_product", "noncca"])
+@pytest.mark.parametrize("instance", ["small_product", "noncca", "product"])
 def test_transported_fixed_sets_match_per_point_stabilizers(
-    instance, small_product, noncca_ao
+    instance, small_product, noncca_ao, product_ao
 ):
-    ao = small_product[1] if instance == "small_product" else noncca_ao
+    ao = {"small_product": small_product[1], "noncca": noncca_ao, "product": product_ao}[
+        instance
+    ]
     for system in all_block_systems(ao) + [singleton_partition(ao.degree)]:
         e, fixed = _stabilizer_classes(ao, system)
         assert fixed == per_point_fixed_sets(ao, system)
@@ -81,6 +83,20 @@ def test_transported_fixed_sets_match_per_point_stabilizers(
             for q in range(ao.degree):
                 same = q in fixed[p] and p in fixed[q]
                 assert (e.block_of[p] == e.block_of[q]) == same
+
+
+def test_stabilizer_classes_build_one_stabilizer(monkeypatch, product_ao):
+    # The fixer's chain and one point stabilizer: nothing per fixer orbit.
+    builds = []
+    init = PermGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counted)
+    _stabilizer_classes(product_ao, fiber_system(105, 21))
+    assert len(builds) == 2
 
 
 def test_stabilizer_classes_need_transitive_group():

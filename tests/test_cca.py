@@ -25,6 +25,7 @@ from ccakit.cca import (
     is_hamiltonian_2group,
 )
 from ccakit.groups import (
+    all_subgroups,
     group_from_name,
     left_regular_group,
     left_translation,
@@ -170,6 +171,22 @@ def test_hamiltonian_2group_detection():
     assert not is_hamiltonian_2group(group_from_name("d4"))  # non-normal subgroup
     assert not is_hamiltonian_2group(group_from_name("s3"))  # odd part
     assert not is_hamiltonian_2group(group_from_name("q8xz3"))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["z2", "z4", "z2^2", "z8", "z4xz2", "z2^3", "d4", "q8", "z16", "z2^4", "d8",
+     "q8xz2", "q8xz4", "z4xq8xz2", "d16", "d4xz2^2", "q8xz2^2", "q8xq8"],
+)
+def test_hamiltonian_2group_matches_the_lattice_definition(name):
+    group = group_from_name(name)
+    n = group.order
+
+    def normal(h):
+        return all(group.conjugate(g, x) in h for g in range(n) for x in h)
+
+    lattice = not group.is_abelian and all(normal(h) for h in all_subgroups(group))
+    assert is_hamiltonian_2group(group) == lattice
 
 
 def test_complete_graph_verdicts():

@@ -204,8 +204,11 @@ def test_quotient_of_f21_by_x():
 
 def test_quotient_rejects_non_normal():
     g = make_f21()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not normal: conjugating") as err:
         quotient(g, subgroup_generated(g, [g.index_of("a")]))
+    # The conjugating element named is a generator of G.
+    named = str(err.value).split(" by ")[1].split(" gives ")[0]
+    assert g.index_of(named) in minimal_generating_set(g)
 
 
 def test_subgroup_table():
@@ -215,6 +218,31 @@ def test_subgroup_table():
     assert sub.order == 7
     assert sorted(elems) == sorted(members)
     assert any(sub.order_of(s) == 7 for s in range(7))
+
+
+def test_subgroup_generated_matches_a_naive_fixpoint():
+    for _, g in groups_up_to_order_8():
+        others = [x for x in range(g.order) if x != g.identity]
+        for k in range(len(others) + 1):
+            for gens in itertools.combinations(others, k):
+                closed = {g.identity, *gens}
+                while True:
+                    products = {g.mult[a][b] for a in closed for b in closed}
+                    if products <= closed:
+                        break
+                    closed |= products
+                assert subgroup_generated(g, gens) == closed
+
+
+def test_is_normal_matches_conjugation_by_every_element():
+    names = ["f21", "z3xs3", "d8", "q8xz2", "s4", "q8xz4", "d16", "q8xz2^2", "z3xf21"]
+    roster = groups_up_to_order_8() + [(name, group_from_name(name)) for name in names]
+    for _, g in roster:
+        for members in all_subgroups(g):
+            definition = all(
+                g.conjugate(x, h) in members for x in range(g.order) for h in members
+            )
+            assert is_normal(g, members) == definition
 
 
 def test_all_subgroups_q8():

@@ -94,6 +94,14 @@ def test_cmd_complete_cca_custom_roster():
         cmd_complete_cca([])
 
 
+def test_cmd_complete_cca_answers_2groups_past_order_64():
+    # The subgroup criterion is decided on cyclic subgroups, so no lattice
+    # is closed and the order-64 cap of all_subgroups does not apply.
+    rows, _ = cmd_complete_cca(["q8xz2^4"])
+    assert rows[0]["order"] == 128
+    assert not rows[0]["is_cca"] and rows[0]["hamiltonian_2_group"] and rows[0]["ok"]
+
+
 def test_cmd_product_demo_degenerate():
     rows, summary = cmd_product_demo(1)
     kinds = [row["kind"] for row in rows]
