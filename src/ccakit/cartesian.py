@@ -28,8 +28,8 @@ from .cayley import (
 from .cca import cca_verdict_with_group
 from .groups import (
     GroupTable,
-    left_translation,
-    minimal_generating_set,
+    left_cosets,
+    left_regular_group,
     subgroup_generated,
     subgroup_table,
 )
@@ -219,8 +219,8 @@ def cartesian_decompose(
         raise ValueError("decomposition requires a connected graph")
     if a.degree != n or b.degree != n:
         raise ValueError("degree mismatch")
-    for g in minimal_generating_set(group):
-        if not a.contains(left_translation(group, g)):
+    for t in left_regular_group(group).generators:
+        if not a.contains(t):
             raise ValueError("group must contain every left translation")
     for g in a.generators:
         if not preserves_matrix(graph.color_matrix, g):
@@ -355,8 +355,7 @@ def _factor_product(graph: ColoredCayleyGraph, ao: PermGroup) -> DecompositionRe
         k = subgroup_generated(group, q)
         if len(k) != 21:
             continue
-        cosets = {frozenset(group.mult[g][h] for h in k) for g in range(graph.n)}
-        result = cartesian_decompose(graph, ao, BlockSystem.from_blocks(graph.n, cosets))
+        result = cartesian_decompose(graph, ao, left_cosets(group, k))
         if result.success and are_isomorphic(result.factor2, canon, respect_colors=True):
             return result
     return None

@@ -12,8 +12,8 @@ the left-regular group G_L, whose block systems are the left coset
 partitions {gH} of the subgroups H (Dixon & Mortimer, *Permutation Groups*,
 1996, section 1.5); so the color group's systems are those coset partitions
 that each of its generators preserves, and the note stops at the first
-nontrivial one.  G_L and its coset partitions are built once per group
-table and kept while the table lives.
+nontrivial one.  G_L and its coset partitions are read off the group table
+once and kept with it.
 """
 
 from __future__ import annotations
@@ -32,15 +32,14 @@ from .cayley import (
     is_connected,
     mask_to_connection_set,
 )
-from .groups import GroupTable, is_normal, left_regular_group, subgroup_generated
-from .perms import (
-    BlockSystem,
-    Perm,
-    PermGroup,
-    _block_image,
-    all_block_systems,
-    is_normal_subgroup,
+from .groups import (
+    GroupTable,
+    _left_regular_systems,
+    is_normal,
+    left_regular_group,
+    subgroup_generated,
 )
+from .perms import BlockSystem, Perm, PermGroup, _block_image, is_normal_subgroup
 from .search import color_preserving_group, preserves_matrix
 
 __all__ = [
@@ -98,10 +97,10 @@ class CcaVerdict:
         return out
 
 
-def _color_group_systems(gl: PermGroup, ao: PermGroup) -> Iterator[BlockSystem]:
-    """The block systems of a group ao containing gl, in the order of
-    all_block_systems: those of gl that every generator of ao preserves."""
-    for bs in all_block_systems(gl):
+def _color_group_systems(group: GroupTable, ao: PermGroup) -> Iterator[BlockSystem]:
+    """The block systems of a group ao containing G_L, in the order of
+    all_block_systems: those of G_L that every generator of ao preserves."""
+    for bs in _left_regular_systems(group):
         if all(_block_image(g, bs) is not None for g in ao.generators):
             yield bs
 
@@ -115,8 +114,7 @@ def cca_verdict_with_group(
     if not is_connected(graph):
         raise ValueError("verdicts are defined for connected graphs only")
     ao = color_preserving_group(graph)
-    gl = left_regular_group(graph.group)
-    gl_normal = is_normal_subgroup(gl, ao)
+    gl_normal = is_normal_subgroup(left_regular_group(graph.group), ao)
     # Affine maps form a group, so ao is all affine iff its generators are.
     witness = next(
         (g for g in ao.generators if not is_affine(g, graph.group)), None
@@ -127,7 +125,7 @@ def cca_verdict_with_group(
         raise AssertionError("witness does not preserve the coloring")
     n = graph.n
     ao_primitive = all(
-        len(bs.blocks) in (1, n) for bs in _color_group_systems(gl, ao)
+        len(bs.blocks) in (1, n) for bs in _color_group_systems(graph.group, ao)
     )
     verdict = CcaVerdict(
         is_cca=gl_normal,

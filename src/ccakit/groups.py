@@ -21,7 +21,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .perms import Perm, PermGroup, _Level, orbit_of_point
+from .perms import BlockSystem, Perm, PermGroup, _Level, all_block_systems, orbit_of_point
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -37,6 +37,7 @@ __all__ = [
     "is_subgroup",
     "is_normal",
     "center",
+    "left_cosets",
     "quotient",
     "subgroup_table",
     "all_subgroups",
@@ -352,12 +353,18 @@ def center(group: GroupTable) -> frozenset[int]:
     return frozenset(np.flatnonzero((m == m.T).all(axis=1)).tolist())
 
 
+def left_cosets(group: GroupTable, members: Iterable[int]) -> BlockSystem:
+    """The left cosets gH of a subgroup H, numbered by their least element,
+    ascending.  Raises ValueError when they do not partition G."""
+    cosets = group.mult_array[:, sorted(frozenset(members))]  # row g is gH
+    _, firsts = np.unique(cosets.min(axis=1), return_index=True)
+    return BlockSystem.from_blocks(group.order, cosets[firsts].tolist())
+
+
 def quotient(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tuple[int, ...]]:
     """Quotient by a normal subgroup; returns the table and the coset map.
 
-    Cosets are numbered by their smallest element, ascending, so the identity
-    coset gets index 0.
-    """
+    The cosets are numbered as left_cosets numbers them."""
     mem = frozenset(members)
     if not is_subgroup(group, mem):
         raise ValueError("not a subgroup")
@@ -369,13 +376,12 @@ def quotient(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tup
                     f"not normal: conjugating {group.labels[h]} by "
                     f"{group.labels[g]} gives {group.labels[c]}"
                 )
-    least = group.mult_array[:, sorted(mem)].min(axis=1)  # the least of each gN
-    reps = np.unique(least)
-    coset_map = np.searchsorted(reps, least)
-    mult = coset_map[group.mult_array[np.ix_(reps, reps)]]
+    cosets = left_cosets(group, mem)
+    reps = [blk[0] for blk in cosets.blocks]
+    mult = np.asarray(cosets.block_of)[group.mult_array[np.ix_(reps, reps)]]
     labels = [f"[{group.labels[r]}]" for r in reps]
     table = GroupTable.from_mult(mult, labels, name=f"{group.name}/N{len(mem)}")
-    return table, tuple(coset_map.tolist())
+    return table, cosets.block_of
 
 
 def subgroup_table(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tuple[int, ...]]:
@@ -523,7 +529,8 @@ def group_automorphisms(group: GroupTable) -> PermGroup:
 
 
 def left_translation(group: GroupTable, g: int) -> Perm:
-    return tuple(group.mult[g])
+    """The translation x -> gx: the table's own row of g, not a copy."""
+    return group.mult[g]
 
 
 @_per_table
@@ -544,6 +551,14 @@ def left_regular_group(group: GroupTable) -> PermGroup:
     level.transversal = dict(enumerate(mult))
     level.inverses = {x: mult[inv[x]] for x in range(group.order)}
     return PermGroup._from_levels(group.order, [level] if group.order > 1 else [])
+
+
+@_per_table
+def _left_regular_systems(group: GroupTable) -> tuple[BlockSystem, ...]:
+    """The block systems of G_L, in the order of all_block_systems: the
+    left coset partitions {gH} of G's subgroups H other than 1 (Dixon &
+    Mortimer, *Permutation Groups*, 1996, section 1.5)."""
+    return tuple(all_block_systems(left_regular_group(group)))
 
 
 # -- labels, parsing, registry ------------------------------------------------

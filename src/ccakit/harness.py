@@ -106,6 +106,7 @@ def f21_census() -> CensusReport:
     pairs = inverse_pairs(group)
     orbits = connection_set_orbits(group)
     rows: list[dict] = []
+    negatives: list[tuple[dict, ColoredCayleyGraph]] = []
     connected_sets = 0
     for mask, size in orbits:
         cs = mask_to_connection_set(group, pairs, mask)
@@ -126,23 +127,21 @@ def f21_census() -> CensusReport:
         }
         if not verdict.is_cca:
             row["aut_order"] = uncolored_aut_group(graph).order()
+            negatives.append((row, graph))
         rows.append(row)
 
-    class_reps: list[int] = []
+    # Each negative graph is kept, so it keeps its root digest for are_isomorphic.
+    class_reps: list[ColoredCayleyGraph] = []
     per_class: list[int] = []
-    for row in rows:
-        if row["is_cca"]:
-            continue
-        graph = build_cayley(group, mask_to_connection_set(group, pairs, row["mask"]))
-        for k, rep_mask in enumerate(class_reps):
-            other = build_cayley(group, mask_to_connection_set(group, pairs, rep_mask))
-            if are_isomorphic(graph, other, respect_colors=True):
+    for row, graph in negatives:
+        for k, rep in enumerate(class_reps):
+            if are_isomorphic(graph, rep, respect_colors=True):
                 row["iso_class"] = k
                 per_class[k] += row["orbit_size"]
                 break
         else:
             row["iso_class"] = len(class_reps)
-            class_reps.append(row["mask"])
+            class_reps.append(graph)
             per_class.append(row["orbit_size"])
 
     return CensusReport(

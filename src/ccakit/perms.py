@@ -29,8 +29,8 @@ A block system of a transitive group is held as the int bitmask of its
 block through the first base point; ``all_block_systems`` closes the
 minimal blocks under joins, one join per orbit of a block's stabilizer on
 the blocks of its system (Seress, *Permutation Group Algorithms*, 2003,
-ch. 5), and keeps its result per group while the group lives;
-``minimal_block_system`` is Atkinson's union-find (1975) from any seed pair.
+ch. 5); ``minimal_block_system`` is Atkinson's union-find (1975) from any
+seed pair.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from functools import lru_cache
 from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
-from weakref import WeakKeyDictionary
 
 Perm = tuple[int, ...]
 
@@ -509,16 +508,9 @@ def minimal_block_system(group: PermGroup, seed: tuple[int, int]) -> BlockSystem
     return system
 
 
-# Per group, the systems all_block_systems found for it.
-_BLOCK_SYSTEMS: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def all_block_systems(group: PermGroup) -> list[BlockSystem]:
     """Every block system of a transitive group except the singletons,
     sorted by ``block_of``; ``[]`` for degree 1.
-
-    Groups are immutable, so the systems are kept per group while it lives,
-    and each call returns a new list of them.
 
     Each system is held as one int bitmask: its block through b0, the first
     base point of the group's chain.  Systems are invariant, so seeding at
@@ -552,8 +544,6 @@ def all_block_systems(group: PermGroup) -> list[BlockSystem]:
     that no two images overlap; each system is built from that table
     directly.
     """
-    if group in _BLOCK_SYSTEMS:
-        return list(_BLOCK_SYSTEMS[group])
     n = group.degree
     if n <= 1:
         return []
@@ -652,7 +642,6 @@ def all_block_systems(group: PermGroup) -> list[BlockSystem]:
         # form left about 0.6 MB in the tuple free lists over the sweep roster.
         systems.append(BlockSystem(n, tuple([tuple(b) for b in blocks]), tuple(index)))
     systems.sort(key=lambda bs: bs.block_of)
-    _BLOCK_SYSTEMS[group] = tuple(systems)
     return systems
 
 

@@ -64,7 +64,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .cayley import ColoredCayleyGraph
-from .groups import left_translation, minimal_generating_set
+from .groups import left_regular_group
 from .perms import Perm, PermGroup, orbit_of_point
 
 __all__ = [
@@ -418,11 +418,9 @@ def _refine_start(
 # -- public graph operations --------------------------------------------------
 
 
-def _translation_seeds(graph: ColoredCayleyGraph) -> list[Perm]:
-    return [
-        left_translation(graph.group, g)
-        for g in minimal_generating_set(graph.group)
-    ]
+def _translation_seeds(graph: ColoredCayleyGraph) -> tuple[Perm, ...]:
+    """The generators of G_L, which every Cayley graph's matrices preserve."""
+    return left_regular_group(graph.group).generators
 
 
 def color_preserving_group(graph: ColoredCayleyGraph) -> PermGroup:

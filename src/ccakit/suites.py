@@ -8,7 +8,6 @@ pseudorandom instances derive from an explicit seed.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from .cartesian import cartesian_decompose, stabilizer_classes, strip_block_edges
 from .cayley import (
@@ -17,7 +16,6 @@ from .cayley import (
     cartesian_product,
     f21_noncca_graph,
     inverse_pairs,
-    is_connected,
     mask_to_connection_set,
     quotient_graph,
 )
@@ -25,6 +23,8 @@ from .cca import cca_verdict, complete_graph, is_affine
 from .groups import (
     GroupTable,
     direct_product,
+    left_cosets,
+    left_regular_group,
     left_translation,
     make_cyclic,
     make_dihedral,
@@ -47,7 +47,6 @@ from .search import (
     exact_color_digraph_group,
     preserves_matrix,
     two_closure,
-    uncolored_aut_group,
 )
 
 __all__ = [
@@ -72,10 +71,6 @@ def _groups_equal(a: PermGroup, b: PermGroup) -> bool:
     return all(b.contains(g) for g in a.generators) and all(
         a.contains(g) for g in b.generators
     )
-
-
-def _translations(group: GroupTable) -> list:
-    return [left_translation(group, g) for g in range(group.order)]
 
 
 def groups_up_to_order_8() -> list[tuple[str, GroupTable]]:
@@ -142,7 +137,7 @@ def white_oracle_suite(seed: int = 0, count: int = 20) -> list[dict]:
         graph = build_cayley(group, members, digraph_mode=True)
         found = exact_color_digraph_group(graph)
         ok = found.order() == group.order
-        ok = ok and all(found.contains(t) for t in _translations(group))
+        ok = ok and all(found.contains(t) for t in group.mult)  # the translations
         for g in found.generators:
             ok = ok and g == left_translation(group, g[group.identity])
         rows.append(
@@ -270,16 +265,7 @@ def two_closure_suite() -> list[dict]:
 
 def _coset_partition(group: GroupTable, s: int) -> BlockSystem:
     """Left cosets of the cyclic subgroup generated by s."""
-    sub = sorted(subgroup_generated(group, [s]))
-    blocks = []
-    seen: set[int] = set()
-    for g in range(group.order):
-        if g in seen:
-            continue
-        coset = sorted(group.mul(g, h) for h in sub)
-        seen.update(coset)
-        blocks.append(coset)
-    return BlockSystem.from_blocks(group.order, blocks)
+    return left_cosets(group, subgroup_generated(group, [s]))
 
 
 def _product_instance() -> tuple[ColoredCayleyGraph, PermGroup, BlockSystem, BlockSystem]:
@@ -287,12 +273,9 @@ def _product_instance() -> tuple[ColoredCayleyGraph, PermGroup, BlockSystem, Blo
     c5 = build_cayley(make_cyclic(5), {1, 4})
     prod = cartesian_product(c5, gamma)
     ao = color_preserving_group(prod)
-    fipart = BlockSystem.from_blocks(
-        105, [[a * 21 + b for b in range(21)] for a in range(5)]
-    )
-    zpart = BlockSystem.from_blocks(
-        105, [[a * 21 + b for a in range(5)] for b in range(21)]
-    )
+    # (a, b) is element 21a + b: the fibers of the F21 and Z5 factors.
+    fipart = left_cosets(prod.group, range(21))
+    zpart = left_cosets(prod.group, range(0, 105, 21))
     return prod, ao, fipart, zpart
 
 
@@ -302,12 +285,11 @@ def lemma_property_suite() -> list[dict]:
     group = gamma.group
     ao = color_preserving_group(gamma)
 
-    ok = all(ao.contains(t) for t in _translations(group))
+    # The left translations are the rows of the table.
+    ok = all(ao.contains(t) for t in group.mult)
     rows.append(_row("lemma", "translations inside the color group", ok))
 
-    ok = all(
-        preserves_matrix(gamma.color_matrix, t) for t in _translations(group)
-    )
+    ok = all(preserves_matrix(gamma.color_matrix, t) for t in group.mult)
     rows.append(_row("lemma", "translations preserve every color class", ok))
 
     for s in sorted(gamma.connection.members):
@@ -351,7 +333,7 @@ def lemma_property_suite() -> list[dict]:
 
     # fixers over coset partitions of the regular representation
     xpart = _coset_partition(group, group.index_of("x"))
-    fx = fixer(PermGroup(21, _translations(group)), xpart)
+    fx = fixer(left_regular_group(group), xpart)
     ok = fx.order() == 7 and sorted(map(sorted, fx.orbits())) == sorted(
         map(sorted, map(list, xpart.blocks))
     )
@@ -371,7 +353,7 @@ def lemma_property_suite() -> list[dict]:
     ao15 = color_preserving_group(g15)
     b15 = _coset_partition(z15, 5)
     fx_ao = fixer(ao15, b15)
-    fx_gl = fixer(PermGroup(15, _translations(z15)), b15)
+    fx_gl = fixer(left_regular_group(z15), b15)
     ok = fx_ao.is_semiregular() and _groups_equal(fx_ao, fx_gl)
     ok = ok and sorted(map(sorted, fx_ao.orbits())) == sorted(
         map(sorted, map(list, b15.blocks))
@@ -387,7 +369,7 @@ def lemma_property_suite() -> list[dict]:
 
     bpart = _coset_partition(group, group.index_of("a"))
     fx_ao21 = fixer(ao, bpart)
-    fx_gl21 = fixer(PermGroup(21, _translations(group)), bpart)
+    fx_gl21 = fixer(left_regular_group(group), bpart)
     ok = fx_ao21.is_semiregular() and _groups_equal(fx_ao21, fx_gl21)
     rows.append(
         _row(
@@ -457,7 +439,7 @@ def lemma_property_suite() -> list[dict]:
     )
 
     # normality facts on the 21-vertex instance
-    gl = PermGroup(21, _translations(group))
+    gl = left_regular_group(group)
     ok = not is_normal_subgroup(gl, ao)
     xl = PermGroup(21, [left_translation(group, group.index_of("x"))])
     ok = ok and is_normal_subgroup(xl, gl)

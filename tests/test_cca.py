@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from ccakit import groups
 from ccakit.cayley import (
     build_cayley,
     connection_set_mask,
     connection_set_orbits,
     count_orbits_burnside,
+    f21_noncca_connection_set,
     f21_noncca_graph,
     inverse_pairs,
     mask_orbit,
@@ -27,7 +29,6 @@ from ccakit.cca import (
 from ccakit.groups import (
     all_subgroups,
     group_from_name,
-    left_regular_group,
     left_translation,
     make_cyclic,
     make_f21,
@@ -152,8 +153,7 @@ def test_color_group_systems_match_the_closure():
     count = primitive = 0
     for graph in _oracle_graphs():
         ao = color_preserving_group(graph)
-        gl = left_regular_group(graph.group)
-        assert list(_color_group_systems(gl, ao)) == all_block_systems(ao)
+        assert list(_color_group_systems(graph.group, ao)) == all_block_systems(ao)
         atkinson = all(
             minimal_block_system(ao, (0, p)).block_count == 1 for p in range(1, graph.n)
         )
@@ -162,6 +162,24 @@ def test_color_group_systems_match_the_closure():
         primitive += atkinson
     assert count == 51 + 217 + 280 + 5 * 30 + len(DEFAULT_ROSTER)
     assert primitive == 2  # the complete graphs of z5 and z7
+
+
+def test_block_systems_closed_once_per_table(monkeypatch):
+    # G_L's block systems are kept with the table, so a second verdict on
+    # the same table closes no block lattice.
+    calls = []
+
+    def counted(gl):
+        calls.append(gl.degree)
+        return all_block_systems(gl)
+
+    monkeypatch.setattr(groups, "all_block_systems", counted)
+    group = make_f21()  # a new table, with nothing kept
+    negative = cca_verdict(build_cayley(group, f21_noncca_connection_set(group)))
+    cycle = {group.index_of(label) for label in ("x", "x^6", "a", "a^2")}
+    positive = cca_verdict(build_cayley(group, cycle))
+    assert (negative.is_cca, positive.is_cca) == (False, True)
+    assert calls == [21]
 
 
 def test_hamiltonian_2group_detection():

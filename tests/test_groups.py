@@ -13,6 +13,7 @@ from ccakit.groups import (
     GroupTable,
     _group_from_text,
     _is_associative,
+    _left_regular_systems,
     all_subgroups,
     center,
     direct_product,
@@ -22,6 +23,7 @@ from ccakit.groups import (
     group_to_json,
     is_normal,
     is_subgroup,
+    left_cosets,
     left_regular_group,
     left_translation,
     make_cyclic,
@@ -39,7 +41,7 @@ from ccakit.groups import (
 from ccakit.cayley import build_cayley
 from ccakit.cca import cca_verdict
 from ccakit.harness import DEFAULT_ROSTER
-from ccakit.perms import _BLOCK_SYSTEMS, PermGroup
+from ccakit.perms import PermGroup
 from ccakit.suites import groups_up_to_order_8
 
 
@@ -339,6 +341,36 @@ def test_left_regular_group_read_off_the_table(group):
     assert [reg.contains(p) for p in others] == [reference.contains(p) for p in others]
 
 
+def _renumbered_f21():
+    """F21 with element a renumbered to new[a]; its identity is not 0."""
+    f21 = make_f21()
+    new = np.random.default_rng(7).permutation(21)
+    mult = np.empty_like(f21.mult_array)
+    mult[np.ix_(new, new)] = new[f21.mult_array]
+    labels = [""] * 21
+    for a, label in enumerate(f21.labels):
+        labels[new[a]] = label
+    return GroupTable.from_mult(mult, labels, name="F21")
+
+
+@pytest.mark.parametrize(
+    "group",
+    [g for _, g in SMALL_GROUPS] + [_renumbered_f21()],
+    ids=[name for name, _ in SMALL_GROUPS] + ["f21-renumbered"],
+)
+def test_left_cosets_match_their_definition(group):
+    for members in all_subgroups(group):
+        cosets = left_cosets(group, members)
+        rows = [frozenset(group.mult[g][h] for h in members) for g in range(group.order)]
+        assert {frozenset(blk) for blk in cosets.blocks} == set(rows)
+        # Numbered by least element, ascending, as quotient numbers them.
+        leasts = sorted({min(row) for row in rows})
+        assert cosets.block_of == tuple(leasts.index(min(row)) for row in rows)
+        if is_normal(group, members):
+            assert quotient(group, members)[1] == cosets.block_of
+    assert group.order < 21 or group.identity != 0
+
+
 def test_per_table_caches_die_with_their_table():
     # Every value kept for a table is dropped with it: none refers back.
     table = direct_product(make_cyclic(3), make_f21())
@@ -347,11 +379,12 @@ def test_per_table_caches_die_with_their_table():
     assert cca_verdict(build_cayley(table, members)).is_cca
     group_automorphisms(table)
     gl = left_regular_group(table)
-    assert minimal_generating_set(table) and gl in _BLOCK_SYSTEMS
-    refs = [weakref.ref(table), weakref.ref(gl)]
-    del table, gl
+    systems = _left_regular_systems(table)
+    assert minimal_generating_set(table) and systems is _left_regular_systems(table)
+    refs = [weakref.ref(table), weakref.ref(gl), weakref.ref(systems[0])]
+    del table, gl, systems
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_parse_elements():

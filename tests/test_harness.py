@@ -83,6 +83,11 @@ def test_lemma_property_suite_rows_all_hold():
     assert len(rows) == 18
     assert all(row["suite"] == "lemma" for row in rows)
     assert [row["name"] for row in rows if not row["ok"]] == []
+    # They hold only names, flags and orders, as `ccakit oracle-suite --json`
+    # writes them.
+    golden = Path(__file__).parent / "data" / "lemma_property_suite.jsonl"
+    lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    assert lines == golden.read_text(encoding="utf-8")
 
 
 def test_cmd_complete_cca_custom_roster():
@@ -247,6 +252,7 @@ def test_cli_roster_file(tmp_path, capsys):
     [
         (["f21-census"], "f21_census.jsonl"),
         (["product-demo", "--m", "5"], "product_demo_m5.jsonl"),
+        (["complete-cca"], "complete_cca.jsonl"),
     ],
 )
 def test_cli_rows_match_golden_files(argv, golden, tmp_path, capsys):

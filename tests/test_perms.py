@@ -268,8 +268,7 @@ def test_all_block_systems_edge_cases():
 
 
 def test_all_block_systems_returns_a_new_list():
-    # The systems are kept per group; changing a returned list changes
-    # neither the kept systems nor the next call's list.
+    # Changing a returned list does not change the next call's list.
     group = PermGroup(8, [tuple((x + 1) % 8 for x in range(8))])
     expected = [bs.block_of for bs in all_block_systems(group)]
     for _ in range(2):

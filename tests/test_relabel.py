@@ -67,6 +67,25 @@ def test_f21_verdicts_survive_renumbering(f21, through_automorphism):
     assert not verdict.is_cca and verdict.ao_order == 168
 
 
+@pytest.mark.parametrize(
+    "name, reps, failing",
+    [("z3xs3", 217, 2), ("z2xq8", 44, 44), ("d8", 280, 0), ("z3xz9", 274, 0)],
+)
+def test_sweep_roster_verdicts_survive_renumbering(name, reps, failing):
+    # The rest of the sweep benchmark's roster, with the identity moved off
+    # element 0: the translations and coset partitions read off the table
+    # must not assume it sits there.
+    base = group_from_name(name)
+    new = shuffled(base.order, seed=17)
+    if new[base.identity] == 0:
+        new.reverse()
+    group = renumber(base, new)
+    assert group.identity != 0
+    ok, failing_sets = cca_group_verdict(group)
+    assert len(connection_set_orbits(group, connected_only=True)) == reps
+    assert len(failing_sets) == failing and ok == (failing == 0)
+
+
 def test_stabilizer_classes_survive_renumbering():
     three = build_cayley(make_cyclic(3), {1, 2})
     five = build_cayley(make_cyclic(5), {1, 4})
