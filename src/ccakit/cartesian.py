@@ -7,9 +7,10 @@ conjugation, gives them all.  The classes E of that comparison form a
 second invariant partition.  When every class meets every block exactly
 once (odd group order required), the connection set splits along the block
 at the identity and the graph is a color-respecting Cartesian product of
-the two induced factor graphs.  The product theorem's check names its
-block system from the connection set: the left cosets of the subgroup
-generated by a class of pairwise non-commuting generators of order 21.
+the two induced factor graphs.  The product theorem's check needs no block
+system: it splits the connection set along the subgroup K of order 21
+generated by a class of pairwise non-commuting generators, and checks the
+split on G and S alone; the stabilizer classes stay as its oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cayley import (
     ColoredCayleyGraph,
@@ -25,10 +27,9 @@ from .cayley import (
     f21_noncca_graph,
     is_connected,
 )
-from .cca import cca_verdict_with_group
+from .cca import cca_verdict
 from .groups import (
     GroupTable,
-    left_cosets,
     left_regular_group,
     subgroup_generated,
     subgroup_table,
@@ -198,6 +199,48 @@ def _fixed_points_condition(b: BlockSystem, fixed: list[frozenset[int]]) -> bool
     )
 
 
+class _Split(NamedTuple):
+    """Cay(G,S) as Cay(H,P) □ Cay(K,Q): the factors, H and K as sorted
+    elements, and the vertex map hk ↦ (h, k) onto the product."""
+
+    factor1: ColoredCayleyGraph
+    factor2: ColoredCayleyGraph
+    g1: tuple[int, ...]
+    g2: tuple[int, ...]
+    iso: Perm
+
+
+def _split_product(graph: ColoredCayleyGraph, k: frozenset[int]) -> _Split | None:
+    """The split of S along the subgroup K: Q = S ∩ K, P = S∖K, H = ⟨P⟩.
+
+    None unless ⟨Q⟩ = K, P commutes with Q, H ∩ K = {e} and |H|·|K| = |G|;
+    then G = H × K and Cay(G,S) = Cay(H,P) □ Cay(K,Q) (Imrich & Klavžar,
+    *Product Graphs*, 2000), which is re-verified on the colors.
+    """
+    group = graph.group
+    members = graph.connection.members
+    s2 = sorted(members & k)
+    s1 = sorted(members - k)
+    mult = group.mult
+    if subgroup_generated(group, s2) != k:
+        return None
+    if any(mult[x][y] != mult[y][x] for x in s1 for y in s2):
+        return None
+    h = subgroup_generated(group, s1)
+    if h & k != {group.identity} or len(h) * len(k) != graph.n:
+        return None
+    table1, elems1 = subgroup_table(group, h)
+    table2, elems2 = subgroup_table(group, k)
+    factor1 = build_cayley(table1, {elems1.index(s) for s in s1})
+    factor2 = build_cayley(table2, {elems2.index(s) for s in s2})
+    pair = {mult[x][y]: i * len(k) + j for i, x in enumerate(elems1) for j, y in enumerate(elems2)}
+    iso = tuple(pair[g] for g in range(graph.n))
+    product = cartesian_product(factor1, factor2)
+    if color_bijection_between(graph.color_matrix, product.color_matrix, iso) is None:
+        raise AssertionError("factor product is not color-isomorphic to the input")
+    return _Split(factor1, factor2, elems1, elems2, iso)
+
+
 def cartesian_decompose(
     graph: ColoredCayleyGraph, a: PermGroup, b: BlockSystem
 ) -> DecompositionResult:
@@ -228,76 +271,16 @@ def cartesian_decompose(
 
     e, fixed = _stabilizer_classes(a, b)
     failing = _intersection_condition(e, b)
-    condition2 = _fixed_points_condition(b, fixed)
-    phrasings_agree = (failing is None) == condition2
+    phrasings_agree = (failing is None) == _fixed_points_condition(b, fixed)
     if failing is not None:
-        return DecompositionResult(
-            success=False,
-            block_system=b,
-            stab_classes=e,
-            factor1=None,
-            factor2=None,
-            g1=(),
-            g2=(),
-            iso=None,
-            failing_pair=failing,
-            phrasings_agree=phrasings_agree,
-        )
+        return DecompositionResult(False, b, e, None, None, (), (), None, failing, phrasings_agree)
 
-    b0 = set(b.blocks[b.block_of[group.identity]])
-    members = graph.connection.members
-    s2 = sorted(members & b0)
-    s1 = sorted(members - b0)
-    g1 = subgroup_generated(group, s1)
-    g2 = subgroup_generated(group, s2)
-    mult = group.mult
-    for x in s1:
-        for y in s2:
-            if mult[x][y] != mult[y][x]:
-                raise AssertionError("split connection halves do not commute")
-    if g1 & g2 != {group.identity}:
-        raise AssertionError("factor subgroups intersect nontrivially")
-    if len(g1) * len(g2) != n:
-        raise AssertionError("factor subgroup orders do not multiply to |G|")
-    if g2 != b0:
-        raise AssertionError("identity block is not the second factor subgroup")
-    e0 = set(e.blocks[e.block_of[group.identity]])
-    if g1 != e0:
+    split = _split_product(graph, frozenset(b.blocks[b.block_of[group.identity]]))
+    if split is None:
+        raise AssertionError("the identity block does not split the connection set")
+    if frozenset(split.g1) != frozenset(e.blocks[e.block_of[group.identity]]):
         raise AssertionError("identity class is not the first factor subgroup")
-
-    elems1 = sorted(g1)
-    elems2 = sorted(g2)
-    split: dict[int, tuple[int, int]] = {}
-    for i, x in enumerate(elems1):
-        for j, y in enumerate(elems2):
-            g = mult[x][y]
-            if g in split:
-                raise AssertionError("factor products are not unique")
-            split[g] = (i, j)
-    table1, order1 = subgroup_table(group, g1)
-    table2, order2 = subgroup_table(group, g2)
-    if tuple(order1) != tuple(elems1) or tuple(order2) != tuple(elems2):
-        raise AssertionError("subgroup tables disagree on element order")
-    factor1 = build_cayley(table1, {elems1.index(s) for s in s1})
-    factor2 = build_cayley(table2, {elems2.index(s) for s in s2})
-    product = cartesian_product(factor1, factor2)
-    iso = tuple(
-        split[g][0] * len(elems2) + split[g][1] for g in range(n)
-    )
-    if color_bijection_between(graph.color_matrix, product.color_matrix, iso) is None:
-        raise AssertionError("factor product is not color-isomorphic to the input")
-    return DecompositionResult(
-        success=True,
-        block_system=b,
-        stab_classes=e,
-        factor1=factor1,
-        factor2=factor2,
-        g1=tuple(elems1),
-        g2=tuple(elems2),
-        iso=iso,
-        failing_pair=None,
-        phrasings_agree=phrasings_agree,
-    )
+    return DecompositionResult(True, b, e, *split, None, phrasings_agree)
 
 
 def _is_square_free(n: int) -> bool:
@@ -334,20 +317,17 @@ def product_structure_verdict(
     group = graph.group
     if group.order % 2 == 0 or not _is_square_free(group.order):
         raise ValueError("verdict requires odd square-free group order")
-    verdict, ao = cca_verdict_with_group(graph)
-    if verdict.is_cca:
+    if cca_verdict(graph).is_cca:
         raise ValueError("verdict requires a graph with a negative verdict")
-    result = _factor_product(graph, ao)
+    result = _factor_product(graph)
     return None if result is None else (result.factor1, result.factor2)
 
 
-def _factor_product(graph: ColoredCayleyGraph, ao: PermGroup) -> DecompositionResult | None:
-    """The decomposition, given the color group ao, whose second factor is
-    the order-21 instance; None when there is none.  Cay(H,P) □ Cay(K,Q) is
-    Cay(H × K, P ∪ Q) (Imrich & Klavžar, *Product Graphs*, 2000), and with
-    K ≅ F21 (trivial center; normal subgroups 1, Z7, F21) Q is one
-    noncommuting class.  The left cosets of ⟨Q⟩, the components of Q's
-    colors, are a block system of ao: one decomposition per such class.
+def _factor_product(graph: ColoredCayleyGraph) -> _Split | None:
+    """The split of S whose second factor is the order-21 instance; None
+    when there is none.  With K ≅ F21 (trivial center; normal subgroups 1,
+    Z7, F21), Q = S ∩ K is one noncommuting class of S: one split per class
+    generating a subgroup of order 21.
     """
     group = graph.group
     canon = f21_noncca_graph()
@@ -355,9 +335,9 @@ def _factor_product(graph: ColoredCayleyGraph, ao: PermGroup) -> DecompositionRe
         k = subgroup_generated(group, q)
         if len(k) != 21:
             continue
-        result = cartesian_decompose(graph, ao, left_cosets(group, k))
-        if result.success and are_isomorphic(result.factor2, canon, respect_colors=True):
-            return result
+        split = _split_product(graph, k)
+        if split is not None and are_isomorphic(split.factor2, canon, respect_colors=True):
+            return split
     return None
 
 

@@ -713,10 +713,15 @@ def group_to_json(group: GroupTable) -> dict:
 
 
 def group_from_json(data: dict) -> GroupTable:
-    n = int(data["order"])
+    if not isinstance(data, dict):
+        raise ValueError("a group must be a JSON object")
+    n, flat = data.get("order"), data.get("mult")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"group order must be an integer of at least 1, not {n!r}")
     if n > MAX_GROUP_ORDER:
         raise ValueError(f"group order {n} is larger than {MAX_GROUP_ORDER}")
-    flat = data["mult"]
+    if not isinstance(flat, list):
+        raise ValueError("mult must be a flat list")
     if len(flat) != n * n:
         raise ValueError("flat table has wrong length")
     # Rows as lists, so that from_mult refuses bool entries among the ints.

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cartesian import _factor_product, _is_square_free
+from .cartesian import _factor_product, _is_square_free, cartesian_decompose
 from .cayley import (
     _MAX_PAIRS_FOR_ENUMERATION,
     ColoredCayleyGraph,
@@ -39,10 +39,10 @@ from .cca import (
 from .groups import (
     GroupTable,
     group_from_name,
+    left_cosets,
     make_cyclic,
     subgroup_generated,
 )
-from .perms import PermGroup
 from .search import are_isomorphic, uncolored_aut_group
 from .suites import run_oracle_suites
 
@@ -256,9 +256,7 @@ def _random_connected_set(group: GroupTable, rng: random.Random) -> ConnectionSe
             return ConnectionSet(group, members)
 
 
-def _product_theorem_factors(
-    graph: ColoredCayleyGraph, verdict: CcaVerdict, ao: PermGroup
-) -> dict:
+def _product_theorem_factors(graph: ColoredCayleyGraph, verdict: CcaVerdict) -> dict:
     """The paper's product theorem as a check on one verdict.
 
     A negative verdict on a group of odd square-free order must factor as
@@ -270,7 +268,7 @@ def _product_theorem_factors(
     order = graph.n
     if verdict.is_cca or order % 2 == 0 or not _is_square_free(order):
         return {}
-    result = _factor_product(graph, ao)
+    result = _factor_product(graph)
     _check(
         result is not None,
         f"negative verdict of odd square-free order {order} has no "
@@ -287,9 +285,10 @@ def _product_theorem_factors(
 
 def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
     """Build the m-cycle product of the order-21 negative instance, confirm
-    the verdict stays negative, and recover both factors in one decomposition
-    over the order-21 fibers named by the connection set.  Also reports three
-    seeded random sets; a negative one must pass the product theorem."""
+    the verdict stays negative, and split the connection set along its
+    order-21 subgroup K, checked by the stabilizer-class decomposition over
+    K's cosets.  Also reports three seeded random sets; a negative one must
+    pass the product theorem."""
     if m not in (1, 5):
         raise ValueError("m must be odd, square-free, coprime to 21 and at most 5: 1 or 5")
     base = f21_noncca_graph()
@@ -307,11 +306,13 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
         }
     ]
 
-    result = _factor_product(prod, ao)
+    result = _factor_product(prod)
     _check(result is not None, "the product does not factor through the order-21 instance")
+    # The oracle checks its identity stabilizer class against H = result.g1.
+    oracle = cartesian_decompose(prod, ao, left_cosets(prod.group, result.g2))
     fibers = tuple(v // 21 for v in range(prod.n))
-    _check(result.block_system.block_of == fibers, "not factored over the order-21 fibers")
-    _check(result.success and result.phrasings_agree, "intersection phrasings disagree")
+    _check(oracle.block_system.block_of == fibers, "not factored over the order-21 fibers")
+    _check(oracle.success and oracle.phrasings_agree, "intersection phrasings disagree")
     f1, f2 = result.factor1, result.factor2
     rows.append(
         {
@@ -320,9 +321,9 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
             "factor2_n": f2.n,
             "g1_size": len(result.g1),
             "g2_size": len(result.g2),
-            "block_count": result.block_system.block_count,
-            "class_count": result.stab_classes.block_count,
-            "phrasings_agree": result.phrasings_agree,
+            "block_count": oracle.block_system.block_count,
+            "class_count": oracle.stab_classes.block_count,
+            "phrasings_agree": oracle.phrasings_agree,
         }
     )
 
@@ -330,7 +331,7 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
     for i in range(3):
         cs = _random_connected_set(prod.group, rng)
         graph = build_cayley(prod.group, cs)
-        v, v_ao = cca_verdict_with_group(graph)
+        v = cca_verdict(graph)
         rows.append(
             {
                 "kind": "random-set",
@@ -339,7 +340,7 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
                 "valency": graph.valency,
                 "is_cca": v.is_cca,
                 "ao_order": v.ao_order,
-                **_product_theorem_factors(graph, v, v_ao),
+                **_product_theorem_factors(graph, v),
             }
         )
     random_pos = sum(1 for row in rows if row["kind"] == "random-set" and row["is_cca"])
@@ -361,7 +362,7 @@ def cmd_verdict(group_name: str, set_text: str) -> tuple[list[dict], list[str]]:
     """
     group = group_from_name(group_name)
     graph = build_cayley(group, set_text)
-    verdict, ao = cca_verdict_with_group(graph)
+    verdict = cca_verdict(graph)
     row = {
         "kind": "verdict",
         "group": group_name,
@@ -370,7 +371,7 @@ def cmd_verdict(group_name: str, set_text: str) -> tuple[list[dict], list[str]]:
         "valency": graph.valency,
     }
     row.update(verdict.to_json())
-    row.update(_product_theorem_factors(graph, verdict, ao))
+    row.update(_product_theorem_factors(graph, verdict))
     state = "positive" if verdict.is_cca else "negative"
     summary = [
         f"{group_name} on {{{', '.join(graph.connection.labels())}}}: "

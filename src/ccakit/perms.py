@@ -300,7 +300,7 @@ class PermGroup:
         return orbits_of_gens(self.degree, self.generators)
 
     def orbit(self, point: int) -> tuple[int, ...]:
-        return orbit_of_point(point, self.generators, self.degree)
+        return orbit_of_point(point, self.generators)
 
     def is_transitive(self) -> bool:
         return self.degree <= 1 or len(self.orbit(0)) == self.degree
@@ -353,7 +353,7 @@ def closure_of_perms(degree: int, gens: Iterable[Sequence[int]]) -> set[Perm]:
     return seen
 
 
-def orbit_of_point(point: int, gens: Sequence[Perm], degree: int | None = None) -> tuple[int, ...]:
+def orbit_of_point(point: int, gens: Sequence[Perm]) -> tuple[int, ...]:
     seen = {point}
     queue = deque([point])
     while queue:
@@ -372,7 +372,7 @@ def orbits_of_gens(degree: int, gens: Sequence[Perm]) -> list[tuple[int, ...]]:
     for p in range(degree):
         if assigned[p]:
             continue
-        orb = orbit_of_point(p, gens, degree)
+        orb = orbit_of_point(p, gens)
         for x in orb:
             assigned[x] = True
         out.append(orb)
@@ -748,4 +748,13 @@ def permgroup_to_json(group: PermGroup) -> dict:
 
 
 def permgroup_from_json(data: dict) -> PermGroup:
-    return PermGroup(int(data["degree"]), [tuple(g) for g in data["generators"]])
+    if not isinstance(data, dict):
+        raise ValueError("a permutation group must be a JSON object")
+    degree, gens = data.get("degree"), data.get("generators")
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"degree must be an integer of at least 0, not {degree!r}")
+    if not isinstance(gens, list) or any(
+        not isinstance(g, list) or any(type(x) is not int for x in g) for g in gens
+    ):
+        raise ValueError("generators must be a list of integer lists")
+    return PermGroup(degree, [tuple(g) for g in gens])

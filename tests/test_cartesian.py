@@ -1,10 +1,12 @@
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from ccakit.cartesian import (
     _factor_product,
+    _split_product,
     _stabilizer_classes,
     aut_product_check,
     cartesian_decompose,
@@ -19,7 +21,14 @@ from ccakit.cayley import (
     parse_elements,
 )
 from ccakit.cca import cca_verdict_with_group
-from ccakit.groups import group_automorphisms, group_from_name, make_cyclic, make_f21
+from ccakit.groups import (
+    group_automorphisms,
+    group_from_name,
+    left_cosets,
+    make_cyclic,
+    make_f21,
+    subgroup_generated,
+)
 from ccakit.harness import _random_connected_set
 from ccakit.perms import (
     BlockSystem,
@@ -85,8 +94,8 @@ def test_transported_fixed_sets_match_per_point_stabilizers(
                 assert (e.block_of[p] == e.block_of[q]) == same
 
 
-def test_stabilizer_classes_build_one_stabilizer(monkeypatch, product_ao):
-    # The fixer's chain and one point stabilizer: nothing per fixer orbit.
+def count_permgroup_builds(monkeypatch):
+    """The degrees of the PermGroups built from now on, one per chain build."""
     builds = []
     init = PermGroup.__init__
 
@@ -95,6 +104,12 @@ def test_stabilizer_classes_build_one_stabilizer(monkeypatch, product_ao):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PermGroup, "__init__", counted)
+    return builds
+
+
+def test_stabilizer_classes_build_one_stabilizer(monkeypatch, product_ao):
+    # The fixer's chain and one point stabilizer: nothing per fixer orbit.
+    builds = count_permgroup_builds(monkeypatch)
     _stabilizer_classes(product_ao, fiber_system(105, 21))
     assert len(builds) == 2
 
@@ -222,7 +237,7 @@ THEOREM_GROUPS = [("z3xf21", 3), ("z5xf21", 5)]
 def test_negative_verdicts_factor_through_the_order_21_instance(name, m):
     negatives = _theorem_negatives(name, m)
     for graph, ao in negatives:
-        factors = _factor_product(graph, ao)
+        factors = _factor_product(graph)
         assert factors is not None, graph.connection.labels()
         assert (factors.factor1.n, factors.factor2.n) == (m, 21)
     assert len(negatives) >= 1
@@ -248,8 +263,58 @@ def _lattice_search(graph, ao):
 @pytest.mark.parametrize("name, m", THEOREM_GROUPS)
 def test_factor_product_matches_the_block_system_search(name, m):
     for graph, ao in _theorem_negatives(name, m):
-        result = _factor_product(graph, ao)
+        result = _factor_product(graph)
         assert (result.factor1.n, result.factor2.n) == _lattice_search(graph, ao)
+        # The stabilizer classes over K's cosets must find the same split.
+        oracle = cartesian_decompose(graph, ao, left_cosets(graph.group, result.g2))
+        assert oracle.success and oracle.phrasings_agree
+        assert (oracle.g1, oracle.g2, oracle.iso) == (result.g1, result.g2, result.iso)
+        for ours, theirs in ((result.factor1, oracle.factor1), (result.factor2, oracle.factor2)):
+            assert np.array_equal(ours.color_matrix, theirs.color_matrix)
+
+
+Z5XF21_NEGATIVE = "(1,e),(4,e),(e,a),(e,a^2),(e,x^4a),(e,x^6a^2)"
+
+
+def test_factor_product_builds_no_permutation_group(monkeypatch):
+    group = group_from_name("z5xf21")
+    graph = build_cayley(group, parse_elements(group, Z5XF21_NEGATIVE))
+    builds = count_permgroup_builds(monkeypatch)
+    result = _factor_product(graph)
+    assert (result.factor1.n, result.factor2.n) == (5, 21)
+    assert builds == []
+
+
+def _split(name, labels, k_labels):
+    group = group_from_name(name)
+    graph = build_cayley(group, parse_elements(group, labels))
+    return _split_product(graph, subgroup_generated(group, parse_elements(group, k_labels)))
+
+
+def test_split_product_refuses_subgroups_s_does_not_split_along():
+    # Γ's Z7 holds no element of S, so Q = S ∩ K generates only {e}.
+    assert _split("f21", "a,a^2,x^4a,x^6a^2", "x") is None
+    # Q generates Z7, H = <a> meets it in e and |H||K| = 21, but a and x
+    # do not commute.
+    assert _split("f21", "a,a^2,x,x^6", "x") is None
+    # Disconnected sets, where only one of H ∩ K = 1 and |H||K| = |G| holds:
+    # H = {(b, c, e)} contains K = {(b, e, e)}, and |H||K| = 27;
+    assert _split("z3^3", "((1,1),e),((2,2),e),((e,1),e),((e,2),e),((1,e),e),((2,e),e)",
+                  "((1,e),e)") is None
+    # H = 1 meets K = {(b, e)} in e, and |H||K| = 3;
+    assert _split("z3xz3", "(1,e),(2,e)", "(1,e)") is None
+    # and with K = G, Q generates only {(b, e)}, though H = 1 and |H||K| = 9.
+    assert _split("z3xz3", "(1,e),(2,e)", "(1,e),(e,1)") is None
+    split = _split("z5xf21", Z5XF21_NEGATIVE, "(e,a),(e,x)")
+    assert (split.factor1.n, split.factor2.n) == (5, 21)
+
+
+def test_factor_product_needs_the_order_21_instance():
+    # S splits along {e} x F21, but Cay(F21, {a, a^2, x, x^6}) is not Γ.
+    group = group_from_name("z3xf21")
+    graph = build_cayley(group, parse_elements(group, "(1,e),(2,e),(e,a),(e,a^2),(e,x),(e,x^6)"))
+    assert _split_product(graph, subgroup_generated(group, parse_elements(group, "(e,a),(e,x)")))
+    assert _factor_product(graph) is None
 
 
 def test_aut_product_check_coprime_cycles():

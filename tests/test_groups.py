@@ -457,6 +457,8 @@ def test_group_from_json_refuses_up_front():
     with pytest.raises(ValueError, match="larger than 2048"):
         group_from_json({"order": 1_000_000, "mult": []})
     assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="JSON object"):
+        group_from_json([2, [0, 1, 1, 0]])
 
 
 def test_groups_at_the_order_cap_build():
@@ -553,10 +555,19 @@ def test_from_mult_refuses_non_associative_loops(table):
         # numpy stores these as int64 arrays; the bools must still be seen.
         ([[0, True], [True, 0]], "entries must be integers"),
         ({"order": 2, "mult": [0, True, True, 0]}, "entries must be integers"),
+        # The JSON reader checks its fields before it builds anything.
+        ({"order": 1.5, "mult": [0]}, "order must be an integer"),
+        ({"order": True, "mult": [0]}, "order must be an integer"),
+        ({"order": 0, "mult": []}, "at least 1"),
+        ({"order": 2, "mult": 5}, "mult must be a flat list"),
+        ({"mult": [0]}, "order must be an integer of at least 1, not None"),
+        ({"order": 1}, "mult must be a flat list"),
     ],
     ids=[
         "row", "column", "identity", "inverse", "short-row", "bad-then-short",
         "long-row", "nested", "int-and-bool", "json-int-and-bool",
+        "json-float-order", "json-bool-order", "json-zero-order", "json-scalar-mult",
+        "json-missing-order", "json-missing-mult",
     ],
 )
 def test_from_mult_refusals(table, message):

@@ -167,7 +167,7 @@ def test_theorem_checks_that_h_is_cca(monkeypatch, capsys):
 
 
 def test_theorem_check_failure_is_a_check_failure(monkeypatch, capsys):
-    monkeypatch.setattr(harness, "_factor_product", lambda graph, ao: None)
+    monkeypatch.setattr(harness, "_factor_product", lambda graph: None)
     with pytest.raises(AssertionError, match="order-21 instance"):
         cmd_verdict("f21", F21_NEGATIVE)
     assert main(["verdict", "--group", "f21", "--set", F21_NEGATIVE]) == 1
@@ -185,9 +185,9 @@ def test_product_demo_checks_negative_random_sets(monkeypatch):
     real = harness._factor_product
     calls = []
 
-    def first_only(graph, ao):
+    def first_only(graph):
         calls.append(graph.n)
-        return real(graph, ao) if len(calls) == 1 else None
+        return real(graph) if len(calls) == 1 else None
 
     monkeypatch.setattr(harness, "_factor_product", first_only)
     with pytest.raises(AssertionError, match="order-21 instance"):

@@ -189,7 +189,7 @@ def test_permgroup_base_levels_cover_order():
     g = PermGroup(4, S4_GENS)
     total = 1
     for lvl, base in zip(g.strong_generators_by_level(), g.base):
-        orbit = orbit_of_point(base, list(lvl), 4)
+        orbit = orbit_of_point(base, list(lvl))
         total *= len(orbit)
     assert total == 24
 
@@ -388,6 +388,27 @@ def test_normality_and_stabilizers():
     assert not is_normal_subgroup(flip, s3)
     stab = point_stabilizer(s3, 2)
     assert stab.order() == 2 and stab.contains((1, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"degree": -1, "generators": []}, "at least 0"),
+        ({"degree": True, "generators": []}, "degree must be an integer"),
+        ({"degree": 2.0, "generators": [[1, 0]]}, "degree must be an integer"),
+        ({"degree": 2, "generators": 5}, "list of integer lists"),
+        ({"degree": 2, "generators": [5]}, "list of integer lists"),
+        ({"degree": 2, "generators": [[1.0, 0.0]]}, "list of integer lists"),
+        ({"generators": []}, "at least 0, not None"),
+        ({"degree": 2}, "list of integer lists"),
+        ([2, []], "JSON object"),
+    ],
+    ids=["negative", "bool", "float", "scalar", "scalar-generator", "float-entries",
+         "missing-degree", "missing-generators", "not-an-object"],
+)
+def test_permgroup_from_json_refusals(data, message):
+    with pytest.raises(ValueError, match=message):
+        permgroup_from_json(data)
 
 
 def test_json_roundtrips():

@@ -14,11 +14,12 @@ from ccakit.cayley import (
     inverse_pairs,
     mask_to_connection_set,
 )
-from ccakit.cca import cca_group_verdict, cca_verdict, cca_verdict_with_group
+from ccakit.cca import cca_group_verdict, cca_verdict
 from ccakit.groups import (
     GroupTable,
     group_automorphisms,
     group_from_name,
+    left_cosets,
     make_cyclic,
     parse_elements,
 )
@@ -120,11 +121,10 @@ def test_product_factors_over_the_renumbered_fibers():
     new = shuffled(105, seed=13)
     group = renumber(base, new)
     graph = build_cayley(group, {new[s] for s in members})
-    verdict, ao = cca_verdict_with_group(graph)
-    assert not verdict.is_cca
-    result = _factor_product(graph, ao)
+    assert not cca_verdict(graph).is_cca
+    result = _factor_product(graph)
     assert (result.factor1.n, result.factor2.n) == (5, 21)
-    assert {frozenset(blk) for blk in result.block_system.blocks} == {
+    assert {frozenset(blk) for blk in left_cosets(group, result.g2).blocks} == {
         frozenset(new[v] for v in range(21 * c, 21 * c + 21)) for c in range(5)
     }
 
