@@ -15,7 +15,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import GroupTable, group_automorphisms, parse_elements, subgroup_generated
+from .groups import (
+    GroupTable,
+    direct_product,
+    group_automorphisms,
+    make_f21,
+    parse_elements,
+    quotient as group_quotient,
+    subgroup_generated,
+)
 
 __all__ = [
     "ConnectionSet",
@@ -159,8 +167,6 @@ def quotient_graph(
     Returns the quotient graph and the coset map; vertex i of the quotient
     is coset i of the quotient table.
     """
-    from .groups import quotient as group_quotient
-
     qtable, coset_map = group_quotient(graph.group, members)
     image = {coset_map[s] for s in graph.connection.members}
     image.discard(qtable.identity)
@@ -176,8 +182,6 @@ def cartesian_product(
     The connection set is the union of both sets embedded in the product, so
     factor colors stay disjoint.
     """
-    from .groups import direct_product
-
     if g1.digraph_mode or g2.digraph_mode:
         raise ValueError("cartesian product is defined for graph mode")
     prod = direct_product(g1.group, g2.group)
@@ -378,8 +382,6 @@ def f21_noncca_connection_set(group: GroupTable) -> ConnectionSet:
 
 def f21_noncca_graph() -> ColoredCayleyGraph:
     """The order-21 connected graph whose color group is not all affine."""
-    from .groups import make_f21
-
     group = make_f21()
     return build_cayley(group, f21_noncca_connection_set(group))
 

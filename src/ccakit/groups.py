@@ -31,7 +31,6 @@ __all__ = [
     "make_q8",
     "make_dihedral",
     "make_symmetric_table",
-    "make_hamiltonian_2group",
     "direct_product",
     "subgroup_generated",
     "is_subgroup",
@@ -298,16 +297,6 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
         f"({g.labels[a]},{h.labels[b]})" for a in range(n) for b in range(m)
     ]
     return GroupTable.from_mult(mult, labels, name=f"{g.name}x{h.name}")
-
-
-def make_hamiltonian_2group(k: int) -> GroupTable:
-    """Q8 times k copies of Z2."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = make_q8()
-    for _ in range(k):
-        out = direct_product(out, make_cyclic(2))
-    return out
 
 
 # -- subgroup machinery -------------------------------------------------------

@@ -262,8 +262,13 @@ def _product_theorem_factors(graph: ColoredCayleyGraph, verdict: CcaVerdict) -> 
     A negative verdict on a group of odd square-free order must factor as
     Cay(H,P) □ Γ with Γ the order-21 negative instance, and H = ⟨P⟩ must be
     CCA; that clause is decided by cca_group_verdict when H has at most
-    _MAX_PAIRS_FOR_ENUMERATION inverse pairs.  The two factor orders are
-    returned as row fields.  Other verdicts give no fields.
+    _MAX_PAIRS_FOR_ENUMERATION inverse pairs.  Past that bound it follows
+    from the theorem the paper builds on: |G| = |H| * 21 is odd and
+    square-free, so |H| is odd and prime to 21, and H has no section
+    isomorphic to F21; every non-CCA group of odd order has such a section
+    (Hujdurović, Kutnar, D. W. Morris and J. Morris), so H is CCA.  The
+    exhaustive run stays an independent check where it runs.  The two
+    factor orders are returned as row fields.  Other verdicts give no fields.
     """
     order = graph.n
     if verdict.is_cca or order % 2 == 0 or not _is_square_free(order):

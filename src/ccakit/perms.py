@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -97,7 +97,16 @@ def is_identity_perm(p: Perm) -> bool:
 
 
 def _as_perm(p: Sequence[int], degree: int) -> Perm:
-    t = tuple(p)
+    """p as a tuple of Python ints, or ValueError unless it permutes
+    0..degree-1.  Entries are read through operator.index, so NumPy
+    integers become ints and floats are refused."""
+    try:
+        t = tuple(p)
+        # Only a tuple of ints sums to an int; it is kept, not copied.
+        if type(sum(t)) is not int:
+            t = tuple(map(index, t))
+    except TypeError:
+        raise ValueError(f"not a permutation of 0..{degree - 1}: {p!r}") from None
     if len(t) != degree or sorted(t) != list(range(degree)):
         raise ValueError(f"not a permutation of 0..{degree - 1}: {t!r}")
     return t

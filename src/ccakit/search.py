@@ -9,10 +9,11 @@ all instances.
 The search maintains an ordered partition of the vertices, refined to an
 equitable fixpoint: the invariant of a vertex is the multiset of
 (color, count) signatures toward every cell, for in- and out-colors when
-the matrix is asymmetric.  Cells only split, never merge, and new subcells
-are ordered by signature value, so refinement is deterministic.  The
-branching rule individualizes the first smallest non-singleton cell and
-tries images in ascending vertex order.
+the matrix is asymmetric; a symmetric matrix keeps no transpose.  Cells
+only split, never merge, and new subcells are ordered by signature value,
+so refinement is deterministic.  The branching rule individualizes the
+first smallest non-singleton cell and tries images in ascending vertex
+order.
 
 When colors may be relabeled, the color ids form a second ordered
 partition, refined beside the vertices: a vertex's signature reads the
@@ -65,11 +66,10 @@ import numpy as np
 
 from .cayley import ColoredCayleyGraph
 from .groups import left_regular_group
-from .perms import Perm, PermGroup, orbit_of_point
+from .perms import Perm, PermGroup, orbit_of_point, permgroup_from_elements
 
 __all__ = [
     "color_preserving_group",
-    "exact_color_digraph_group",
     "uncolored_aut_group",
     "brute_force_color_perms",
     "brute_force_color_group",
@@ -86,13 +86,14 @@ _BRUTE_FORCE_MAX = 10
 _TWO_CLOSURE_MAX_DEGREE = 150
 
 Cells = list[list[int]]
-Struct = tuple[np.ndarray, np.ndarray, bool, tuple | None]
+Struct = tuple[np.ndarray, np.ndarray | None, tuple | None]
 Trace = list[list]
 Node = tuple[Cells, Cells | None, Trace]
 
 
 def _prep(matrix: np.ndarray, relabel: bool = False) -> Struct:
-    """The matrix, its transpose, whether they differ, and the arcs.
+    """The matrix, its transpose or None when the matrix is symmetric, and
+    the arcs.
 
     With relabel, the colors are ranked 1..k and arcs holds every arc's
     color, tail and head, ordered by color, with the bounds between colors;
@@ -108,18 +109,18 @@ def _prep(matrix: np.ndarray, relabel: bool = False) -> Struct:
         tails, heads = tails[order], heads[order]
         colors = m[tails, heads]
         arcs = (colors, tails, heads, np.cumsum(np.bincount(colors))[1:-1])
-    mt = np.ascontiguousarray(m.T)
-    asym = not np.array_equal(m, mt)
-    return m, mt, asym, arcs
+    mt = None if np.array_equal(m, m.T) else np.ascontiguousarray(m.T)
+    return m, mt, arcs
 
 
 def _signatures(
-    m: np.ndarray, mt: np.ndarray, asym: bool, cell_ids: np.ndarray, ncells: int
+    m: np.ndarray, mt: np.ndarray | None, cell_ids: np.ndarray, ncells: int
 ) -> np.ndarray:
-    """Per-vertex row signatures toward the current cells, sortable as bytes."""
+    """Per-vertex row signatures toward the current cells, sortable as bytes:
+    out-signatures, then in-signatures when there is a transpose."""
     keys = m * ncells + cell_ids[np.newaxis, :]
     sig = np.sort(keys, axis=1)
-    if asym:
+    if mt is not None:
         keys_in = mt * ncells + cell_ids[np.newaxis, :]
         sig = np.hstack([sig, np.sort(keys_in, axis=1)])
     return sig
@@ -176,7 +177,7 @@ def _refine(
     (cells, colors, trace), or None at the first pass that differs from
     expect.
     """
-    m, mt, asym, arcs = struct
+    m, mt, arcs = struct
     n = m.shape[0]
     trace: Trace = []
     while True:
@@ -184,11 +185,11 @@ def _refine(
         ncells = len(cells)
         new_colors, color_entry = None, []
         if colors is None:
-            sig = _signatures(m, mt, asym, ids, ncells)
+            sig = _signatures(m, mt, ids, ncells)
         else:
             lut = _cell_ids(colors, 1 + sum(map(len, colors))) + 1
             lut[0] = 0  # non-adjacent stays apart from every color
-            sig = _signatures(lut[m], lut[mt], asym, ids, ncells)
+            sig = _signatures(lut[m], None if mt is None else lut[mt], ids, ncells)
             arc_colors, tails, heads, bounds = arcs
             square = ncells * ncells
             codes = arc_colors * square + ids[tails] * ncells + ids[heads]
@@ -409,7 +410,7 @@ def _refine_start(
 ) -> Node | None:
     """_refine from root, the colors of a relabeled struct in one cell."""
     colors = None
-    if struct[3] is not None:
+    if struct[2] is not None:
         k = int(struct[0].max(initial=0))
         colors = [list(range(1, k + 1))] if k else []
     return _refine(struct, root, colors, expect)
@@ -424,16 +425,8 @@ def _translation_seeds(graph: ColoredCayleyGraph) -> tuple[Perm, ...]:
 
 
 def color_preserving_group(graph: ColoredCayleyGraph) -> PermGroup:
-    """All automorphisms preserving each color class setwise (graph mode)."""
-    if graph.digraph_mode:
-        raise ValueError("use exact_color_digraph_group for digraph mode")
-    return matrix_aut_group(graph.color_matrix, seeds=_translation_seeds(graph))
-
-
-def exact_color_digraph_group(graph: ColoredCayleyGraph) -> PermGroup:
-    """Automorphisms preserving every arc color (digraph mode)."""
-    if not graph.digraph_mode:
-        raise ValueError("graph is not in digraph mode")
+    """All automorphisms preserving the color matrix: each inverse pair's
+    class setwise in graph mode, each arc color in digraph mode."""
     return matrix_aut_group(graph.color_matrix, seeds=_translation_seeds(graph))
 
 
@@ -459,8 +452,6 @@ def brute_force_color_perms(graph: ColoredCayleyGraph) -> list[Perm]:
 
 
 def brute_force_color_group(graph: ColoredCayleyGraph) -> PermGroup:
-    from .perms import permgroup_from_elements
-
     return permgroup_from_elements(graph.n, brute_force_color_perms(graph))
 
 

@@ -29,7 +29,6 @@ from ccakit.groups import (
     make_cyclic,
     make_dihedral,
     make_f21,
-    make_hamiltonian_2group,
     make_q8,
     make_symmetric_table,
     minimal_generating_set,
@@ -473,7 +472,7 @@ def test_groups_at_the_order_cap_build():
 
 
 def test_hamiltonian_2group_builder():
-    g = make_hamiltonian_2group(2)
+    g = group_from_name("q8xz2^2")
     assert g.order == 32
     assert not g.is_abelian
 

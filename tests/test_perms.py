@@ -2,6 +2,7 @@ import itertools
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from ccakit.cayley import (
@@ -409,6 +410,26 @@ def test_normality_and_stabilizers():
 def test_permgroup_from_json_refusals(data, message):
     with pytest.raises(ValueError, match=message):
         permgroup_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PermGroup(3, [(1.0, 2.0, 0.0)]),
+        lambda: permgroup_from_elements(2, [(0, 1), (1.0, 0.0)]),
+        lambda: perm_from_json([1.0, 0.0]),
+    ],
+    ids=["PermGroup", "permgroup_from_elements", "perm_from_json"],
+)
+def test_non_integer_entries_are_refused(build):
+    with pytest.raises(ValueError, match="not a permutation"):
+        build()
+
+
+def test_numpy_integer_entries_are_stored_as_ints():
+    p = perm_from_json(np.array([1, 2, 0]))
+    assert p == (1, 2, 0) and all(type(x) is int for x in p)
+    assert PermGroup(3, [np.array([1, 0, 2])]).generators == ((1, 0, 2),)
 
 
 def test_json_roundtrips():

@@ -87,6 +87,26 @@ def test_sweep_roster_verdicts_survive_renumbering(name, reps, failing):
     assert len(failing_sets) == failing and ok == (failing == 0)
 
 
+@pytest.mark.parametrize("name", ["z3xs3", "z2xq8", "d8", "z3xz9"])
+def test_sweep_roster_verdicts_survive_table_automorphisms(name):
+    # cca_group_verdict decides one set per Aut(G)-orbit, so S and phi(S)
+    # must get the same verdict and color group order for every phi.
+    group = group_from_name(name)
+    pairs = inverse_pairs(group)
+    reps = connection_set_orbits(group, connected_only=True)
+    auts = group_automorphisms(group).generators
+    moved = 0
+    for mask, _ in random.Random(23).sample(reps, 12):
+        members = mask_to_connection_set(group, pairs, mask).members
+        verdict = cca_verdict(build_cayley(group, members))
+        for phi in auts:
+            image = {phi[s] for s in members}
+            moved += image != members
+            other = cca_verdict(build_cayley(group, image))
+            assert (other.is_cca, other.ao_order) == (verdict.is_cca, verdict.ao_order)
+    assert moved > 0
+
+
 def test_stabilizer_classes_survive_renumbering():
     three = build_cayley(make_cyclic(3), {1, 2})
     five = build_cayley(make_cyclic(5), {1, 4})

@@ -21,7 +21,6 @@ from ccakit.search import (
     brute_force_color_perms,
     color_bijection_between,
     color_preserving_group,
-    exact_color_digraph_group,
     matrix_aut_group,
     matrix_isomorphism,
     pair_orbit_matrix,
@@ -49,7 +48,7 @@ def test_color_group_of_two_colored_cycle():
 
 
 def test_exact_digraph_group_is_regular():
-    g = exact_color_digraph_group(build_cayley(make_cyclic(5), {1}, digraph_mode=True))
+    g = color_preserving_group(build_cayley(make_cyclic(5), {1}, digraph_mode=True))
     assert g.order() == 5
     assert g.is_semiregular() and g.is_transitive()
 
@@ -205,6 +204,21 @@ def test_refinement_trace():
     assert refine(prep(swapped, relabel=True), root, one_cell, trace) is not None
     uniform = _graph_matrix(4, [(0, 1), (1, 2), (2, 3)]) * 7
     assert refine(prep(uniform, relabel=True), root, [[1]], trace) is None
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_only_an_asymmetric_matrix_keeps_its_transpose(relabel):
+    refine, prep = search._refine, search._prep
+    root = [list(range(4))]
+    assert prep(_graph_matrix(4, [(0, 1), (1, 2)]), relabel)[1] is None
+    # Arcs 0->2, 1->2, 2->3, 3->0: every vertex has one out-arc, so only the
+    # in-signatures tell the vertices apart (in-degrees 1, 0, 2, 1).
+    arcs = np.zeros((4, 4), dtype=np.int64)
+    arcs[[0, 1, 2, 3], [2, 2, 3, 0]] = 1
+    struct = prep(arcs, relabel)
+    assert np.array_equal(struct[1], arcs.T)
+    cells = refine(struct, root, [[1]] if relabel else None)[0]
+    assert sorted(map(len, cells)) == [1, 1, 1, 1]
 
 
 def _random_matrix(rng, n, colors, symmetric):

@@ -41,3 +41,36 @@ def test_unused_import_check_flags_an_unused_name():
         "x: 'Sequence'\n"
     )
     assert _unused_imports(tree) == ["os", "Iterable"]
+
+
+def _avoidable_function_imports(tree: ast.Module) -> list[str]:
+    """Relative imports inside a function body from a module that the
+    module already imports at module level, where no import cycle can
+    need them."""
+    at_top = {
+        (n.level, n.module) for n in tree.body if isinstance(n, ast.ImportFrom) and n.level
+    }
+    found = {
+        (n.lineno, f"line {n.lineno}: from {'.' * n.level}{n.module or ''}")
+        for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for n in ast.walk(f)
+        if isinstance(n, ast.ImportFrom) and (n.level, n.module) in at_top
+    }
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_function_imports_a_module_the_module_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _avoidable_function_imports(tree) == []
+
+
+def test_function_import_check_flags_an_avoidable_import():
+    tree = ast.parse(
+        "from .groups import make_q8\nfrom . import cli\n"
+        "def f():\n    from .groups import make_f21\n    from .perms import fixer\n"
+        "    def g():\n        from . import cli\n"
+        "class C:\n    def h(self):\n        from ..groups import quotient\n"
+    )
+    assert _avoidable_function_imports(tree) == ["line 4: from .groups", "line 7: from ."]
