@@ -522,23 +522,36 @@ def left_translation(group: GroupTable, g: int) -> Perm:
     return group.mult[g]
 
 
+def _translation_level(group: GroupTable, base: int) -> _Level:
+    """G_L's chain level at base, read off the table, which is also the
+    top level at base of every group containing the transitive G_L.
+
+    u_x is the translation by x·base^-1 and u_x^-1 the translation by
+    base·x^-1, both rows of mult, so no row is copied.  The strong
+    generators are the translations by minimal_generating_set(group).
+    """
+    mult, inv = group.mult, group.inv
+    gens = minimal_generating_set(group)
+    level = _Level(base)
+    level.gens = [mult[g] for g in gens]
+    level.gen_invs = [mult[inv[g]] for g in gens]
+    base_inv, base_row = inv[base], mult[base]
+    level.transversal = {x: mult[row[base_inv]] for x, row in enumerate(mult)}
+    level.inverses = {x: mult[base_row[inv[x]]] for x in range(group.order)}
+    return level
+
+
 @_per_table
 def left_regular_group(group: GroupTable) -> PermGroup:
     """The left translations as a permutation group.
 
     The representation is regular, so its chain is one level at the
-    identity, read off the table: u_x is the translation by x, the row
-    mult[x], and u_x^-1 is the row of x's inverse.  No row is copied and
-    no Schreier-Sims runs."""
-    mult, inv = group.mult, group.inv
-    gens = minimal_generating_set(group)
-    level = _Level(group.identity)
-    level.gens = [mult[g] for g in gens]
-    level.gen_invs = [mult[inv[g]] for g in gens]
+    identity, _translation_level's: u_x is the translation by x, the row
+    mult[x], and u_x^-1 is the row of x's inverse.  No Schreier-Sims
+    runs."""
+    level = _translation_level(group, group.identity)
     if len(orbit_of_point(group.identity, level.gens)) != group.order:
         raise AssertionError("the generators do not reach every element")
-    level.transversal = dict(enumerate(mult))
-    level.inverses = {x: mult[inv[x]] for x in range(group.order)}
     return PermGroup._from_levels(group.order, [level] if group.order > 1 else [])
 
 

@@ -173,15 +173,24 @@ class PermGroup:
         self._schreier_sims(_order)
 
     @classmethod
-    def _from_levels(cls, degree: int, levels: list[_Level]) -> PermGroup:
+    def _from_levels(
+        cls,
+        degree: int,
+        levels: list[_Level],
+        generators: tuple[Perm, ...] | None = None,
+    ) -> PermGroup:
         """The group of a complete chain, such as the tail of a longer one.
 
-        Its generators are the chain's strong generators in level order, so
-        they equal those of a fresh build from them; no Schreier-Sims runs.
+        Its generators are the given tuple, kept as it is: the caller
+        vouches that they generate the chain's group.  Without it they are
+        the chain's strong generators in level order, so they equal those
+        of a fresh build from them.  No Schreier-Sims runs.
         """
         group = cls.__new__(cls)
         group.degree = degree
-        group.generators = tuple(dict.fromkeys(g for lvl in levels for g in lvl.gens))
+        if generators is None:
+            generators = tuple(dict.fromkeys(g for lvl in levels for g in lvl.gens))
+        group.generators = generators
         group._levels = levels
         return group
 
@@ -745,8 +754,14 @@ def perm_to_json(p: Perm) -> list[int]:
     return list(p)
 
 
-def perm_from_json(data: Sequence[int]) -> Perm:
-    return _as_perm(data, len(data))
+def perm_from_json(data: list[int]) -> Perm:
+    """A permutation from a list of ints, or from a NumPy integer array,
+    which reads as the list of its Python ints.  Any other value, and any
+    entry that is not an int (a bool or a float), raises ValueError."""
+    entries = data.tolist() if hasattr(data, "tolist") else data
+    if not isinstance(entries, list) or any(type(x) is not int for x in entries):
+        raise ValueError(f"not a permutation: a list of integers is needed, not {data!r}")
+    return _as_perm(entries, len(entries))
 
 
 def permgroup_to_json(group: PermGroup) -> dict:

@@ -52,7 +52,16 @@ isomorphism search either produces a coset representative or proves the
 image impossible.  Discovered generators prune sibling candidates through
 the orbit of the base point (weak pruning: only generators fixing the
 current prefix pointwise are used).  The base points are the first path's,
-so the levels and all their searches share one path.
+so the levels and all their searches share one path.  The product of the
+proved orbit lengths is the group order, and the chain built from the
+generators must agree.
+
+On a Cayley graph the seeds are the left translations, which are transitive,
+so the group is G_L times the stabilizer of the first base point b0
+(orbit-stabilizer) and the search finds nothing at b0's level.  So the
+chain's top level is G_L's at b0, read off the group table, and
+Schreier-Sims runs only on the found generators, which all fix b0.
+matrix_aut_group, given no table, builds the whole chain.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .cayley import ColoredCayleyGraph
-from .groups import left_regular_group
+from .groups import _translation_level, left_regular_group
 from .perms import Perm, PermGroup, orbit_of_point, permgroup_from_elements
 
 __all__ = [
@@ -312,15 +321,13 @@ def color_bijection_between(
     return {int(x) + low: int(y) + low for x, y in zip(xs, ys) if int(x) + low != 0}
 
 
-def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGroup:
-    """The group of permutations preserving the color matrix entrywise.
-
-    Seeds must already preserve the matrix; they bootstrap orbit pruning.
-    The search proves the orbit of each base point under the stabilizer of
-    the points before it, so the product of those orbit lengths is the
-    group order; a full Schreier-Sims build of the found generators must
-    agree, which is checked.
-    """
+def _search_levels(
+    matrix: np.ndarray, seeds: Sequence[Perm]
+) -> tuple[list[Perm], list[Perm], list[int], list[int]]:
+    """The search behind matrix_aut_group: the seeds, checked and without
+    repeats or the identity; the generators found, in order; the base
+    points; and the orbit length of each base point under the stabilizer
+    of the points before it, as the search proved them."""
     struct = _prep(matrix)
     m = struct[0]
     n = m.shape[0]
@@ -333,6 +340,7 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
             raise ValueError("seed does not preserve the matrix")
         if any(i != x for i, x in enumerate(perm)) and perm not in gens:
             gens.append(perm)
+    checked = len(gens)
     path = _FirstPath(struct, _refine(struct, [list(range(n))]))
     prefix: list[int] = []
     orbit_lengths: list[int] = []
@@ -359,12 +367,32 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
                 orbit = set(orbit_of_point(b, fixing))
         orbit_lengths.append(len(orbit))
         prefix.append(b)
-    group = PermGroup(n, gens)
-    if group.order() != prod(orbit_lengths):
+    return gens[:checked], gens[checked:], prefix, orbit_lengths
+
+
+def _check_chain_order(order: int, orbit_lengths: list[int]) -> None:
+    """AssertionError unless a chain's order is the product of the
+    searched orbit lengths."""
+    if order != prod(orbit_lengths):
         raise AssertionError(
-            f"chain order {group.order()} differs from the searched orbit "
+            f"chain order {order} differs from the searched orbit "
             f"lengths {orbit_lengths}"
         )
+
+
+def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGroup:
+    """The group of permutations preserving the color matrix entrywise.
+
+    Seeds must already preserve the matrix; they bootstrap orbit pruning.
+    The search proves the orbit of each base point under the stabilizer of
+    the points before it, so the product of those orbit lengths is the
+    group order; a full Schreier-Sims build of the seeds and the found
+    generators must agree, which is checked.  Its generators are the seeds,
+    then the found generators.
+    """
+    seeds, found, _, orbit_lengths = _search_levels(matrix, seeds)
+    group = PermGroup(len(matrix), seeds + found)
+    _check_chain_order(group.order(), orbit_lengths)
     return group
 
 
@@ -419,20 +447,37 @@ def _refine_start(
 # -- public graph operations --------------------------------------------------
 
 
-def _translation_seeds(graph: ColoredCayleyGraph) -> tuple[Perm, ...]:
-    """The generators of G_L, which every Cayley graph's matrices preserve."""
-    return left_regular_group(graph.group).generators
+def _cayley_aut_group(graph: ColoredCayleyGraph, matrix: np.ndarray) -> PermGroup:
+    """matrix_aut_group of one of the graph's matrices, seeded with the
+    generators of G_L, its chain's top level read off the group table.
+
+    Every found generator fixes the first base point b0 (see the module
+    docstring), so Schreier-Sims runs on them alone, or not at all when
+    there are none.  The whole chain's order, n times that chain's, must
+    be the product of the orbit lengths the search proved.
+    """
+    n = graph.n
+    seeds, found, base, orbit_lengths = _search_levels(
+        matrix, left_regular_group(graph.group).generators
+    )
+    below = PermGroup(n, found) if found else None
+    _check_chain_order(n * (below.order() if below else 1), orbit_lengths)
+    levels = [_translation_level(graph.group, base[0])] if base else []
+    levels += below._levels if below else []
+    return PermGroup._from_levels(n, levels, tuple(seeds + found))
 
 
 def color_preserving_group(graph: ColoredCayleyGraph) -> PermGroup:
     """All automorphisms preserving the color matrix: each inverse pair's
-    class setwise in graph mode, each arc color in digraph mode."""
-    return matrix_aut_group(graph.color_matrix, seeds=_translation_seeds(graph))
+    class setwise in graph mode, each arc color in digraph mode.  The
+    chain reads its top level off the group table (_cayley_aut_group)."""
+    return _cayley_aut_group(graph, graph.color_matrix)
 
 
 def uncolored_aut_group(graph: ColoredCayleyGraph) -> PermGroup:
-    """The full automorphism group, ignoring colors."""
-    return matrix_aut_group(graph.uncolored_matrix, seeds=_translation_seeds(graph))
+    """The full automorphism group, ignoring colors.  The chain reads its
+    top level off the group table (_cayley_aut_group)."""
+    return _cayley_aut_group(graph, graph.uncolored_matrix)
 
 
 def brute_force_color_perms(graph: ColoredCayleyGraph) -> list[Perm]:

@@ -426,6 +426,18 @@ def test_non_integer_entries_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "data",
+    [None, 5, "10", (1, 0), {"0": 1}, [True, False], [1, False], [[1, 0]],
+     np.array([True, False]), np.array(3)],
+    ids=["null", "number", "string", "tuple", "object", "bools", "int-and-bool",
+         "nested", "numpy-bools", "numpy-scalar"],
+)
+def test_perm_from_json_refuses_what_is_not_a_list_of_ints(data):
+    with pytest.raises(ValueError, match="list of integers"):
+        perm_from_json(data)
+
+
 def test_numpy_integer_entries_are_stored_as_ints():
     p = perm_from_json(np.array([1, 2, 0]))
     assert p == (1, 2, 0) and all(type(x) is int for x in p)

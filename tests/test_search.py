@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import numpy as np
@@ -13,8 +14,16 @@ from ccakit.cayley import (
     inverse_pairs,
     mask_to_connection_set,
 )
-from ccakit.groups import GroupTable, group_from_name, make_cyclic, make_symmetric_table
-from ccakit.perms import PermGroup, permgroup_from_elements
+from ccakit.groups import (
+    GroupTable,
+    group_automorphisms,
+    group_from_name,
+    left_regular_group,
+    make_cyclic,
+    make_symmetric_table,
+    subgroup_generated,
+)
+from ccakit.perms import PermGroup, identity_perm, permgroup_from_elements, pmul
 from ccakit.search import (
     are_isomorphic,
     brute_force_color_group,
@@ -28,6 +37,7 @@ from ccakit.search import (
     two_closure,
     uncolored_aut_group,
 )
+from ccakit.suites import groups_up_to_order_8
 
 
 def cycle_graph(n):
@@ -614,3 +624,91 @@ def test_color_group_chain_is_checked_against_the_searched_orbits(
     monkeypatch.setattr(search, "PermGroup", lambda n, gens: PermGroup(n, gens[:1]))
     with pytest.raises(AssertionError, match="orbit lengths"):
         color_preserving_group(noncca_graph)
+
+
+def _assert_chain_matches_a_full_build(graph, respect_colors):
+    """The chain read off the table against matrix_aut_group's full
+    Schreier-Sims build of the same search."""
+    group, n = graph.group, graph.n
+    if respect_colors:
+        ao, matrix = color_preserving_group(graph), graph.color_matrix
+    else:
+        ao, matrix = uncolored_aut_group(graph), graph.uncolored_matrix
+    full = matrix_aut_group(matrix, seeds=left_regular_group(group).generators)
+    assert ao.generators == full.generators
+    assert ao.order() == full.order()
+    assert ao.base[:1] == full.base[:1]
+    if n > 1:
+        # The top level's basic orbit is every vertex, u_x takes the base
+        # point to x, and the stored inverses invert.
+        b0, top = ao.base[0], ao._levels[0]
+        assert sorted(top.transversal) == list(range(n))
+        for x, u in top.transversal.items():
+            assert u[b0] == x and pmul(top.inverses[x], u) == identity_perm(n)
+    rng = random.Random(n)
+    gens = ao.generators or (identity_perm(n),)
+    words = [pmul(rng.choice(gens), rng.choice(gens)) for _ in range(20)]
+    rights = [tuple(group.mult[x][g] for x in range(n)) for g in range(n)]
+    probes = list(full.generators) + words + rights + list(
+        group_automorphisms(group).generators
+    )
+    assert [ao.contains(p) for p in probes] == [full.contains(p) for p in probes]
+    if ao.order() <= 5000:
+        assert set(ao.elements()) == set(full.elements())
+    return ao.order()
+
+
+SMALL_GROUPS = groups_up_to_order_8()
+
+
+@pytest.mark.parametrize("respect_colors", [True, False], ids=["color", "uncolored"])
+@pytest.mark.parametrize(
+    "group", [g for _, g in SMALL_GROUPS], ids=[name for name, _ in SMALL_GROUPS]
+)
+def test_table_read_chain_matches_a_full_build_on_small_groups(group, respect_colors):
+    pairs = inverse_pairs(group)
+    for mask in range(1 << len(pairs)):
+        graph = build_cayley(group, mask_to_connection_set(group, pairs, mask))
+        _assert_chain_matches_a_full_build(graph, respect_colors)
+
+
+def _renumbered(group, seed):
+    """group with its elements renumbered at random, the identity off 0."""
+    rng = np.random.default_rng(seed)
+    new = rng.permutation(group.order)
+    while new[group.identity] == 0:
+        new = rng.permutation(group.order)
+    mult = np.empty_like(group.mult_array)
+    mult[np.ix_(new, new)] = new[group.mult_array]
+    labels = [""] * group.order
+    for a, label in enumerate(group.labels):
+        labels[new[a]] = label
+    return GroupTable.from_mult(mult, labels, name=group.name)
+
+
+# The groups the verdict-stream benchmark serves.
+STREAM_GROUPS = (
+    "d16", "q8xz2^2", "z2xz16", "z35", "d25", "d27", "z7xz9", "z3xf21", "z5xf21",
+)
+
+
+def test_table_read_chain_matches_a_full_build_when_the_identity_is_not_vertex_0():
+    grew, stayed = 0, 0
+    for name in STREAM_GROUPS:
+        group = _renumbered(group_from_name(name), seed=len(name))
+        assert group.identity != 0
+        pairs = inverse_pairs(group)
+        rng = random.Random(name)
+        for _ in range(4):
+            while True:
+                chosen = rng.sample(range(len(pairs)), rng.randint(2, 5))
+                members = {e for i in chosen for e in pairs[i]}
+                if len(subgroup_generated(group, members)) == group.order:
+                    break
+            graph = build_cayley(group, members)
+            for respect_colors in (True, False):
+                order = _assert_chain_matches_a_full_build(graph, respect_colors)
+                grew += order > group.order
+                stayed += order == group.order
+    # Both cases ran: levels below the top, and none (the group is G_L).
+    assert grew and stayed
