@@ -5,6 +5,13 @@ be inverse-closed and the edge between g and gs gets the color of the pair
 {s, s^-1}; the color id is the smaller of the two element indices.  In
 digraph mode the arc (g, gs) is colored by s itself, so s and s^-1 receive
 different colors.
+
+An inverse-closed set is a mask over the inverse pairs, and Aut(G) acts on
+masks through its action on pairs.  That action is applied to whole int32
+arrays of masks, by two table lookups per mask: one for the low half of its
+bits and one for the high half.  Orbits on all 2^p masks are found by
+labelling every mask with the least mask of its orbit, a chunk of masks at
+a time, so the one array over all masks is the labels.
 """
 
 from __future__ import annotations
@@ -215,39 +222,87 @@ def _pair_perm_from_automorphism(
     return tuple(image)
 
 
-def _apply_pair_perm(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for i, j in enumerate(perm):
-        if mask >> i & 1:
-            out |= 1 << j
+def _pair_luts(perm: Sequence[int]) -> np.ndarray:
+    """Lookup tables of a pair action: row 0 maps the low half of a mask's
+    bits to the bits of their image, row 1 the high half."""
+    half = (len(perm) + 1) // 2
+    bits = np.arange(1 << half)[:, np.newaxis] >> np.arange(half) & 1
+    weights = np.left_shift(1, perm, dtype=np.int64)
+    low = bits @ weights[:half]
+    high = bits[:, : len(perm) - half] @ weights[half:]
+    return np.array([low, high], dtype=np.int32)
+
+
+def _images(masks: np.ndarray, luts: np.ndarray) -> np.ndarray:
+    """The images of an int32 array of masks under one pair action, one
+    table lookup per half."""
+    width = luts.shape[1]
+    out = luts[0].take(masks & width - 1)
+    out |= luts[1].take(masks >> width.bit_length() - 1)
     return out
 
 
-def _generator_pair_perms(
+def _generator_luts(
     group: GroupTable, pairs: Sequence[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """The pair actions of the generators of Aut(G); their orbits on masks
-    are the orbits of Aut(G)."""
-    return [
-        _pair_perm_from_automorphism(group, pairs, a)
-        for a in group_automorphisms(group).generators
-    ]
+) -> list[np.ndarray]:
+    """The lookup tables of the pair actions of the generators of Aut(G) and
+    of their inverses; their orbits on masks are the orbits of Aut(G)."""
+    out = []
+    for a in group_automorphisms(group).generators:
+        perm = _pair_perm_from_automorphism(group, pairs, a)
+        out += [_pair_luts(perm), _pair_luts(np.argsort(perm).tolist())]
+    return out
 
 
-def _walk_orbit(
-    mask: int, perms: Sequence[tuple[int, ...]], marks: bytearray
-) -> list[int]:
-    """Breadth-first orbit of a mask under the pair actions, marking each
-    mask it reaches; the start must be unmarked."""
-    marks[mask] = 1
-    orbit = [mask]
-    for m in orbit:  # grows while it is read
-        for perm in perms:
-            image = _apply_pair_perm(m, perm)
-            if not marks[image]:
-                marks[image] = 1
-                orbit.append(image)
-    return orbit
+_CHUNK = 1 << 16
+"""Masks per chunk of the whole-array passes, which bounds their
+temporaries; the one array over all masks is the labels."""
+
+
+def _chunks(size: int) -> Iterator[np.ndarray]:
+    """The masks below size, ascending, as int32 arrays of _CHUNK masks."""
+    for lo in range(0, size, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, size), dtype=np.int32)
+
+
+def _orbits(luts: Sequence[np.ndarray], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least mask of each orbit on the masks below size, ascending, and
+    the size of that orbit.
+
+    Every mask m gets a label, which starts as m and only falls to the
+    label of an image of m under a generator or its inverse, or to the
+    label of its own label (pointer jumping).  So a label stays in its
+    mask's orbit and is at most the mask.  A pass over all masks that
+    changes nothing leaves every label at most the labels of its images,
+    so labels are constant on orbits, and an orbit's least mask, which no
+    label goes below, is its label.  The representatives are the masks
+    that are their own label, and an orbit's size is the count of its
+    label.
+    """
+    label = np.arange(size, dtype=np.int32)
+    changed = True
+    while changed:
+        changed = False
+        for masks in _chunks(size):
+            old = label.take(masks)
+            new = old
+            for lut in luts:
+                new = np.minimum(new, label.take(_images(masks, lut)))
+            new = label.take(new)
+            if not np.array_equal(new, old):
+                label[masks] = new
+                changed = True
+    reps = np.concatenate([m[label.take(m) == m] for m in _chunks(size)])
+    # A representative's label becomes -1 minus its index in reps, which
+    # every other mask reaches through its own label.
+    label[reps] = -1 - np.arange(len(reps), dtype=np.int32)
+    sizes = np.zeros(len(reps), dtype=np.int64)
+    for masks in _chunks(size):
+        code = label.take(masks)
+        hop = code >= 0
+        code[hop] = label.take(code[hop])
+        sizes += np.bincount(-1 - code, minlength=len(reps))
+    return reps, sizes
 
 
 def connection_set_orbits(
@@ -256,22 +311,17 @@ def connection_set_orbits(
     """Orbit representatives of nonempty inverse-closed sets under Aut(G).
 
     Returns (mask, orbit size) pairs where mask selects inverse pairs; only
-    lexicographically least masks are reported, ascending.  Orbits are
-    walked from the generators of Aut(G) as masks ascend, so each mask
-    still unmarked is the least of its orbit.
+    lexicographically least masks are reported, ascending.  The orbits are
+    found as whole-array operations over the generators of Aut(G), a chunk
+    of masks at a time (_orbits).
     """
     pairs = _enumerable_pairs(group)
-    perms = _generator_pair_perms(group, pairs)
-    marks = bytearray(1 << len(pairs))
-    out: list[tuple[int, int]] = []
-    for mask in range(1, 1 << len(pairs)):
-        if marks[mask]:
-            continue
-        size = len(_walk_orbit(mask, perms, marks))
-        if connected_only and not _mask_generates(group, pairs, mask):
-            continue
-        out.append((mask, size))
-    return out
+    reps, sizes = _orbits(_generator_luts(group, pairs), 1 << len(pairs))
+    return [
+        (mask, count)
+        for mask, count in zip(reps[1:].tolist(), sizes[1:].tolist())
+        if not connected_only or _mask_generates(group, pairs, mask)
+    ]
 
 
 def mask_to_connection_set(
@@ -298,11 +348,19 @@ def connection_set_mask(
 
 
 def mask_orbit(group: GroupTable, mask: int) -> list[int]:
-    """All masks in the Aut(G)-orbit of the given pair mask, ascending."""
+    """All masks in the Aut(G)-orbit of the given pair mask, ascending.
+
+    The orbit grows by frontiers: the images of the masks found last, under
+    every generator, that are not yet in it."""
     pairs = _enumerable_pairs(group)
     _check_mask(pairs, mask)
-    perms = _generator_pair_perms(group, pairs)
-    return sorted(_walk_orbit(mask, perms, bytearray(1 << len(pairs))))
+    luts = _generator_luts(group, pairs)
+    orbit = frontier = np.array([mask], dtype=np.int32)
+    while len(frontier):
+        images = np.concatenate([_images(frontier, lut) for lut in luts])
+        frontier = np.setdiff1d(images, orbit)
+        orbit = np.union1d(orbit, frontier)
+    return orbit.tolist()
 
 
 def _mask_generates(

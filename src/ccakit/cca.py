@@ -14,6 +14,26 @@ partitions {gH} of the subgroups H (Dixon & Mortimer, *Permutation Groups*,
 that each of its generators preserves, and the note stops at the first
 nontrivial one.  G_L and its coset partitions are read off the group table
 once and kept with it.
+
+The color group's generators are G_L's, then those its search found.  The
+affinity test and the block systems read only the found ones, told apart
+from G_L's by a set test: a translation is affine, and it maps each coset
+gH to hgH, so it preserves every coset partition.
+
+Every verdict checks that |ao|/n is a power of 2, because the stabilizer
+ao_e of a vertex e of a connected colored Cayley graph is a 2-group.  Let
+K_r be the elements of ao_e that fix every vertex at distance at most r
+from e, so K_0 = ao_e.  An element of K_r fixes each vertex v at distance
+r, and v has exactly the neighbours vs and vs^-1 in the color of the pair
+{s, s^-1}, so the element fixes both or swaps them.  Every vertex at
+distance r + 1 is such a neighbour.  So restriction maps K_r into a product
+of groups of order at most 2, with kernel K_{r+1}: K_r/K_{r+1} is an
+elementary abelian 2-group.  The graph is connected, so K_d = 1 at its
+diameter d, and |ao_e| is a power of 2; ao is transitive, so |ao| = n|ao_e|
+(orbit-stabilizer).  In digraph mode each color is one element s, so K_r =
+K_{r+1} and ao = G_L.  The bound needs connectivity: the color group of
+three disjoint triangles, Cay(Z9, {3, 6}), is S3 wr S3, of order 1296 =
+9 * 144.
 """
 
 from __future__ import annotations
@@ -97,11 +117,21 @@ class CcaVerdict:
         return out
 
 
-def _color_group_systems(group: GroupTable, ao: PermGroup) -> Iterator[BlockSystem]:
-    """The block systems of a group ao containing G_L, in the order of
-    all_block_systems: those of G_L that every generator of ao preserves."""
+def _found_generators(group: GroupTable, ao: PermGroup) -> list[Perm]:
+    """The generators of a group ao containing G_L other than G_L's own, in
+    order: with those, they generate ao."""
+    translations = set(left_regular_group(group).generators)
+    return [g for g in ao.generators if g not in translations]
+
+
+def _color_group_systems(
+    group: GroupTable, found: Sequence[Perm]
+) -> Iterator[BlockSystem]:
+    """The block systems of the group generated by G_L and found, in the
+    order of all_block_systems: those of G_L that every found generator
+    preserves.  Every left translation preserves them all."""
     for bs in _left_regular_systems(group):
-        if all(_block_image(g, bs) is not None for g in ao.generators):
+        if all(_block_image(g, bs) is not None for g in found):
             yield bs
 
 
@@ -114,22 +144,29 @@ def cca_verdict_with_group(
     if not is_connected(graph):
         raise ValueError("verdicts are defined for connected graphs only")
     ao = color_preserving_group(graph)
+    n = graph.n
+    ao_order = ao.order()
+    # The vertex stabilizer is a 2-group (see the module docstring).
+    stabilizer, rem = divmod(ao_order, n)
+    if rem or stabilizer & (stabilizer - 1):
+        raise AssertionError(
+            f"vertex stabilizer of order {ao_order}/{n} is not a 2-group"
+        )
     gl_normal = is_normal_subgroup(left_regular_group(graph.group), ao)
-    # Affine maps form a group, so ao is all affine iff its generators are.
-    witness = next(
-        (g for g in ao.generators if not is_affine(g, graph.group)), None
-    )
+    # Affine maps form a group, so ao is all affine iff its generators are;
+    # the translations are affine, so only the found ones are tested.
+    found = _found_generators(graph.group, ao)
+    witness = next((g for g in found if not is_affine(g, graph.group)), None)
     if gl_normal != (witness is None):
         raise AssertionError("normality and affinity criteria disagree")
     if witness is not None and not preserves_matrix(graph.color_matrix, witness):
         raise AssertionError("witness does not preserve the coloring")
-    n = graph.n
     ao_primitive = all(
-        len(bs.blocks) in (1, n) for bs in _color_group_systems(graph.group, ao)
+        len(bs.blocks) in (1, n) for bs in _color_group_systems(graph.group, found)
     )
     verdict = CcaVerdict(
         is_cca=gl_normal,
-        ao_order=ao.order(),
+        ao_order=ao_order,
         witness=witness,
         notes={"gl_normal": gl_normal, "ao_primitive": ao_primitive},
     )

@@ -58,15 +58,18 @@ generators must agree.
 
 On a Cayley graph the seeds are the left translations, which are transitive,
 so the group is G_L times the stabilizer of the first base point b0
-(orbit-stabilizer) and the search finds nothing at b0's level.  So the
+(orbit-stabilizer) and the search would find nothing at b0's level.  The
+refined unit partition is one cell, so b0 is vertex 0: the search starts at
+{0}, {1..n-1}, with the translations' orbit of 0 as its first level.  The
 chain's top level is G_L's at b0, read off the group table, and
 Schreier-Sims runs only on the found generators, which all fix b0.
-matrix_aut_group, given no table, builds the whole chain.
+matrix_aut_group, given no table, starts from the unit partition and
+builds the whole chain.
 """
 
 from __future__ import annotations
 
-from itertools import permutations as iter_permutations
+from itertools import count, permutations as iter_permutations
 from math import prod
 from typing import Sequence
 from weakref import WeakKeyDictionary
@@ -322,12 +325,20 @@ def color_bijection_between(
 
 
 def _search_levels(
-    matrix: np.ndarray, seeds: Sequence[Perm]
+    matrix: np.ndarray,
+    seeds: Sequence[Perm],
+    start: Cells,
+    top_orbit: Sequence[int] = (),
 ) -> tuple[list[Perm], list[Perm], list[int], list[int]]:
     """The search behind matrix_aut_group: the seeds, checked and without
     repeats or the identity; the generators found, in order; the base
     points; and the orbit length of each base point under the stabilizer
-    of the points before it, as the search proved them."""
+    of the points before it, as the search proved them.
+
+    The first path starts from the refined start partition.  A top_orbit,
+    when given, is the orbit under the seeds of the first base point, which
+    start already individualizes: that level is taken as proved, with no
+    search."""
     struct = _prep(matrix)
     m = struct[0]
     n = m.shape[0]
@@ -341,17 +352,17 @@ def _search_levels(
         if any(i != x for i, x in enumerate(perm)) and perm not in gens:
             gens.append(perm)
     checked = len(gens)
-    path = _FirstPath(struct, _refine(struct, [list(range(n))]))
-    prefix: list[int] = []
-    orbit_lengths: list[int] = []
-    while True:
-        cells = path.node(len(prefix))[0]
+    path = _FirstPath(struct, _refine(struct, start))
+    prefix = [top_orbit[0]] if top_orbit else []
+    orbit_lengths = [len(top_orbit)] if top_orbit else []
+    for depth in count():
+        cells = path.node(depth)[0]
         t = _target_cell(cells)
         if t is None:
             break
         cell = cells[t]
         b = cell[0]
-        trace = path.node(len(prefix) + 1)[2]
+        trace = path.node(depth + 1)[2]
         fixing = [g for g in gens if all(g[p] == p for p in prefix)]
         orbit = set(orbit_of_point(b, fixing))
         for w in cell[1:]:
@@ -360,7 +371,7 @@ def _search_levels(
             other = _refine(struct, _individualize(cells, t, w), None, trace)
             if other is None:
                 continue
-            found = _search_pair(path, struct, len(prefix) + 1, other[0], None)
+            found = _search_pair(path, struct, depth + 1, other[0], None)
             if found is not None:
                 gens.append(found)
                 fixing.append(found)
@@ -390,8 +401,9 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
     generators must agree, which is checked.  Its generators are the seeds,
     then the found generators.
     """
-    seeds, found, _, orbit_lengths = _search_levels(matrix, seeds)
-    group = PermGroup(len(matrix), seeds + found)
+    n = len(matrix)
+    seeds, found, _, orbit_lengths = _search_levels(matrix, seeds, [list(range(n))])
+    group = PermGroup(n, seeds + found)
     _check_chain_order(group.order(), orbit_lengths)
     return group
 
@@ -447,18 +459,30 @@ def _refine_start(
 # -- public graph operations --------------------------------------------------
 
 
+def _top_root(n: int) -> Cells:
+    """The partition {0}, {1..n-1}."""
+    return [[0], list(range(1, n))] if n > 1 else [[0]]
+
+
 def _cayley_aut_group(graph: ColoredCayleyGraph, matrix: np.ndarray) -> PermGroup:
     """matrix_aut_group of one of the graph's matrices, seeded with the
     generators of G_L, its chain's top level read off the group table.
 
-    Every found generator fixes the first base point b0 (see the module
-    docstring), so Schreier-Sims runs on them alone, or not at all when
-    there are none.  The whole chain's order, n times that chain's, must
-    be the product of the orbit lengths the search proved.
+    The translations are transitive, so the refined unit partition is one
+    cell and the search starts at {0}, {1..n-1}, with vertex 0 as b0 and
+    its orbit under the translations as the first level.  Every found
+    generator fixes b0 (see the module docstring), so Schreier-Sims runs
+    on them alone, or not at all when there are none.  The whole chain's
+    order, n times that chain's, must be the product of the orbit lengths
+    the search proved.
     """
     n = graph.n
+    seeds = left_regular_group(graph.group).generators
+    top_orbit = orbit_of_point(0, seeds)
+    if len(top_orbit) != n:
+        raise AssertionError("the translations do not reach every vertex")
     seeds, found, base, orbit_lengths = _search_levels(
-        matrix, left_regular_group(graph.group).generators
+        matrix, seeds, _top_root(n), top_orbit if n > 1 else ()
     )
     below = PermGroup(n, found) if found else None
     _check_chain_order(n * (below.order() if below else 1), orbit_lengths)
@@ -498,11 +522,6 @@ def brute_force_color_perms(graph: ColoredCayleyGraph) -> list[Perm]:
 
 def brute_force_color_group(graph: ColoredCayleyGraph) -> PermGroup:
     return permgroup_from_elements(graph.n, brute_force_color_perms(graph))
-
-
-def _top_root(n: int) -> Cells:
-    """The partition {0}, {1..n-1}."""
-    return [[0], list(range(1, n))] if n > 1 else [[0]]
 
 
 def _root_digest(matrix: np.ndarray, relabel: bool) -> int:

@@ -237,6 +237,22 @@ def test_connection_set_orbits_z2_squared_x_z6():
     assert set(connected) <= set(orbits)
 
 
+def test_connection_set_orbits_at_twenty_pairs():
+    # 2^20 masks, labelled a chunk of 2^16 at a time.
+    z41 = make_cyclic(41)
+    assert len(inverse_pairs(z41)) == 20
+    orbits = connection_set_orbits(z41)
+    assert len(orbits) == count_orbits_burnside(z41) == 52487
+    assert sum(size for _, size in orbits) == (1 << 20) - 1
+
+
+def test_mask_orbit_sizes_match_connection_set_orbits():
+    group = group_from_name("z3xz9")
+    for mask, size in connection_set_orbits(group):
+        orbit = mask_orbit(group, mask)
+        assert len(orbit) == size and orbit[0] == mask
+
+
 def test_mask_rejects_broken_pairs(f21):
     pairs = inverse_pairs(f21)
     half = ConnectionSet.__new__(ConnectionSet)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ccakit import groups
+from ccakit import cca, groups
 from ccakit.cayley import (
     build_cayley,
     connection_set_mask,
@@ -16,6 +16,7 @@ from ccakit.cayley import (
 )
 from ccakit.cca import (
     _color_group_systems,
+    _found_generators,
     affine_elements,
     cca_group_verdict,
     cca_verdict,
@@ -29,13 +30,22 @@ from ccakit.cca import (
 from ccakit.groups import (
     all_subgroups,
     group_from_name,
+    left_cosets,
+    left_regular_group,
     left_translation,
     make_cyclic,
     make_f21,
     make_q8,
+    subgroup_generated,
 )
 from ccakit.harness import DEFAULT_ROSTER, _random_connected_set
-from ccakit.perms import all_block_systems, minimal_block_system
+from ccakit.perms import (
+    PermGroup,
+    _block_image,
+    all_block_systems,
+    minimal_block_system,
+    orbit_of_point,
+)
 from ccakit.search import color_preserving_group, preserves_matrix
 
 
@@ -93,6 +103,108 @@ def test_verdict_rejects_bad_graphs():
         cca_verdict(build_cayley(make_cyclic(5), {1}, digraph_mode=True))
     with pytest.raises(ValueError):
         cca_verdict(build_cayley(make_cyclic(6), {2, 4}))
+
+
+def _is_power_of_two(q):
+    return q >= 1 and q & (q - 1) == 0
+
+
+def test_vertex_stabilizer_is_a_two_group_on_a_roster_slice():
+    # Every connected representative: the verdict checks |ao|/n, and the
+    # slice reaches stabilizers of order 1 up to 128.
+    stabilizers = set()
+    for name in ("z3xs3", "z2xq8", "d4xz2", "z4xz4", "z2^2xz6"):
+        group = group_from_name(name)
+        pairs = inverse_pairs(group)
+        for mask, _ in connection_set_orbits(group, connected_only=True):
+            graph = build_cayley(group, mask_to_connection_set(group, pairs, mask))
+            q, r = divmod(cca_verdict(graph).ao_order, group.order)
+            assert r == 0 and _is_power_of_two(q)
+            stabilizers.add(q)
+    assert stabilizers == {1, 2, 4, 8, 128}
+
+
+def test_connected_digraphs_have_the_translations_as_color_group():
+    # Each arc color is one element s, so the stabilizer of a vertex fixes
+    # all its out-neighbours, and by connectivity every vertex.
+    checked = 0
+    for name in ("z3xs3", "d8", "d16", "z35", "d27", "z3xf21"):
+        group = group_from_name(name)
+        rng = random.Random(name)
+        for _ in range(8):
+            members = set(rng.sample(range(group.order), rng.randint(2, 5)))
+            members.discard(group.identity)
+            if len(subgroup_generated(group, members)) != group.order:
+                continue
+            graph = build_cayley(group, members, digraph_mode=True)
+            assert color_preserving_group(graph).order() == group.order
+            checked += 1
+    assert checked >= 24
+
+
+def test_a_disconnected_graph_needs_no_two_group_stabilizer():
+    # Three disjoint triangles of one color: the color group is S3 wr S3,
+    # of order 6^3 * 3! = 1296, so the stabilizer has order 144.  Only
+    # connected graphs get a verdict, so the check never sees this one.
+    graph = build_cayley(make_cyclic(9), {3, 6})
+    assert color_preserving_group(graph).order() == 1296
+    assert not _is_power_of_two(1296 // 9)
+    with pytest.raises(ValueError, match="connected"):
+        cca_verdict(graph)
+
+
+def test_a_stabilizer_of_order_three_fails_the_verdict(monkeypatch):
+    # A stand-in color group for the 7-cycle with x -> 2x, of order 3,
+    # beside the translations: |ao|/n = 3.
+    z7 = make_cyclic(7)
+    gens = left_regular_group(z7).generators + (tuple(2 * x % 7 for x in range(7)),)
+    monkeypatch.setattr(cca, "color_preserving_group", lambda graph: PermGroup(7, gens))
+    with pytest.raises(AssertionError, match="2-group"):
+        cca_verdict(build_cayley(z7, {1, 6}))
+
+
+# The groups the sweep and verdict-stream benchmarks decide.
+SWEEP_GROUPS = ("f21", "z3xs3", "z2xq8", "d8", "z3xz9")
+STREAM_GROUPS = (
+    "d16", "q8xz2^2", "z2xz16", "z35", "d25", "d27", "z7xz9", "z3xf21", "z5xf21",
+)
+
+
+def _subgroups(group):
+    """Every subgroup: the lattice oracle up to order 64, else the joins of
+    two cyclic subgroups.  Those are all 20 subgroups of z5xf21: each is
+    A x B with A <= Z5 and B <= F21, as the orders are coprime, and each
+    such B is generated by at most two elements."""
+    if group.order <= 64:
+        return all_subgroups(group)
+    cyclic = {subgroup_generated(group, [g]) for g in range(group.order)}
+    return cyclic | {subgroup_generated(group, a | b) for a in cyclic for b in cyclic}
+
+
+@pytest.mark.parametrize("name", SWEEP_GROUPS + STREAM_GROUPS)
+def test_translations_are_transitive_affine_and_keep_every_coset_partition(name):
+    # What the verdict skips: G_L's generators reach every vertex, are
+    # affine, and map each left coset gH to the coset hgH.
+    group = group_from_name(name)
+    gens = left_regular_group(group).generators
+    assert len(orbit_of_point(group.identity, gens)) == group.order
+    assert all(is_affine(g, group) for g in gens)
+    subgroups = _subgroups(group)
+    if name == "z5xf21":
+        assert len(subgroups) == 20
+    for members in subgroups:
+        cosets = left_cosets(group, members)
+        assert all(_block_image(g, cosets) is not None for g in gens)
+
+
+def test_the_verdict_reads_only_the_found_generators(noncca_graph):
+    group = noncca_graph.group
+    verdict, ao = cca_verdict_with_group(noncca_graph)
+    gl = left_regular_group(group).generators
+    found = _found_generators(group, ao)
+    assert ao.generators == gl + tuple(found) and found
+    # The witness is still the first generator of ao that is not affine.
+    assert verdict.witness == next(g for g in ao.generators if not is_affine(g, group))
 
 
 def test_group_verdict_z5():
@@ -153,7 +265,8 @@ def test_color_group_systems_match_the_closure():
     count = primitive = 0
     for graph in _oracle_graphs():
         ao = color_preserving_group(graph)
-        assert list(_color_group_systems(graph.group, ao)) == all_block_systems(ao)
+        found = _found_generators(graph.group, ao)
+        assert list(_color_group_systems(graph.group, found)) == all_block_systems(ao)
         atkinson = all(
             minimal_block_system(ao, (0, p)).block_count == 1 for p in range(1, graph.n)
         )

@@ -712,3 +712,24 @@ def test_table_read_chain_matches_a_full_build_when_the_identity_is_not_vertex_0
                 stayed += order == group.order
     # Both cases ran: levels below the top, and none (the group is G_L).
     assert grew and stayed
+
+
+
+# The groups the sweep benchmark decides every connected set of.
+SWEEP_GROUPS = ("f21", "z3xs3", "z2xq8", "d8", "z3xz9")
+
+
+def test_table_read_chain_matches_a_full_build_on_the_sweep_roster():
+    # The color group's search starts at {0}, {1..n-1}; matrix_aut_group
+    # starts from the unit partition, which the translations keep as one
+    # cell, and individualizes vertex 0 first.  Both paths meet there, so
+    # the same generators come out.
+    grew = checked = 0
+    for name in SWEEP_GROUPS:
+        group = group_from_name(name)
+        pairs = inverse_pairs(group)
+        for mask, _ in connection_set_orbits(group, connected_only=True)[::3]:
+            graph = build_cayley(group, mask_to_connection_set(group, pairs, mask))
+            grew += _assert_chain_matches_a_full_build(graph, True) > group.order
+            checked += 1
+    assert grew > checked // 4
