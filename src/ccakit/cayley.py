@@ -242,16 +242,14 @@ def _images(masks: np.ndarray, luts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generator_luts(
+def _generator_perms(
     group: GroupTable, pairs: Sequence[tuple[int, ...]]
-) -> list[np.ndarray]:
-    """The lookup tables of the pair actions of the generators of Aut(G) and
-    of their inverses; their orbits on masks are the orbits of Aut(G)."""
-    out = []
-    for a in group_automorphisms(group).generators:
-        perm = _pair_perm_from_automorphism(group, pairs, a)
-        out += [_pair_luts(perm), _pair_luts(np.argsort(perm).tolist())]
-    return out
+) -> list[tuple[int, ...]]:
+    """The pair actions of the generators of Aut(G)."""
+    return [
+        _pair_perm_from_automorphism(group, pairs, a)
+        for a in group_automorphisms(group).generators
+    ]
 
 
 _CHUNK = 1 << 16
@@ -312,11 +310,16 @@ def connection_set_orbits(
 
     Returns (mask, orbit size) pairs where mask selects inverse pairs; only
     lexicographically least masks are reported, ascending.  The orbits are
-    found as whole-array operations over the generators of Aut(G), a chunk
-    of masks at a time (_orbits).
+    found as whole-array operations over the generators of Aut(G) and
+    their inverses, a chunk of masks at a time (_orbits).
     """
     pairs = _enumerable_pairs(group)
-    reps, sizes = _orbits(_generator_luts(group, pairs), 1 << len(pairs))
+    luts = [
+        _pair_luts(p)
+        for perm in _generator_perms(group, pairs)
+        for p in (perm, np.argsort(perm).tolist())
+    ]
+    reps, sizes = _orbits(luts, 1 << len(pairs))
     return [
         (mask, count)
         for mask, count in zip(reps[1:].tolist(), sizes[1:].tolist())
@@ -351,10 +354,11 @@ def mask_orbit(group: GroupTable, mask: int) -> list[int]:
     """All masks in the Aut(G)-orbit of the given pair mask, ascending.
 
     The orbit grows by frontiers: the images of the masks found last, under
-    every generator, that are not yet in it."""
+    every generator, that are not yet in it.  An orbit of a finite group is
+    closed under its generators alone, so their inverses are not needed."""
     pairs = _enumerable_pairs(group)
     _check_mask(pairs, mask)
-    luts = _generator_luts(group, pairs)
+    luts = [_pair_luts(perm) for perm in _generator_perms(group, pairs)]
     orbit = frontier = np.array([mask], dtype=np.int32)
     while len(frontier):
         images = np.concatenate([_images(frontier, lut) for lut in luts])
@@ -439,7 +443,11 @@ def f21_noncca_connection_set(group: GroupTable) -> ConnectionSet:
 
 
 def f21_noncca_graph() -> ColoredCayleyGraph:
-    """The order-21 connected graph whose color group is not all affine."""
+    """The order-21 connected graph whose color group is not all affine.
+
+    Its table is a fresh make_f21(), not group_from_name's kept one, so no
+    value another caller computed per table (G_L's block systems among
+    them) is already on it."""
     group = make_f21()
     return build_cayley(group, f21_noncca_connection_set(group))
 

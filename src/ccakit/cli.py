@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad usage or input.
 Rows go to --json as one JSON object per line; --verbose echoes them to
-stdout ahead of the summary.
+stdout ahead of the summary.  Each subcommand binds its harness.cmd_* call
+as run with set_defaults where it is declared, and main calls args.run.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         "f21-census",
         parents=[common],
         help="sweep every connected inverse-closed set of F21",
-    )
+    ).set_defaults(run=lambda args: harness.cmd_f21_census())
 
     p = sub.add_parser(
         "complete-cca",
@@ -49,6 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--roster", metavar="FILE", help="group names, one per line"
+    )
+    p.set_defaults(
+        run=lambda args: harness.cmd_complete_cca(
+            _read_roster(args.roster) if args.roster else None
+        )
     )
 
     p = sub.add_parser(
@@ -60,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=int, default=0, help="seed for the extra random sets"
     )
+    p.set_defaults(run=lambda args: harness.cmd_product_demo(args.m, seed=args.seed))
 
     p = sub.add_parser(
         "oracle-suite",
@@ -67,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the independent cross-check suites",
     )
     p.add_argument("--seed", type=int, default=0, help="suite seed")
+    p.set_defaults(run=lambda args: harness.cmd_oracle_suite(seed=args.seed))
 
     p = sub.add_parser(
         "verdict",
@@ -80,28 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
         dest="set_text",
         help='comma-separated elements, e.g. "a,a^-1,ax,(ax)^-1"',
     )
+    p.set_defaults(run=lambda args: harness.cmd_verdict(args.group, args.set_text))
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
-    if args.command == "f21-census":
-        return harness.cmd_f21_census()
-    if args.command == "complete-cca":
-        roster = _read_roster(args.roster) if args.roster else None
-        return harness.cmd_complete_cca(roster)
-    if args.command == "product-demo":
-        return harness.cmd_product_demo(args.m, seed=args.seed)
-    if args.command == "oracle-suite":
-        return harness.cmd_oracle_suite(seed=args.seed)
-    if args.command == "verdict":
-        return harness.cmd_verdict(args.group, args.set_text)
-    raise ValueError(f"unknown command {args.command!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rows, summary = _dispatch(args)
+        rows, summary = args.run(args)
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

@@ -15,13 +15,14 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, wraps
 from itertools import permutations
-from math import factorial, prod
+from math import factorial
 from typing import Callable, Iterable, Sequence, TypeVar
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .perms import BlockSystem, Perm, PermGroup, _Level, all_block_systems, orbit_of_point
+from .perms import _check_chain_order, proved_orbits
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -302,9 +303,19 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
 # -- subgroup machinery -------------------------------------------------------
 
 
+def _element_set(group: GroupTable, members: Iterable[int]) -> frozenset[int]:
+    """members as a set, or ValueError unless each is an int (a NumPy int
+    too, a bool not) in 0..order-1; one look per member."""
+    mem = frozenset(members)
+    for x in mem:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < group.order:
+            raise ValueError(f"{x!r} is not an element index of {group.name}")
+    return mem
+
+
 def subgroup_generated(group: GroupTable, gens: Iterable[int]) -> frozenset[int]:
     """The subgroup the gens generate: the identity's closure under them."""
-    gens = list(gens)
+    gens = _element_set(group, gens)
     mult = group.mult
     seen = {group.identity}
     reached = [group.identity]
@@ -318,7 +329,7 @@ def subgroup_generated(group: GroupTable, gens: Iterable[int]) -> frozenset[int]
 
 
 def is_subgroup(group: GroupTable, members: Iterable[int]) -> bool:
-    mem = frozenset(members)
+    mem = _element_set(group, members)
     if group.identity not in mem:
         return False
     return all(group.mul(a, b) in mem for a in mem for b in mem)
@@ -345,7 +356,7 @@ def center(group: GroupTable) -> frozenset[int]:
 def left_cosets(group: GroupTable, members: Iterable[int]) -> BlockSystem:
     """The left cosets gH of a subgroup H, numbered by their least element,
     ascending.  Raises ValueError when they do not partition G."""
-    cosets = group.mult_array[:, sorted(frozenset(members))]  # row g is gH
+    cosets = group.mult_array[:, sorted(_element_set(group, members))]  # row g is gH
     _, firsts = np.unique(cosets.min(axis=1), return_index=True)
     return BlockSystem.from_blocks(group.order, cosets[firsts].tolist())
 
@@ -375,7 +386,7 @@ def quotient(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tup
 
 def subgroup_table(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tuple[int, ...]]:
     """A closed subset as its own group; returns the table and sorted elements."""
-    elems = tuple(sorted(frozenset(members)))
+    elems = tuple(sorted(_element_set(group, members)))
     if not is_subgroup(group, elems):
         raise ValueError("not a subgroup")
     pos = np.zeros(group.order, dtype=np.intp)
@@ -475,12 +486,10 @@ def _hom_on(
 def group_automorphisms(group: GroupTable) -> PermGroup:
     """All table automorphisms, one generator image at a time.
 
-    An automorphism is fixed by its images of gens = minimal_generating_set.
-    At level i, each image h of gens[i] of the same element order, not yet
-    in the orbit of gens[i] under the found automorphisms that fix gens[:i],
-    gets one backtrack over the later images: it finds an automorphism or
-    proves there is none.  So |Aut(G)| is the product of the orbit lengths,
-    which the chain of the found automorphisms must match."""
+    An automorphism is fixed by its images of gens = minimal_generating_set,
+    which are the base points of perms.proved_orbits; the candidate images
+    of gens[i] are the elements of its order, each searched for by one
+    backtrack over the later images."""
     gens = minimal_generating_set(group)
     orders = group.element_orders
     candidates = [[h for h in range(group.order) if orders[h] == orders[g]] for g in gens]
@@ -495,25 +504,13 @@ def group_automorphisms(group: GroupTable) -> PermGroup:
         autos = (extend(images + [h]) for h in candidates[len(images)])
         return next((a for a in autos if a is not None), None)
 
-    found: list[Perm] = []
-    orbit_lengths: list[int] = []
-    for i, g in enumerate(gens):
-        fixing = [a for a in found if all(a[p] == p for p in gens[:i])]
-        orbit = set(orbit_of_point(g, fixing))
-        for h in candidates[i]:
-            if h in orbit:
-                continue
-            auto = extend([*gens[:i], h])
-            if auto is not None:
-                found.append(auto)
-                fixing.append(auto)
-                orbit = set(orbit_of_point(g, fixing))
-        orbit_lengths.append(len(orbit))
+    levels = (
+        (g, candidates[i], lambda h, fixed=list(gens[:i]): extend(fixed + [h]))
+        for i, g in enumerate(gens)
+    )
+    found, orbit_lengths = proved_orbits((), levels)
     out = PermGroup(group.order, found)
-    if out.order() != prod(orbit_lengths):
-        raise AssertionError(
-            f"chain order {out.order()} differs from the orbit lengths {orbit_lengths}"
-        )
+    _check_chain_order(out.order(), orbit_lengths)
     return out
 
 
@@ -726,6 +723,11 @@ def group_from_json(data: dict) -> GroupTable:
         raise ValueError("mult must be a flat list")
     if len(flat) != n * n:
         raise ValueError("flat table has wrong length")
+    labels, name = data.get("labels"), data.get("name", "group")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError(f"labels must be a list, not {labels!r}")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, not {name!r}")
     # Rows as lists, so that from_mult refuses bool entries among the ints.
     mult = [flat[i : i + n] for i in range(0, n * n, n)]
-    return GroupTable.from_mult(mult, data.get("labels"), name=data.get("name", "group"))
+    return GroupTable.from_mult(mult, labels, name=name)

@@ -55,6 +55,7 @@ __all__ = [
     "closure_of_perms",
     "orbit_of_point",
     "orbits_of_gens",
+    "proved_orbits",
     "BlockSystem",
     "singleton_partition",
     "one_block_partition",
@@ -395,6 +396,50 @@ def orbits_of_gens(degree: int, gens: Sequence[Perm]) -> list[tuple[int, ...]]:
             assigned[x] = True
         out.append(orb)
     return out
+
+
+def proved_orbits(
+    known: Sequence[Perm],
+    levels: Iterable[tuple[int, Iterable[int], Callable[[int], Perm | None]]],
+) -> tuple[list[Perm], list[int]]:
+    """The elements a backtrack finds and the orbit lengths it proves, one
+    base point at a time.
+
+    Each level is (b, candidates, search): a base point; every point of
+    b's orbit under the stabilizer S of the earlier base points that the
+    known elements may not reach; and a search that returns an element of
+    S taking b to a candidate w, or None when there is none.  The orbit
+    grows under the known and found elements that fix the earlier base
+    points (weak pruning), and each candidate outside it gets one search.
+    So each orbit is proved, and the product of the lengths is the order
+    of the group searched (orbit-stabilizer): _check_chain_order holds a
+    chain of the known and found elements to it."""
+    found: list[Perm] = []
+    prefix: list[int] = []
+    lengths: list[int] = []
+    for b, candidates, search in levels:
+        fixing = [g for g in (*known, *found) if all(g[p] == p for p in prefix)]
+        orbit = set(orbit_of_point(b, fixing))
+        for w in candidates:
+            if w in orbit:
+                continue
+            g = search(w)
+            if g is not None:
+                found.append(g)
+                fixing.append(g)
+                orbit = set(orbit_of_point(b, fixing))
+        lengths.append(len(orbit))
+        prefix.append(b)
+    return found, lengths
+
+
+def _check_chain_order(order: int, lengths: Sequence[int]) -> None:
+    """AssertionError unless a chain's order is the product of the orbit
+    lengths proved_orbits proved."""
+    if order != prod(lengths):
+        raise AssertionError(
+            f"chain order {order} differs from the searched orbit lengths {list(lengths)}"
+        )
 
 
 # -- block systems ----------------------------------------------------------

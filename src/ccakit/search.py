@@ -45,32 +45,20 @@ invariant, so each graph keeps a hash of it per color mode, and two graphs
 whose hashes differ are told apart without a search.  matrix_isomorphism,
 whose matrices need not be vertex-transitive, tries every root image.
 
-The automorphism group is built one base point at a time: at each level the
-target cell bounds the orbit of the base point, and for every candidate
-image not yet reachable by already-found generators a single constrained
-isomorphism search either produces a coset representative or proves the
-image impossible.  Discovered generators prune sibling candidates through
-the orbit of the base point (weak pruning: only generators fixing the
-current prefix pointwise are used).  The base points are the first path's,
-so the levels and all their searches share one path.  The product of the
-proved orbit lengths is the group order, and the chain built from the
-generators must agree.
-
-On a Cayley graph the seeds are the left translations, which are transitive,
-so the group is G_L times the stabilizer of the first base point b0
-(orbit-stabilizer) and the search would find nothing at b0's level.  The
-refined unit partition is one cell, so b0 is vertex 0: the search starts at
-{0}, {1..n-1}, with the translations' orbit of 0 as its first level.  The
-chain's top level is G_L's at b0, read off the group table, and
-Schreier-Sims runs only on the found generators, which all fix b0.
-matrix_aut_group, given no table, starts from the unit partition and
-builds the whole chain.
+The automorphism group is perms.proved_orbits over the first path's
+target cells: the first vertex of each is a base point, the others its
+candidate images, each searched for below the path's node, so the levels
+and all their searches share one path.  On a Cayley graph the seeds are
+the left translations, which are transitive, so the group is G_L times
+the stabilizer of vertex 0 (orbit-stabilizer): the search starts at
+{0}, {1..n-1}, the chain's top level is G_L's, read off the group table,
+and Schreier-Sims runs only on the found generators, which all fix 0.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import count, permutations as iter_permutations
-from math import prod
 from typing import Sequence
 from weakref import WeakKeyDictionary
 
@@ -78,7 +66,7 @@ import numpy as np
 
 from .cayley import ColoredCayleyGraph
 from .groups import _translation_level, left_regular_group
-from .perms import Perm, PermGroup, orbit_of_point, permgroup_from_elements
+from .perms import Perm, PermGroup, _check_chain_order, permgroup_from_elements, proved_orbits
 
 __all__ = [
     "color_preserving_group",
@@ -324,21 +312,25 @@ def color_bijection_between(
     return {int(x) + low: int(y) + low for x, y in zip(xs, ys) if int(x) + low != 0}
 
 
-def _search_levels(
-    matrix: np.ndarray,
-    seeds: Sequence[Perm],
-    start: Cells,
-    top_orbit: Sequence[int] = (),
-) -> tuple[list[Perm], list[Perm], list[int], list[int]]:
-    """The search behind matrix_aut_group: the seeds, checked and without
-    repeats or the identity; the generators found, in order; the base
-    points; and the orbit length of each base point under the stabilizer
-    of the points before it, as the search proved them.
+def _image_search(path: _FirstPath, depth: int, w: int) -> Perm | None:
+    """An automorphism of the path's struct that maps the first vertex of
+    node depth's target cell to w and fixes node depth's other
+    individualized vertices, or None."""
+    cells = path.node(depth)[0]
+    t = _target_cell(cells)
+    other = _refine(path.struct, _individualize(cells, t, w), None, path.node(depth + 1)[2])
+    if other is None:
+        return None
+    return _search_pair(path, path.struct, depth + 1, other[0], None)
 
-    The first path starts from the refined start partition.  A top_orbit,
-    when given, is the orbit under the seeds of the first base point, which
-    start already individualizes: that level is taken as proved, with no
-    search."""
+
+def _search_levels(
+    matrix: np.ndarray, seeds: Sequence[Perm], top: bool
+) -> tuple[list[Perm], list[Perm], list[int]]:
+    """The seeds, checked and without repeats or the identity, the found
+    generators and the proved orbit lengths.  The first path starts from
+    the unit partition, or with top from {0}, {1..n-1}, vertex 0 then the
+    first base point, its orbit under the seeds taken as proved."""
     struct = _prep(matrix)
     m = struct[0]
     n = m.shape[0]
@@ -351,58 +343,31 @@ def _search_levels(
             raise ValueError("seed does not preserve the matrix")
         if any(i != x for i, x in enumerate(perm)) and perm not in gens:
             gens.append(perm)
-    checked = len(gens)
-    path = _FirstPath(struct, _refine(struct, start))
-    prefix = [top_orbit[0]] if top_orbit else []
-    orbit_lengths = [len(top_orbit)] if top_orbit else []
-    for depth in count():
-        cells = path.node(depth)[0]
-        t = _target_cell(cells)
-        if t is None:
-            break
-        cell = cells[t]
-        b = cell[0]
-        trace = path.node(depth + 1)[2]
-        fixing = [g for g in gens if all(g[p] == p for p in prefix)]
-        orbit = set(orbit_of_point(b, fixing))
-        for w in cell[1:]:
-            if w in orbit:
-                continue
-            other = _refine(struct, _individualize(cells, t, w), None, trace)
-            if other is None:
-                continue
-            found = _search_pair(path, struct, depth + 1, other[0], None)
-            if found is not None:
-                gens.append(found)
-                fixing.append(found)
-                orbit = set(orbit_of_point(b, fixing))
-        orbit_lengths.append(len(orbit))
-        prefix.append(b)
-    return gens[:checked], gens[checked:], prefix, orbit_lengths
+    path = _FirstPath(struct, _refine(struct, _top_root(n) if top else [list(range(n))]))
 
+    def levels():
+        if top:
+            yield 0, (), None
+        for depth in count():
+            cells = path.node(depth)[0]
+            t = _target_cell(cells)
+            if t is None:
+                return
+            yield cells[t][0], cells[t][1:], partial(_image_search, path, depth)
 
-def _check_chain_order(order: int, orbit_lengths: list[int]) -> None:
-    """AssertionError unless a chain's order is the product of the
-    searched orbit lengths."""
-    if order != prod(orbit_lengths):
-        raise AssertionError(
-            f"chain order {order} differs from the searched orbit "
-            f"lengths {orbit_lengths}"
-        )
+    found, orbit_lengths = proved_orbits(gens, levels())
+    return gens, found, orbit_lengths
 
 
 def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGroup:
     """The group of permutations preserving the color matrix entrywise.
 
     Seeds must already preserve the matrix; they bootstrap orbit pruning.
-    The search proves the orbit of each base point under the stabilizer of
-    the points before it, so the product of those orbit lengths is the
-    group order; a full Schreier-Sims build of the seeds and the found
-    generators must agree, which is checked.  Its generators are the seeds,
-    then the found generators.
+    A full Schreier-Sims build of the seeds, then the found generators, is
+    checked against the orbit lengths perms.proved_orbits proved.
     """
     n = len(matrix)
-    seeds, found, _, orbit_lengths = _search_levels(matrix, seeds, [list(range(n))])
+    seeds, found, orbit_lengths = _search_levels(matrix, seeds, top=False)
     group = PermGroup(n, seeds + found)
     _check_chain_order(group.order(), orbit_lengths)
     return group
@@ -466,29 +431,19 @@ def _top_root(n: int) -> Cells:
 
 def _cayley_aut_group(graph: ColoredCayleyGraph, matrix: np.ndarray) -> PermGroup:
     """matrix_aut_group of one of the graph's matrices, seeded with the
-    generators of G_L, its chain's top level read off the group table.
-
-    The translations are transitive, so the refined unit partition is one
-    cell and the search starts at {0}, {1..n-1}, with vertex 0 as b0 and
-    its orbit under the translations as the first level.  Every found
-    generator fixes b0 (see the module docstring), so Schreier-Sims runs
-    on them alone, or not at all when there are none.  The whole chain's
-    order, n times that chain's, must be the product of the orbit lengths
-    the search proved.
-    """
+    generators of G_L, its chain's top level read off the group table (see
+    the module docstring): n times the order of the found generators'
+    chain must be the product of the proved orbit lengths."""
     n = graph.n
-    seeds = left_regular_group(graph.group).generators
-    top_orbit = orbit_of_point(0, seeds)
-    if len(top_orbit) != n:
-        raise AssertionError("the translations do not reach every vertex")
-    seeds, found, base, orbit_lengths = _search_levels(
-        matrix, seeds, _top_root(n), top_orbit if n > 1 else ()
+    seeds, found, orbit_lengths = _search_levels(
+        matrix, left_regular_group(graph.group).generators, top=True
     )
-    below = PermGroup(n, found) if found else None
-    _check_chain_order(n * (below.order() if below else 1), orbit_lengths)
-    levels = [_translation_level(graph.group, base[0])] if base else []
-    levels += below._levels if below else []
-    return PermGroup._from_levels(n, levels, tuple(seeds + found))
+    if orbit_lengths[0] != n:
+        raise AssertionError("the translations do not reach every vertex")
+    below = PermGroup(n, found)
+    _check_chain_order(n * below.order(), orbit_lengths)
+    levels = [_translation_level(graph.group, 0)] if n > 1 else []
+    return PermGroup._from_levels(n, levels + below._levels, tuple(seeds + found))
 
 
 def color_preserving_group(graph: ColoredCayleyGraph) -> PermGroup:

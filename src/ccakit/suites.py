@@ -22,15 +22,10 @@ from .cayley import (
 from .cca import cca_verdict, complete_graph, is_affine
 from .groups import (
     GroupTable,
-    direct_product,
+    group_from_name,
     left_cosets,
     left_regular_group,
     left_translation,
-    make_cyclic,
-    make_dihedral,
-    make_f21,
-    make_q8,
-    make_symmetric_table,
     subgroup_generated,
 )
 from .perms import (
@@ -72,44 +67,20 @@ def _groups_equal(a: PermGroup, b: PermGroup) -> bool:
     )
 
 
+_SMALL_GROUP_NAMES = (
+    "z1", "z2", "z3", "z4", "z2xz2", "z5", "z6", "s3", "z7", "z8", "z4xz2", "z2xz2xz2", "d4", "q8",
+)
+
+
 def groups_up_to_order_8() -> list[tuple[str, GroupTable]]:
     """All 14 groups of order at most 8, as named tables."""
-    z2 = make_cyclic(2)
-    z4 = make_cyclic(4)
-    return [
-        ("z1", make_cyclic(1)),
-        ("z2", z2),
-        ("z3", make_cyclic(3)),
-        ("z4", z4),
-        ("z2xz2", direct_product(z2, z2)),
-        ("z5", make_cyclic(5)),
-        ("z6", make_cyclic(6)),
-        ("s3", make_symmetric_table(3)),
-        ("z7", make_cyclic(7)),
-        ("z8", make_cyclic(8)),
-        ("z4xz2", direct_product(z4, z2)),
-        ("z2xz2xz2", direct_product(direct_product(z2, z2), z2)),
-        ("d4", make_dihedral(4)),
-        ("q8", make_q8()),
-    ]
+    return [(name, group_from_name(name)) for name in _SMALL_GROUP_NAMES]
 
 
 # -- exact-arc-color oracle ---------------------------------------------------
 
 
-def _digraph_roster() -> list[tuple[str, GroupTable]]:
-    return [
-        ("z6", make_cyclic(6)),
-        ("z7", make_cyclic(7)),
-        ("z8", make_cyclic(8)),
-        ("d4", make_dihedral(4)),
-        ("z9", make_cyclic(9)),
-        ("z10", make_cyclic(10)),
-        ("d5", make_dihedral(5)),
-        ("z12", make_cyclic(12)),
-        ("q8", make_q8()),
-        ("f21", make_f21()),
-    ]
+_DIGRAPH_ROSTER = ("z6", "z7", "z8", "d4", "z9", "z10", "d5", "z12", "q8", "f21")
 
 
 def _seeded_generating_set(rng: random.Random, group: GroupTable) -> tuple[int, ...]:
@@ -124,14 +95,13 @@ def _seeded_generating_set(rng: random.Random, group: GroupTable) -> tuple[int, 
             return tuple(sorted(picked))
 
 
-def white_oracle_suite(seed: int = 0, count: int = 20) -> list[dict]:
+def white_oracle_suite(seed: int = 0) -> list[dict]:
     """Exact-arc-color groups of connected Cayley digraphs are the
     translations, and nothing else."""
     rng = random.Random(seed)
-    roster = _digraph_roster()
     rows: list[dict] = []
-    for i in range(count):
-        name, group = roster[i % len(roster)]
+    for name in 2 * _DIGRAPH_ROSTER:  # each group twice, on different sets
+        group = group_from_name(name)
         members = _seeded_generating_set(rng, group)
         graph = build_cayley(group, members, digraph_mode=True)
         found = color_preserving_group(graph)
@@ -183,11 +153,11 @@ def brute_vs_search_suite() -> list[dict]:
 
 def _closure_fixtures() -> list[tuple[str, ColoredCayleyGraph]]:
     return [
-        ("z5 pair", build_cayley(make_cyclic(5), {1, 4})),
-        ("z7 two pairs", build_cayley(make_cyclic(7), {1, 6, 2, 5})),
-        ("z8 pair+half", build_cayley(make_cyclic(8), {1, 7, 4})),
-        ("s3 complete", complete_graph(make_symmetric_table(3))),
-        ("d4 pair+flip", build_cayley(make_dihedral(4), {1, 3, 4})),
+        ("z5 pair", build_cayley(group_from_name("z5"), {1, 4})),
+        ("z7 two pairs", build_cayley(group_from_name("z7"), {1, 6, 2, 5})),
+        ("z8 pair+half", build_cayley(group_from_name("z8"), {1, 7, 4})),
+        ("s3 complete", complete_graph(group_from_name("s3"))),
+        ("d4 pair+flip", build_cayley(group_from_name("d4"), {1, 3, 4})),
     ]
 
 
@@ -269,7 +239,7 @@ def _coset_partition(group: GroupTable, s: int) -> BlockSystem:
 
 def _product_instance() -> tuple[ColoredCayleyGraph, PermGroup, BlockSystem, BlockSystem]:
     gamma = f21_noncca_graph()
-    c5 = build_cayley(make_cyclic(5), {1, 4})
+    c5 = build_cayley(group_from_name("z5"), {1, 4})
     prod = cartesian_product(c5, gamma)
     ao = color_preserving_group(prod)
     # (a, b) is element 21a + b: the fibers of the F21 and Z5 factors.
@@ -312,8 +282,8 @@ def lemma_property_suite() -> list[dict]:
     )
     rows.append(_row("lemma", "color group inside the plain automorphisms", ok))
 
-    inversion = tuple(make_cyclic(9).inv)
-    graph9 = build_cayley(make_cyclic(9), {1, 8, 3, 6})
+    inversion = tuple(group_from_name("z9").inv)
+    graph9 = build_cayley(group_from_name("z9"), {1, 8, 3, 6})
     rows.append(
         _row(
             "lemma",
@@ -321,7 +291,7 @@ def lemma_property_suite() -> list[dict]:
             preserves_matrix(graph9.color_matrix, inversion),
         )
     )
-    q8 = make_q8()
+    q8 = group_from_name("q8")
     rows.append(
         _row(
             "lemma",
@@ -347,7 +317,7 @@ def lemma_property_suite() -> list[dict]:
 
     # semiregular fixer case: when the full color group's fixer is
     # semiregular it coincides with the regular representation's fixer
-    z15 = make_cyclic(15)
+    z15 = group_from_name("z15")
     g15 = build_cayley(z15, {1, 14})
     ao15 = color_preserving_group(g15)
     b15 = _coset_partition(z15, 5)
@@ -407,8 +377,8 @@ def lemma_property_suite() -> list[dict]:
     rows.append(_row("lemma", "coset numbering aligns with block numbering", ok))
 
     # product of two positive-verdict graphs of coprime odd orders
-    left = build_cayley(make_cyclic(3), {1, 2})
-    right = build_cayley(make_cyclic(5), {1, 4})
+    left = build_cayley(group_from_name("z3"), {1, 2})
+    right = build_cayley(group_from_name("z5"), {1, 4})
     both = cartesian_product(left, right)
     ok = (
         cca_verdict(left).is_cca
@@ -445,7 +415,7 @@ def lemma_property_suite() -> list[dict]:
     rows.append(_row("lemma", "translation normality facts on 21 vertices", ok))
 
     # affinity of translations and of negation on a commutative group
-    z7 = make_cyclic(7)
+    z7 = group_from_name("z7")
     ok = all(is_affine(left_translation(z7, g), z7) for g in range(7))
     ok = ok and is_affine(tuple(z7.inv), z7)
     ok = ok and not is_affine(tuple(q8.inv), q8)

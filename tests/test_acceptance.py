@@ -105,7 +105,7 @@ def test_criterion_04_complete_graph_roster():
 
 
 def test_criterion_05_digraph_color_groups():
-    rows = white_oracle_suite(seed=0, count=20)
+    rows = white_oracle_suite(seed=0)
     orders = {row["group_order"] for row in rows}
     ok = (
         len(rows) == 20

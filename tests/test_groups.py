@@ -7,6 +7,7 @@ import pytest
 
 import time
 
+from ccakit import groups
 from ccakit.groups import (
     _MAX_NESTING,
     MAX_GROUP_ORDER,
@@ -246,6 +247,34 @@ def test_is_normal_matches_conjugation_by_every_element():
             assert is_normal(g, members) == definition
 
 
+MEMBER_FUNCTIONS = {
+    "subgroup_generated": subgroup_generated,
+    "is_subgroup": is_subgroup,
+    "is_normal": is_normal,
+    "left_cosets": left_cosets,
+    "quotient": quotient,
+    "subgroup_table": subgroup_table,
+}
+
+
+@pytest.mark.parametrize("bad", [-3, 9, 3.0, True], ids=["negative", "too-large", "float", "bool"])
+@pytest.mark.parametrize("name", MEMBER_FUNCTIONS)
+def test_member_indices_are_checked(name, bad):
+    # -3 would index a row from its end; 9 and 3.0 would fail inside the lookups.
+    with pytest.raises(ValueError, match="not an element index of Z6"):
+        MEMBER_FUNCTIONS[name](make_cyclic(6), [0, bad, 3])
+
+
+def test_numpy_member_indices_are_accepted():
+    z6 = make_cyclic(6)
+    members = np.array([0, 2, 4])
+    assert subgroup_generated(z6, members[1:]) == {0, 2, 4}
+    assert is_subgroup(z6, members) and is_normal(z6, members)
+    assert left_cosets(z6, members).block_count == 2
+    assert quotient(z6, members)[0].order == 2
+    assert subgroup_table(z6, members)[1] == (0, 2, 4)
+
+
 def test_all_subgroups_q8():
     q8 = make_q8()
     subs = all_subgroups(q8)
@@ -267,6 +296,15 @@ def test_automorphism_group_orders():
     assert group_automorphisms(make_q8()).order() == 24
     assert group_automorphisms(group_from_name("z2^3")).order() == 168
     assert group_automorphisms(make_symmetric_table(3)).order() == 6
+
+
+def test_automorphism_chain_is_checked_against_the_proved_orbits(monkeypatch):
+    # A chain built from too few generators disagrees with the orbit
+    # lengths the backtrack proved, and the shared check must say so.
+    q8 = group_from_json(group_to_json(make_q8()))  # a table with nothing kept
+    monkeypatch.setattr(groups, "PermGroup", lambda n, gens: PermGroup(n, gens[:1]))
+    with pytest.raises(AssertionError, match="orbit lengths"):
+        group_automorphisms(q8)
 
 
 SMALL_GROUPS = groups_up_to_order_8()
@@ -458,6 +496,28 @@ def test_group_from_json_refuses_up_front():
     assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError, match="JSON object"):
         group_from_json([2, [0, 1, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"labels": 5}, "labels must be a list"),
+        ({"labels": "ab"}, "labels must be a list"),
+        ({"labels": {"0": "e"}}, "labels must be a list"),
+        ({"name": 5}, "name must be a string"),
+        ({"name": None}, "name must be a string"),
+    ],
+)
+def test_group_from_json_checks_labels_and_name(extra, message):
+    with pytest.raises(ValueError, match=message):
+        group_from_json({"order": 2, "mult": [0, 1, 1, 0], **extra})
+
+
+def test_group_from_json_labels_and_name_may_be_absent_or_null():
+    g = group_from_json({"order": 2, "mult": [0, 1, 1, 0], "labels": None})
+    assert (g.labels, g.name) == (("g0", "g1"), "group")
+    g = group_from_json({"order": 2, "mult": [0, 1, 1, 0], "labels": ["e", "t"], "name": "C2"})
+    assert (g.labels, g.name) == (("e", "t"), "C2")
 
 
 def test_groups_at_the_order_cap_build():

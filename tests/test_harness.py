@@ -7,8 +7,16 @@ from pathlib import Path
 import pytest
 
 import ccakit
-from ccakit import groups, harness
+from ccakit import groups, harness, suites
 from ccakit.cli import main
+from ccakit.groups import (
+    direct_product,
+    make_cyclic,
+    make_dihedral,
+    make_f21,
+    make_q8,
+    make_symmetric_table,
+)
 from ccakit.harness import (
     check_f21_census,
     cmd_complete_cca,
@@ -88,6 +96,44 @@ def test_lemma_property_suite_rows_all_hold():
     golden = Path(__file__).parent / "data" / "lemma_property_suite.jsonl"
     lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     assert lines == golden.read_text(encoding="utf-8")
+
+
+def test_package_names_are_its_public_names():
+    bound = {
+        name
+        for name, value in vars(ccakit).items()
+        if not name.startswith("_") and not isinstance(value, type(ccakit))
+    }
+    assert bound == set(ccakit.__all__)
+    assert len(ccakit.__all__) == len(set(ccakit.__all__))
+
+
+def test_suite_rosters_are_the_registry_tables():
+    # The suites name their groups; each table equals the one its
+    # constructors build, labels, name and identity included.
+    z2, z4 = make_cyclic(2), make_cyclic(4)
+    built = {f"z{k}": make_cyclic(k) for k in (1, 3, 5, 6, 7, 8, 9, 10, 12, 15)}
+    built.update(
+        z2=z2,
+        z4=z4,
+        z2xz2=direct_product(z2, z2),
+        z4xz2=direct_product(z4, z2),
+        z2xz2xz2=direct_product(direct_product(z2, z2), z2),
+        s3=make_symmetric_table(3),
+        d4=make_dihedral(4),
+        d5=make_dihedral(5),
+        q8=make_q8(),
+        f21=make_f21(),
+    )
+    roster = suites.groups_up_to_order_8()
+    assert [name for name, _ in roster] == list(suites._SMALL_GROUP_NAMES)
+    assert {*suites._SMALL_GROUP_NAMES, *suites._DIGRAPH_ROSTER} <= built.keys()
+    for name, expected in built.items():
+        table = groups.group_from_name(name)
+        assert (table.mult, table.labels, table.name, table.identity) == (
+            expected.mult, expected.labels, expected.name, expected.identity,
+        )
+    assert all(table is groups.group_from_name(name) for name, table in roster)
 
 
 def test_cmd_complete_cca_custom_roster():

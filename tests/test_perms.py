@@ -16,6 +16,7 @@ from ccakit.harness import _random_connected_set
 from ccakit.perms import (
     BlockSystem,
     PermGroup,
+    _check_chain_order,
     all_block_systems,
     block_action,
     closure_of_perms,
@@ -36,6 +37,7 @@ from ccakit.perms import (
     pinv,
     pmul,
     point_stabilizer,
+    proved_orbits,
     singleton_partition,
 )
 from ccakit.search import color_preserving_group
@@ -222,6 +224,30 @@ def test_orbits_and_transitivity():
 def test_orbits_of_gens_matches_group_orbits():
     gens = [(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 2, 5)]
     assert orbits_of_gens(6, gens) == [(0, 1), (2, 3, 4), (5,)]
+
+
+def test_proved_orbits_searches_only_outside_the_orbit():
+    # D4 on the corners 0..3 of a square, with the rotation known: it
+    # settles the orbit of 0, so only vertex 1's level searches, and only
+    # for the images its orbit does not yet hold.
+    d4 = list(PermGroup(4, [(1, 2, 3, 0), (0, 3, 2, 1)]).elements())
+    asked = []
+
+    def level(b, prefix):
+        def search(w):
+            asked.append((b, w))
+            fixing = (g for g in d4 if all(g[p] == p for p in prefix))
+            return next((g for g in fixing if g[b] == w), None)
+
+        return b, range(4), search
+
+    found, lengths = proved_orbits([(1, 2, 3, 0)], [level(0, []), level(1, [0])])
+    assert found == [(0, 3, 2, 1)]
+    assert lengths == [4, 2]
+    assert asked == [(1, 0), (1, 2), (1, 3)]
+    _check_chain_order(PermGroup(4, [(1, 2, 3, 0)] + found).order(), lengths)
+    with pytest.raises(AssertionError, match=r"chain order 4 differs .* lengths \[4, 2\]"):
+        _check_chain_order(PermGroup(4, [(1, 2, 3, 0)]).order(), lengths)
 
 
 def test_block_system_constructors_validate():
