@@ -726,6 +726,8 @@ def group_from_json(data: dict) -> GroupTable:
     labels, name = data.get("labels"), data.get("name", "group")
     if labels is not None and not isinstance(labels, list):
         raise ValueError(f"labels must be a list, not {labels!r}")
+    if labels is not None and not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"labels must be strings, not {labels!r}")
     if not isinstance(name, str):
         raise ValueError(f"name must be a string, not {name!r}")
     # Rows as lists, so that from_mult refuses bool entries among the ints.

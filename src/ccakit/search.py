@@ -6,35 +6,43 @@ The pair-color matrix of a graph, the arc-color matrix of a digraph, the
 0/1 matrix of an uncolored graph and the orbit matrix of a 2-closure are
 all instances.
 
-The search maintains an ordered partition of the vertices, refined to an
-equitable fixpoint: the invariant of a vertex is the multiset of
-(color, count) signatures toward every cell, for in- and out-colors when
-the matrix is asymmetric; a symmetric matrix keeps no transpose.  Cells
-only split, never merge, and new subcells are ordered by signature value,
-so refinement is deterministic.  The branching rule individualizes the
-first smallest non-singleton cell and tries images in ascending vertex
-order.
+The search maintains an ordered partition of the vertices as one array
+of cell indices, the cells numbered in order.  Each row's nonzero columns
+and their colors are kept as n x d arrays, and the columns' too when the
+matrix is asymmetric; a symmetric matrix keeps no transpose.  A regular
+matrix, such as every Cayley graph's, is a reshape of its nonzero
+entries; a shorter row is padded with its own index and color 0.  A pass
+hashes each vertex v to h(v) = sum of A[color] * B[cell(w)] mod 2^64 over
+its arcs (v, w), plus the same sum over its arcs (w, v) with another table
+for A when there is a transpose.  A and B are fixed splitmix64 tables, and
+one lexsort on (cell, hash) splits every cell, pieces in hash order.  h
+depends only on colors and cell indices, so refinement is invariant under
+relabeling the vertices.  A collision of two hashes only leaves a cell
+coarser: the search then runs longer, and the leaf check stays exact.
+The branching rule individualizes the first smallest non-singleton cell
+and tries images in ascending vertex order.
 
-When colors may be relabeled, the color ids form a second ordered
-partition, refined beside the vertices: a vertex's signature reads the
-cell of each color instead of the color, and a color's signature is the
-sorted multiset of (cell(u), cell(v)) over its arcs.  Both partitions
-split until neither changes.  Exact colors are the discrete case: the
-matrix is read as is and no color is refined.  Relabeled colors start as
-one cell, and at a leaf the aligned color cells give the color map, so one
-leaf test serves both: the vertex map must carry the recolored first
-matrix onto the second.
+When colors may be relabeled, the colors form a second ordered
+partition, also an array of cell indices, refined beside the vertices: an
+arc weighs the word of its color's cell instead of its color's, and a
+color hashes to the sum, over its arcs (u, v), of the words of cell(u)
+and cell(v) multiplied.  Both partitions split until neither changes.
+Exact colors are the discrete case: no color is refined.  At a leaf, each
+color maps to the color its first arc lands on, and the vertex map must
+carry the recolored first matrix onto the second.
 
 One routine, _refine, does all refinement, one pair of partitions at a
-time.  It records a trace: per pass, the signature key of each vertex or
-color cell that stays whole and the sorted (key, count) pairs of each cell
-that splits.  Two aligned partitions refine alike exactly when their
-traces are equal (McKay and Piperno, "Practical graph isomorphism, II",
-2014).  The fixed side only ever individualizes the first vertex of its
-target cell, so its nodes form one first path, refined once per search
-and shared by every branch; each candidate image on the other side is
-refined against the trace of the path's next node, stopping at the first
-pass that differs.
+time.  It records a trace: per pass, the bytes of the vertex hashes, then
+the color hashes, in their new order.  Two aligned partitions with equal
+traces split alike, and when the hashes do not collide they refine alike
+exactly when their traces are equal (McKay and Piperno, "Practical graph
+isomorphism, II", 2014).  A pass is compared with the expected one before
+its new cells are made, and refinement stops, with no confirming pass, once
+every vertex cell is a singleton.  The fixed side only ever individualizes
+the first vertex of its target cell, so its nodes form one first path,
+refined once per search and shared by every branch; each candidate image
+on the other side is refined against the trace of the path's next node,
+stopping at the first pass that differs.
 
 Isomorphism of two Cayley graphs branches once at the root.  A graph made by
 build_cayley has the left translations of its group among its automorphisms,
@@ -57,7 +65,7 @@ and Schreier-Sims runs only on the found generators, which all fix 0.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import count, permutations as iter_permutations
 from typing import Sequence
 from weakref import WeakKeyDictionary
@@ -85,145 +93,176 @@ __all__ = [
 _BRUTE_FORCE_MAX = 10
 _TWO_CLOSURE_MAX_DEGREE = 150
 
-Cells = list[list[int]]
-Struct = tuple[np.ndarray, np.ndarray | None, tuple | None]
-Trace = list[list]
-Node = tuple[Cells, Cells | None, Trace]
+# Salts of the hash tables: arc colors out and in, vertex cells, and the
+# tail and head cells of a color's arcs.
+_OUT, _IN, _CELL, _TAIL, _HEAD = range(5)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+Trace = list[bytes]
+Node = tuple[np.ndarray, np.ndarray | None, Trace]
 
 
-def _prep(matrix: np.ndarray, relabel: bool = False) -> Struct:
-    """The matrix, its transpose or None when the matrix is symmetric, and
-    the arcs.
+def _hash_table(size: int, salt: int) -> np.ndarray:
+    """At least size fixed pseudo-random 64-bit words; entry i is the same
+    for every size.  Kept per power of two, so that few tables are kept."""
+    return _splitmix64_table(max(64, 1 << (size - 1).bit_length()), salt)
 
-    With relabel, the colors are ranked 1..k and arcs holds every arc's
-    color, tail and head, ordered by color, with the bounds between colors;
-    otherwise arcs is None and the colors stay as given.
+
+@lru_cache(maxsize=32)
+def _splitmix64_table(size: int, salt: int) -> np.ndarray:
+    z = (np.arange(1, size + 1, dtype=np.uint64) + np.uint64(salt << 40)) * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    table = z ^ (z >> np.uint64(31))
+    table.flags.writeable = False
+    return table
+
+
+class _Struct:
+    """A matrix prepared for refinement.
+
+    m is the matrix the leaf check reads, its colors ranked 1..k with
+    relabel.  sides holds (neighbours, colors, weights, salt) of the rows,
+    and of the columns when the matrix is asymmetric: n x d arrays of each
+    row's nonzero columns and their colors, a row with fewer than d padded
+    with its own index and color 0.  weights are the fixed colors' hash
+    words, None with relabel.  With relabel, arcs holds every arc's tail and
+    head ordered by color, and where each color's arcs start.
     """
-    m = np.ascontiguousarray(matrix, dtype=np.int64)
-    arcs = None
-    if relabel:
-        values = np.unique(m[m != 0])
-        m = np.where(m != 0, np.searchsorted(values, m) + 1, 0)
+
+    __slots__ = ("m", "n", "k", "relabel", "sides", "arcs")
+
+    def __init__(self, matrix: np.ndarray, relabel: bool) -> None:
+        m = np.ascontiguousarray(matrix, dtype=np.int64)
+        self.n, self.relabel, self.arcs = m.shape[0], relabel, None
+        if relabel:
+            values = np.unique(m[m != 0])
+            m = np.where(m != 0, np.searchsorted(values, m) + 1, 0)
+        self.m, self.k = m, int(m.max(initial=0))
+        self.sides = [self._side(m, _OUT, relabel)]
+        if not np.array_equal(m, m.T):
+            self.sides.append(self._side(np.ascontiguousarray(m.T), _IN, relabel))
+        if relabel and self.k:
+            tails, heads = np.nonzero(m)
+            colors = m[tails, heads]
+            order = np.argsort(colors, kind="stable")
+            starts = np.searchsorted(colors[order], np.arange(1, self.k + 1))
+            self.arcs = (tails[order], heads[order], starts)
+
+    def _side(self, m: np.ndarray, salt: int, relabel: bool) -> tuple:
+        n = self.n
         tails, heads = np.nonzero(m)
-        order = np.argsort(m[tails, heads], kind="stable")
-        tails, heads = tails[order], heads[order]
         colors = m[tails, heads]
-        arcs = (colors, tails, heads, np.cumsum(np.bincount(colors))[1:-1])
-    mt = None if np.array_equal(m, m.T) else np.ascontiguousarray(m.T)
-    return m, mt, arcs
-
-
-def _signatures(
-    m: np.ndarray, mt: np.ndarray | None, cell_ids: np.ndarray, ncells: int
-) -> np.ndarray:
-    """Per-vertex row signatures toward the current cells, sortable as bytes:
-    out-signatures, then in-signatures when there is a transpose."""
-    keys = m * ncells + cell_ids[np.newaxis, :]
-    sig = np.sort(keys, axis=1)
-    if mt is not None:
-        keys_in = mt * ncells + cell_ids[np.newaxis, :]
-        sig = np.hstack([sig, np.sort(keys_in, axis=1)])
-    return sig
-
-
-def _cell_ids(cells: Cells, n: int) -> np.ndarray:
-    ids = [0] * n
-    for i, cell in enumerate(cells):
-        for v in cell:
-            ids[v] = i
-    return np.array(ids, dtype=np.int64)
-
-
-def _split(cells: Cells, keys: Sequence[bytes]) -> tuple[Cells, list]:
-    """Split each cell by the keys of its members, pieces in key order.
-
-    The trace entry lists, cell by cell, the key of a cell that stays whole
-    or the sorted (key, count) pairs of its pieces.
-    """
-    new_cells: Cells = []
-    entry: list = []
-    for cell in cells:
-        if len(cell) == 1:
-            entry.append(keys[cell[0]])
-            new_cells.append(cell)
-            continue
-        groups: dict[bytes, list[int]] = {}
-        for x in cell:
-            groups.setdefault(keys[x], []).append(x)
-        if len(groups) == 1:
-            entry.extend(groups)  # its one key
-            new_cells.append(cell)
+        degrees = np.bincount(tails, minlength=n)
+        d = int(degrees.max(initial=0))
+        if len(tails) == n * d:  # every row has the largest degree
+            nbrs, cols = heads.reshape(n, d), colors.reshape(n, d)
         else:
-            ordered = sorted(groups)
-            entry.append([(key, len(groups[key])) for key in ordered])
-            new_cells.extend(groups[key] for key in ordered)
-    return new_cells, entry
+            nbrs = np.repeat(np.arange(n), d).reshape(n, d)
+            cols = np.zeros((n, d), dtype=np.int64)
+            slots = np.arange(len(tails)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+            nbrs[tails, slots], cols[tails, slots] = heads, colors
+        weights = None
+        if not relabel:
+            top = int(cols.max(initial=0))
+            if top > n or int(cols.min(initial=0)) < 0:
+                # Ranks, so that no table grows with the values.
+                cols = np.unique(cols, return_inverse=True)[1].reshape(n, d)
+                top = int(cols.max(initial=0))
+            weights = _hash_table(top + 1, salt)[cols]
+        return nbrs, cols, weights, salt
+
+
+def _split(ids: np.ndarray, order: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each cell split by the hashes of its members, pieces in hash order,
+    given the members ordered by (cell, hash) and their hashes in that
+    order: the new cell of each member, and the number of cells."""
+    cells = ids[order]
+    # Each piece after the first starts where the cell or the hash changes.
+    starts = np.zeros(len(ids), dtype=np.intp)
+    np.not_equal(cells[1:], cells[:-1], out=starts[1:], casting="unsafe")
+    starts[1:] |= hashes[1:] != hashes[:-1]
+    pieces = starts.cumsum()
+    new = np.empty_like(pieces)
+    new[order] = pieces
+    return new, int(pieces[-1]) + 1
 
 
 def _refine(
-    struct: Struct,
-    cells: Cells,
-    colors: Cells | None = None,
+    struct: _Struct,
+    ids: np.ndarray,
+    colors: np.ndarray | None = None,
     expect: Trace | None = None,
 ) -> Node | None:
-    """Split vertex and color cells until neither splits, recording the trace.
+    """Split vertex and color cells until neither splits or the vertex
+    cells are singletons, recording the trace.
 
-    colors is None when colors are fixed: the matrix is read as is and no
-    color is refined.  Otherwise it partitions the ranked colors of a
-    relabeled struct: a vertex's signature reads color-cell ids, and a
-    color's signature is the sorted multiset of (cell(u), cell(v)) over its
-    arcs.  The trace has one entry per pass, the last one splitting nothing:
-    the vertex cells' entries, then the color cells'.  Returns
-    (cells, colors, trace), or None at the first pass that differs from
-    expect.
+    ids gives each vertex's cell, the cells numbered in order.  colors is
+    None when colors are fixed: each arc weighs its color's hash word.
+    Otherwise it gives the cell of each ranked color of a relabeled struct,
+    and an arc weighs its color cell's word.  A vertex hashes to the sum,
+    over its arcs out and, with a transpose, in, of weight times the hash
+    word of the neighbour's cell; a color to the sum, over its arcs (u, v),
+    of the product of the words of cell(u) and cell(v).  The trace has one
+    entry per pass, the bytes of the hashes in their new order, vertices
+    then colors; it is compared with expect before the new cells are made.
+    Returns (ids, colors, trace), or None at the first pass that differs
+    from expect.
     """
-    m, mt, arcs = struct
-    n = m.shape[0]
+    n = struct.n
+    ncells = int(ids.max(initial=-1)) + 1
     trace: Trace = []
-    while True:
-        ids = _cell_ids(cells, n)
-        ncells = len(cells)
-        new_colors, color_entry = None, []
-        if colors is None:
-            sig = _signatures(m, mt, ids, ncells)
-        else:
-            lut = _cell_ids(colors, 1 + sum(map(len, colors))) + 1
-            lut[0] = 0  # non-adjacent stays apart from every color
-            sig = _signatures(lut[m], None if mt is None else lut[mt], ids, ncells)
-            arc_colors, tails, heads, bounds = arcs
-            square = ncells * ncells
-            codes = arc_colors * square + ids[tails] * ncells + ids[heads]
-            pieces = np.split(np.sort(codes) % square, bounds)
-            color_keys = [b""] + [piece.tobytes() for piece in pieces]
-            new_colors, color_entry = _split(colors, color_keys)
-        # Each row as one bytes key, converted in a single call.
-        rows = sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1])))
-        new_cells, entry = _split(cells, rows.ravel().tolist())
-        entry += color_entry
-        # A pass equal to expect's last one splits nothing and ends here too.
+    words = _hash_table(n, _CELL)
+    while ncells < n:
+        cell_words = words[ids]
+        if colors is not None:
+            lut = np.concatenate(([0], colors + 1))
+        h = None
+        for nbrs, cols, weights, salt in struct.sides:
+            if colors is not None:
+                weights = _hash_table(struct.k + 1, salt)[lut[cols]]
+            part = (weights * cell_words[nbrs]).sum(axis=1, dtype=np.uint64)
+            h = part if h is None else h + part
+        order = np.lexsort((h, ids))
+        hashes = h[order]
+        entry = hashes.tobytes()
+        if struct.arcs is not None:
+            tails, heads, starts = struct.arcs
+            pair = _hash_table(n, _TAIL)[ids[tails]] * _hash_table(n, _HEAD)[ids[heads]]
+            hc = np.add.reduceat(pair, starts)
+            color_order = np.lexsort((hc, colors))
+            color_hashes = hc[color_order]
+            entry += color_hashes.tobytes()
+        # A pass equal to expect's last one ends here too.
         if expect is not None and entry != expect[len(trace)]:
             return None
         trace.append(entry)
-        if len(new_cells) == ncells and new_colors == colors:
-            return cells, colors, trace
-        cells, colors = new_cells, new_colors
+        new, count = _split(ids, order, hashes)
+        split = count > ncells
+        if struct.arcs is not None:
+            new_colors, color_count = _split(colors, color_order, color_hashes)
+            if color_count > colors.max() + 1:
+                split, colors = True, new_colors
+        if not split:
+            break
+        ids, ncells = new, count
+    return ids, colors, trace
 
 
-def _target_cell(cells: Cells) -> int | None:
+def _target_cell(ids: np.ndarray) -> int | None:
     """Index of the first smallest non-singleton cell, or None if discrete."""
-    best = None
-    best_size = None
-    for i, cell in enumerate(cells):
-        size = len(cell)
-        if size > 1 and (best_size is None or size < best_size):
-            best, best_size = i, size
-    return best
+    sizes = np.bincount(ids)
+    if len(sizes) == len(ids):
+        return None
+    sizes[sizes == 1] = len(ids) + 1
+    return int(sizes.argmin())
 
 
-def _individualize(cells: Cells, index: int, v: int) -> Cells:
-    cell = cells[index]
-    rest = [x for x in cell if x != v]
-    return cells[:index] + [[v], rest] + cells[index + 1 :]
+def _individualize(ids: np.ndarray, t: int, v: int) -> np.ndarray:
+    """v alone in cell t, the rest of cell t next, the later cells moved up."""
+    ids = ids + (ids >= t)
+    ids[v] = t
+    return ids
 
 
 class _FirstPath:
@@ -231,51 +270,63 @@ class _FirstPath:
 
     Node 0 is a refined start; node d+1 individualizes the first vertex of
     node d's target cell and refines, and is computed when first read.
-    Each node is what _refine returns: (cells, colors, trace).
+    Each node is what _refine returns, (ids, colors, trace), and targets[d]
+    is node d's target cell.
     """
 
-    def __init__(self, struct: Struct, start: Node) -> None:
+    def __init__(self, struct: _Struct, start: Node) -> None:
         self.struct = struct
         self.nodes = [start]
+        self.targets = [_target_cell(start[0])]
 
     def node(self, depth: int) -> Node:
         while len(self.nodes) <= depth:
-            cells, colors, _ = self.nodes[-1]
-            t = _target_cell(cells)
-            self.nodes.append(
-                _refine(self.struct, _individualize(cells, t, cells[t][0]), colors)
-            )
+            ids, colors, _ = self.nodes[-1]
+            t = self.targets[-1]
+            v = int(np.flatnonzero(ids == t)[0])
+            self.nodes.append(_refine(self.struct, _individualize(ids, t, v), colors))
+            self.targets.append(_target_cell(self.nodes[-1][0]))
         return self.nodes[depth]
 
 
+def _leaf_map(s1: _Struct, s2: _Struct, ids1: np.ndarray, ids2: np.ndarray) -> Perm | None:
+    """The map of aligned singleton cells if it carries s1's matrix onto
+    s2's.  With relabel, each color of s1 maps to the color its first arc
+    lands on; the matrices are then equal only if that is a bijection,
+    since the image shows all k colors of s2."""
+    n = s1.n
+    where2 = np.empty(n, dtype=np.intp)
+    where2[ids2] = np.arange(n)
+    p = where2[ids1]
+    m1 = s1.m
+    if s1.arcs is not None:
+        tails, heads, starts = s1.arcs
+        lut = np.zeros(s1.k + 1, dtype=np.int64)
+        lut[1:] = s2.m[p[tails[starts]], p[heads[starts]]]
+        m1 = lut[m1]
+    return tuple(p.tolist()) if np.array_equal(s2.m[np.ix_(p, p)], m1) else None
+
+
 def _search_pair(
-    path: _FirstPath, s2: Struct, depth: int, cells2: Cells, colors2: Cells | None
+    path: _FirstPath,
+    s2: _Struct,
+    depth: int,
+    ids2: np.ndarray,
+    colors2: np.ndarray | None,
 ) -> Perm | None:
     """A map carrying the path's struct onto s2 below node depth of the path
     and a refined partition of s2 with the same trace.
 
     Each candidate image on the other side is refined against the trace of
-    the path's next node.  At a leaf, aligned color cells give the color
-    map; a color left unmatched maps to -1, which no entry equals.
+    the path's next node; at a leaf, _leaf_map decides.
     """
-    cells1, colors1, _ = path.node(depth)
-    t = _target_cell(cells1)
+    ids1 = path.node(depth)[0]
+    t = path.targets[depth]
     if t is None:
-        image = [0] * len(cells1)
-        for c1, c2 in zip(cells1, cells2):
-            image[c1[0]] = c2[0]
-        m1 = path.struct[0]
-        if colors1 is not None:
-            lut = np.full(1 + sum(map(len, colors1)), -1, dtype=np.int64)
-            lut[0] = 0
-            for a, b in zip(colors1, colors2):
-                lut[a[0]] = b[0]
-            m1 = lut[m1]
-        p = np.asarray(image, dtype=np.intp)
-        return tuple(image) if np.array_equal(s2[0][np.ix_(p, p)], m1) else None
+        return _leaf_map(path.struct, s2, ids1, ids2)
     trace = path.node(depth + 1)[2]
-    for w in cells2[t]:
-        child2 = _refine(s2, _individualize(cells2, t, w), colors2, trace)
+    for w in np.flatnonzero(ids2 == t).tolist():
+        child2 = _refine(s2, _individualize(ids2, t, w), colors2, trace)
         if child2 is not None:
             found = _search_pair(path, s2, depth + 1, child2[0], child2[1])
             if found is not None:
@@ -316,9 +367,8 @@ def _image_search(path: _FirstPath, depth: int, w: int) -> Perm | None:
     """An automorphism of the path's struct that maps the first vertex of
     node depth's target cell to w and fixes node depth's other
     individualized vertices, or None."""
-    cells = path.node(depth)[0]
-    t = _target_cell(cells)
-    other = _refine(path.struct, _individualize(cells, t, w), None, path.node(depth + 1)[2])
+    ids, t = path.node(depth)[0], path.targets[depth]
+    other = _refine(path.struct, _individualize(ids, t, w), None, path.node(depth + 1)[2])
     if other is None:
         return None
     return _search_pair(path, path.struct, depth + 1, other[0], None)
@@ -331,9 +381,8 @@ def _search_levels(
     generators and the proved orbit lengths.  The first path starts from
     the unit partition, or with top from {0}, {1..n-1}, vertex 0 then the
     first base point, its orbit under the seeds taken as proved."""
-    struct = _prep(matrix)
-    m = struct[0]
-    n = m.shape[0]
+    struct = _Struct(matrix, relabel=False)
+    m, n = struct.m, struct.n
     gens: list[Perm] = []
     for seed in seeds:
         perm = tuple(seed)
@@ -343,17 +392,17 @@ def _search_levels(
             raise ValueError("seed does not preserve the matrix")
         if any(i != x for i, x in enumerate(perm)) and perm not in gens:
             gens.append(perm)
-    path = _FirstPath(struct, _refine(struct, _top_root(n) if top else [list(range(n))]))
+    path = _FirstPath(struct, _refine(struct, _top_root(n) if top else np.zeros(n, np.intp)))
 
     def levels():
         if top:
             yield 0, (), None
         for depth in count():
-            cells = path.node(depth)[0]
-            t = _target_cell(cells)
+            ids, t = path.node(depth)[0], path.targets[depth]
             if t is None:
                 return
-            yield cells[t][0], cells[t][1:], partial(_image_search, path, depth)
+            base, *candidates = np.flatnonzero(ids == t).tolist()
+            yield base, candidates, partial(_image_search, path, depth)
 
     found, orbit_lengths = proved_orbits(gens, levels())
     return gens, found, orbit_lengths
@@ -385,11 +434,11 @@ def matrix_isomorphism(
     """
     if match_colors not in ("exact", "bijection"):
         raise ValueError(f"unknown color matching mode {match_colors!r}")
-    return _isomorphism(m1, m2, match_colors, [list(range(m1.shape[0]))])
+    return _isomorphism(m1, m2, match_colors, np.zeros(m1.shape[0], np.intp))
 
 
 def _isomorphism(
-    m1: np.ndarray, m2: np.ndarray, match_colors: str, root: Cells
+    m1: np.ndarray, m2: np.ndarray, match_colors: str, root: np.ndarray
 ) -> Perm | None:
     """matrix_isomorphism below the same root partition on both sides.
 
@@ -400,8 +449,8 @@ def _isomorphism(
     if m1.shape != m2.shape:
         return None
     relabel = match_colors == "bijection"
-    s1, s2 = _prep(m1, relabel), _prep(m2, relabel)
-    if relabel and s1[0].max(initial=0) != s2[0].max(initial=0):
+    s1, s2 = _Struct(m1, relabel), _Struct(m2, relabel)
+    if relabel and s1.k != s2.k:
         return None
     first = _refine_start(s1, root)
     refined = _refine_start(s2, root, first[2])
@@ -411,22 +460,19 @@ def _isomorphism(
 
 
 def _refine_start(
-    struct: Struct, root: Cells, expect: Trace | None = None
+    struct: _Struct, root: np.ndarray, expect: Trace | None = None
 ) -> Node | None:
     """_refine from root, the colors of a relabeled struct in one cell."""
-    colors = None
-    if struct[2] is not None:
-        k = int(struct[0].max(initial=0))
-        colors = [list(range(1, k + 1))] if k else []
+    colors = np.zeros(struct.k, np.intp) if struct.relabel else None
     return _refine(struct, root, colors, expect)
 
 
 # -- public graph operations --------------------------------------------------
 
 
-def _top_root(n: int) -> Cells:
+def _top_root(n: int) -> np.ndarray:
     """The partition {0}, {1..n-1}."""
-    return [[0], list(range(1, n))] if n > 1 else [[0]]
+    return (np.arange(n) > 0).astype(np.intp)
 
 
 def _cayley_aut_group(graph: ColoredCayleyGraph, matrix: np.ndarray) -> PermGroup:
@@ -482,15 +528,7 @@ def brute_force_color_group(graph: ColoredCayleyGraph) -> PermGroup:
 def _root_digest(matrix: np.ndarray, relabel: bool) -> int:
     """A hash of the trace that refines {0}, {1..n-1} of matrix, with the
     colors relabeled or not, as _isomorphism refines it."""
-    struct = _prep(matrix, relabel)
-    digest = 0
-    # One key or (key, count) pair at a time: hashing the trace as nested
-    # tuples kept about 1 MB in the tuple free lists on iso-classify.
-    for entry in _refine_start(struct, _top_root(matrix.shape[0]))[2]:
-        for e in entry:
-            for x in (e,) if isinstance(e, bytes) else e:
-                digest = hash((digest, x))
-    return digest
+    return hash(tuple(_refine_start(_Struct(matrix, relabel), _top_root(len(matrix)))[2]))
 
 
 # Per graph, the root digest of each mode (respect_colors) asked for so far.

@@ -378,3 +378,14 @@ def test_identity_map_report_is_trivial():
     assert report.passed
     assert report.inverted == ()
     assert not report.global_inversion
+
+
+def test_colored_cycle_of_order_1024_is_decided():
+    # Each refinement pass costs O(n k), not a sort of every row of the
+    # n x n matrix; this verdict took 37 s when it did.
+    try:
+        graph = build_cayley(group_from_name("z1024"), {1, 1023})
+        verdict = cca_verdict(graph)
+    finally:
+        groups._group_from_text.cache_clear()  # a 1024-element table is large to keep
+    assert verdict.is_cca and verdict.ao_order == 2048

@@ -506,6 +506,8 @@ def test_group_from_json_refuses_up_front():
         ({"labels": {"0": "e"}}, "labels must be a list"),
         ({"name": 5}, "name must be a string"),
         ({"name": None}, "name must be a string"),
+        ({"labels": [None, [1]]}, "labels must be strings"),
+        ({"labels": ["e", 1]}, "labels must be strings"),
     ],
 )
 def test_group_from_json_checks_labels_and_name(extra, message):

@@ -37,6 +37,7 @@ from ccakit.search import (
     two_closure,
     uncolored_aut_group,
 )
+from ccakit.harness import check_f21_census, f21_census
 from ccakit.suites import groups_up_to_order_8
 
 
@@ -158,6 +159,10 @@ def test_matrix_isomorphism_modes():
     p = matrix_isomorphism(m1, m2, match_colors="bijection")
     assert p is not None
     assert color_bijection_between(m1, m2, p) is not None
+    # no arcs at all: every map is an isomorphism, with or without relabeling
+    empty = np.zeros((3, 3), dtype=np.int64)
+    assert matrix_isomorphism(empty, empty, "exact") == (0, 1, 2)
+    assert matrix_isomorphism(empty, empty, "bijection") == (0, 1, 2)
     # an unknown mode is refused before any shape test
     with pytest.raises(ValueError):
         matrix_isomorphism(m1, m2, match_colors="bogus")
@@ -172,63 +177,84 @@ def _graph_matrix(n, edges):
     return m
 
 
+def _hash_counts(entry, start, stop):
+    """The multiplicities of the hashes in entry[start:stop], 8 bytes each."""
+    hashes = np.frombuffer(entry, dtype=np.uint64)[start:stop]
+    return sorted(np.unique(hashes, return_counts=True)[1].tolist())
+
+
 def test_refinement_trace():
-    refine, prep = search._refine, search._prep
-    root = [list(range(6))]
+    refine, prep = search._refine, search._Struct
+    root = np.zeros(6, dtype=np.intp)
+    top = np.array([0, 1, 1, 1, 1, 1], dtype=np.intp)
     c6 = _graph_matrix(6, [(i, (i + 1) % 6) for i in range(6)])
     triangles = _graph_matrix(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     k33 = _graph_matrix(6, [(u, v) for u in range(3) for v in range(3, 6)])
-    # regular graphs: one pass that keeps the root whole
-    cells, colors, trace = refine(prep(c6), root)
-    assert cells == root and colors is None
-    assert len(trace) == 1 and len(trace[0]) == 1
+    # regular graphs: one pass that keeps the root whole, one hash per vertex
+    ids, colors, trace = refine(prep(c6, False), root)
+    assert np.array_equal(ids, root) and colors is None
+    assert len(trace) == 1 and _hash_counts(trace[0], 0, 6) == [6]
     # equal valency: the root refinement cannot tell these two apart ...
-    assert refine(prep(triangles), root, None, trace) == (root, None, trace)
+    ids, colors, same = refine(prep(triangles, False), root, None, trace)
+    assert np.array_equal(ids, root) and colors is None and same == trace
     # ... but one individualized vertex can
-    _, _, below = refine(prep(c6), [[0], [1, 2, 3, 4, 5]])
-    assert refine(prep(triangles), [[0], [1, 2, 3, 4, 5]], None, below) is None
-    # a whole cell is compared by its signature key
-    assert refine(prep(k33), root, None, trace) is None
+    _, _, below = refine(prep(c6, False), top)
+    assert refine(prep(triangles, False), top, None, below) is None
+    # a whole cell is compared by its hash
+    assert refine(prep(k33, False), root, None, trace) is None
     # a split cell records its pieces with their sizes
     p5 = _graph_matrix(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    root = [list(range(5))]
-    _, _, trace = refine(prep(p5), root)
-    assert sorted(count for _, count in trace[0][0]) == [2, 3]
+    root = np.zeros(5, dtype=np.intp)
+    ids, _, trace = refine(prep(p5, False), root)
+    assert _hash_counts(trace[0], 0, 5) == [2, 3]
     # ends, then the center split off; the last pass keeps every cell whole
-    assert len(trace) == 3 and all(isinstance(key, bytes) for key in trace[-1])
+    assert len(trace) == 3 and all(isinstance(entry, bytes) for entry in trace)
+    assert sorted(np.bincount(ids).tolist()) == [1, 2, 2]
+    assert _hash_counts(trace[-1], 0, 5) == [1, 2, 2]
     p3_p2 = _graph_matrix(5, [(0, 1), (1, 2), (3, 4)])
-    assert refine(prep(p3_p2), root, None, trace) is None
+    assert refine(prep(p3_p2, False), root, None, trace) is None
     # The path 0-1-2-3 with colors 7, 7, 9: the color classes differ in size,
     # so the one color cell splits in the first pass, beside the vertices.
     path = _graph_matrix(4, [(0, 1), (1, 2)]) * 7
     path[2, 3] = path[3, 2] = 9
-    root, one_cell = [list(range(4))], [[1, 2]]  # colors ranked 1, 2
-    cells, colors, trace = refine(prep(path, relabel=True), root, one_cell)
-    assert sorted(map(len, cells)) == [1, 1, 1, 1]
-    assert sorted(colors) == [[1], [2]]
-    vertex_entry, color_entry = trace[0][:-1], trace[0][-1]
-    assert [count for _, count in vertex_entry[0]] == [2, 2]
-    assert [count for _, count in color_entry] == [1, 1]
+    root, one_cell = np.zeros(4, dtype=np.intp), np.zeros(2, dtype=np.intp)
+    ids, colors, trace = refine(prep(path, True), root, one_cell)
+    assert sorted(ids.tolist()) == [0, 1, 2, 3]
+    assert sorted(colors.tolist()) == [0, 1]
+    # The first entry holds the 4 vertex hashes, then the 2 color hashes.
+    assert _hash_counts(trace[0], 0, 4) == [2, 2]
+    assert _hash_counts(trace[0], 4, 6) == [1, 1]
     # Swapped colors refine alike; one color on every edge does not.
     swapped = np.where(path == 7, 9, np.where(path == 9, 7, 0))
-    assert refine(prep(swapped, relabel=True), root, one_cell, trace) is not None
+    assert refine(prep(swapped, True), root, one_cell, trace) is not None
     uniform = _graph_matrix(4, [(0, 1), (1, 2), (2, 3)]) * 7
-    assert refine(prep(uniform, relabel=True), root, [[1]], trace) is None
+    assert refine(prep(uniform, True), root, np.zeros(1, np.intp), trace) is None
+    # With exact colors the four rows differ, and refinement stops after that
+    # one pass: no confirming pass once every cell is a singleton.
+    ids, _, trace = refine(prep(path, False), root)
+    assert sorted(ids.tolist()) == [0, 1, 2, 3] and len(trace) == 1
 
 
 @pytest.mark.parametrize("relabel", [False, True])
 def test_only_an_asymmetric_matrix_keeps_its_transpose(relabel):
-    refine, prep = search._refine, search._prep
-    root = [list(range(4))]
-    assert prep(_graph_matrix(4, [(0, 1), (1, 2)]), relabel)[1] is None
+    refine, prep = search._refine, search._Struct
+    root = np.zeros(4, dtype=np.intp)
+    assert len(prep(_graph_matrix(4, [(0, 1), (1, 2)]), relabel).sides) == 1
     # Arcs 0->2, 1->2, 2->3, 3->0: every vertex has one out-arc, so only the
-    # in-signatures tell the vertices apart (in-degrees 1, 0, 2, 1).
+    # in-arcs tell the vertices apart (in-degrees 1, 0, 2, 1).
     arcs = np.zeros((4, 4), dtype=np.int64)
     arcs[[0, 1, 2, 3], [2, 2, 3, 0]] = 1
     struct = prep(arcs, relabel)
-    assert np.array_equal(struct[1], arcs.T)
-    cells = refine(struct, root, [[1]] if relabel else None)[0]
-    assert sorted(map(len, cells)) == [1, 1, 1, 1]
+    assert len(struct.sides) == 2
+    # The second side lists each column's arcs: the rows of the transpose,
+    # padded with the vertex itself and color 0.
+    nbrs, cols = struct.sides[1][:2]
+    assert nbrs.shape == (4, 2)
+    for v in range(4):
+        assert sorted(nbrs[v][cols[v] != 0].tolist()) == np.flatnonzero(arcs.T[v]).tolist()
+        assert set(nbrs[v][cols[v] == 0].tolist()) <= {v}
+    ids = refine(struct, root, np.zeros(1, np.intp) if relabel else None)[0]
+    assert sorted(ids.tolist()) == [0, 1, 2, 3]
 
 
 def _random_matrix(rng, n, colors, symmetric):
@@ -487,13 +513,13 @@ def test_shrikhande_and_rook_graph_are_told_apart_below_the_top_branch(monkeypat
     z4z4 = group_from_name("z4xz4")  # (a, b) at index 4a + b
     shrikhande = build_cayley(z4z4, {4, 12, 1, 3, 5, 15})
     rook = build_cayley(z4z4, {4, 12, 8, 1, 3, 2})
-    s1, s2 = search._prep(shrikhande.uncolored_matrix), search._prep(rook.uncolored_matrix)
-    root = [list(range(16))]
-    top = [[0], list(range(1, 16))]
+    s1 = search._Struct(shrikhande.uncolored_matrix, False)
+    s2 = search._Struct(rook.uncolored_matrix, False)
+    root, top = np.zeros(16, dtype=np.intp), search._top_root(16)
     _, _, trace = search._refine(s1, root)
     assert search._refine(s2, root, None, trace) is not None
-    cells, _, trace = search._refine(s1, top)
-    assert [len(c) for c in cells] == [1, 9, 6]
+    ids, _, trace = search._refine(s1, top)
+    assert ids[0] == 0 and sorted(np.bincount(ids).tolist()) == [1, 6, 9]
     assert search._refine(s2, top, None, trace) is not None
     for respect_colors in (False, True):
         assert not _same_answer_as_full_search(shrikhande, rook, respect_colors)
@@ -541,19 +567,20 @@ def test_aut_group_refines_the_first_path_once(monkeypatch):
     # root included.
     f21 = group_from_name("f21")
     graph = build_cayley(f21, mask_to_connection_set(f21, inverse_pairs(f21), 877))
-    struct = search._prep(graph.uncolored_matrix)
-    cells = search._refine(struct, [list(range(graph.n))])[0]
+    struct = search._Struct(graph.uncolored_matrix, False)
+    ids = search._refine(struct, np.zeros(graph.n, dtype=np.intp))[0]
     nodes = 1
-    while (t := search._target_cell(cells)) is not None:
-        cells = search._refine(struct, search._individualize(cells, t, cells[t][0]))[0]
+    while (t := search._target_cell(ids)) is not None:
+        first = int(np.flatnonzero(ids == t)[0])
+        ids = search._refine(struct, search._individualize(ids, t, first))[0]
         nodes += 1
     refine = search._refine
     unmatched = []
 
-    def counting(struct, cells, colors=None, expect=None):
+    def counting(struct, ids, colors=None, expect=None):
         if expect is None:
-            unmatched.append(cells)
-        return refine(struct, cells, colors, expect)
+            unmatched.append(ids)
+        return refine(struct, ids, colors, expect)
 
     monkeypatch.setattr(search, "_refine", counting)
     group = uncolored_aut_group(graph)
@@ -733,3 +760,102 @@ def test_table_read_chain_matches_a_full_build_on_the_sweep_roster():
             grew += _assert_chain_matches_a_full_build(graph, True) > group.order
             checked += 1
     assert grew > checked // 4
+
+
+def _constant_tables(monkeypatch):
+    """Every hash word equal: no vertex cell ever splits by refinement."""
+    monkeypatch.setattr(
+        search, "_hash_table", lambda size, salt: np.full(size, 7, dtype=np.uint64)
+    )
+
+
+def test_a_hash_that_never_splits_leaves_every_answer_exact(monkeypatch):
+    # With every hash equal, refinement splits nothing, so only the
+    # individualized vertices are singletons and the leaf check decides.
+    _constant_tables(monkeypatch)
+    p5 = _graph_matrix(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    ids, _, trace = search._refine(search._Struct(p5, False), np.zeros(5, np.intp))
+    assert not ids.any() and len(trace) == 1
+    checked = 0
+    for name, group in SMALL_GROUPS:
+        if group.order > 7:
+            continue
+        pairs = inverse_pairs(group)
+        graphs = []
+        for mask in range(1 << len(pairs)):
+            cs = mask_to_connection_set(group, pairs, mask)
+            graph = build_cayley(group, cs)
+            plain = ColoredCayleyGraph(group, cs, False, graph.uncolored_matrix)
+            assert color_preserving_group(graph).order() == len(brute_force_color_perms(graph))
+            assert uncolored_aut_group(graph).order() == len(brute_force_color_perms(plain))
+            graphs.append(graph)
+        for g1, g2 in itertools.product(graphs, repeat=2):
+            if g1.valency != g2.valency:
+                continue
+            for respect_colors, mode in ((True, "bijection"), (False, "exact")):
+                m1 = g1.color_matrix if respect_colors else g1.uncolored_matrix
+                m2 = g2.color_matrix if respect_colors else g2.uncolored_matrix
+                found = are_isomorphic(g1, g2, respect_colors)
+                assert (found is not None) == _brute_isomorphism_exists(m1, m2, mode)
+                checked += 1
+    assert checked > 100
+
+
+def test_a_hash_with_two_values_keeps_the_f21_census(monkeypatch):
+    # Fully constant tables leave the F21 searches without refinement, which
+    # is a factorial search at n = 21; two values per table collide on most
+    # signatures but still refine.
+    expected = f21_census()
+    monkeypatch.setattr(
+        search,
+        "_hash_table",
+        lambda size, salt: np.arange(size, dtype=np.uint64) % np.uint64(2) + np.uint64(1),
+    )
+    report = f21_census()
+    check_f21_census(report)
+    assert report.rows == expected.rows
+    assert report.noncca_sets_per_class == expected.noncca_sets_per_class == [21]
+
+
+@pytest.mark.parametrize("digraph_mode", [False, True], ids=["graph", "digraph"])
+def test_root_digests_survive_vertex_relabelling(digraph_mode):
+    # A Cayley graph is vertex-transitive, so the trace below {0}, {1..n-1}
+    # does not depend on which vertex is called 0.
+    rng = np.random.default_rng(23)
+    for name in ("f21", "z3xs3", "q8", "z2xz4"):
+        group = group_from_name(name)
+        pairs = inverse_pairs(group)
+        for size in (1, 2, 3):
+            chosen = rng.choice(len(pairs), size=size, replace=False).tolist()
+            members = [x for i in chosen for x in pairs[i]]
+            if digraph_mode:
+                members = members[::2]
+            m = build_cayley(group, members, digraph_mode=digraph_mode).color_matrix
+            for relabel in (False, True):
+                for matrix in (m, (m != 0).astype(np.int64)):
+                    digest = search._root_digest(matrix, relabel)
+                    other = _relabeled(rng, matrix, recolor=relabel)
+                    assert search._root_digest(other, relabel) == digest, (name, members)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_irregular_matrices_refine_alike_after_relabelling(symmetric):
+    # Rows of unequal length are padded; the unit partition's trace and the
+    # isomorphism found must not depend on the vertex numbering.
+    rng = np.random.default_rng(29)
+    padded = 0
+    for n in (5, 7, 9, 12):
+        m = _random_matrix(rng, n, colors=3, symmetric=symmetric)
+        degrees = np.count_nonzero(m, axis=1)
+        padded += degrees.min() < degrees.max()
+        root = np.zeros(n, dtype=np.intp)
+        for relabel, mode in ((False, "exact"), (True, "bijection")):
+            other = _relabeled(rng, m, recolor=relabel)
+            traces = [
+                search._refine_start(search._Struct(x, relabel), root)[2] for x in (m, other)
+            ]
+            assert traces[0] == traces[1]
+            found = matrix_isomorphism(m, other, match_colors=mode)
+            assert found is not None
+            assert color_bijection_between(m, other, found) is not None
+    assert padded >= 3
