@@ -77,9 +77,10 @@ def _is_associative(m: np.ndarray, identity: int) -> bool:
         gens.append(g)
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            images = np.unique(m[np.ix_(frontier, gens)])
-            frontier = images[~reached[images]]
-            reached[frontier] = True
+            images = np.zeros(len(m), dtype=bool)
+            images[m[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(images & ~reached)
+            reached |= images
     return True
 
 
@@ -314,17 +315,25 @@ def _element_set(group: GroupTable, members: Iterable[int]) -> frozenset[int]:
 
 
 def subgroup_generated(group: GroupTable, gens: Iterable[int]) -> frozenset[int]:
-    """The subgroup the gens generate: the identity's closure under them."""
-    gens = _element_set(group, gens)
+    """The subgroup the gens generate: the identity's closure under them,
+    one generator at a time.  A generator already in the closure is
+    skipped; a new one multiplies the closure so far, which the earlier
+    generators keep, and what it adds is closed under all of them."""
     mult = group.mult
     seen = {group.identity}
     reached = [group.identity]
-    for u in reached:  # grows while it is read
-        row = mult[u]
-        for s in gens:
-            if row[s] not in seen:
-                seen.add(row[s])
-                reached.append(row[s])
+    used: list[int] = []
+    for s in _element_set(group, gens):
+        if s in seen:
+            continue
+        used.append(s)
+        old = len(reached)
+        for i, u in enumerate(reached):  # grows while it is read
+            row = mult[u]
+            for t in used if i >= old else (s,):
+                if row[t] not in seen:
+                    seen.add(row[t])
+                    reached.append(row[t])
     return frozenset(seen)
 
 
@@ -519,36 +528,27 @@ def left_translation(group: GroupTable, g: int) -> Perm:
     return group.mult[g]
 
 
-def _translation_level(group: GroupTable, base: int) -> _Level:
-    """G_L's chain level at base, read off the table, which is also the
-    top level at base of every group containing the transitive G_L.
-
-    u_x is the translation by x·base^-1 and u_x^-1 the translation by
-    base·x^-1, both rows of mult, so no row is copied.  The strong
-    generators are the translations by minimal_generating_set(group).
-    """
-    mult, inv = group.mult, group.inv
-    gens = minimal_generating_set(group)
-    level = _Level(base)
-    level.gens = [mult[g] for g in gens]
-    level.gen_invs = [mult[inv[g]] for g in gens]
-    base_inv, base_row = inv[base], mult[base]
-    level.transversal = {x: mult[row[base_inv]] for x, row in enumerate(mult)}
-    level.inverses = {x: mult[base_row[inv[x]]] for x in range(group.order)}
-    return level
-
-
 @_per_table
 def left_regular_group(group: GroupTable) -> PermGroup:
     """The left translations as a permutation group.
 
-    The representation is regular, so its chain is one level at the
-    identity, _translation_level's: u_x is the translation by x, the row
-    mult[x], and u_x^-1 is the row of x's inverse.  No Schreier-Sims
-    runs."""
-    level = _translation_level(group, group.identity)
-    if len(orbit_of_point(group.identity, level.gens)) != group.order:
+    The representation is regular, so its chain is one level, at point 0,
+    read off the table.  It is also the top level of every group containing
+    the transitive G_L, such as a Cayley graph's color group.  With g0 the
+    element 0, u_x is the translation by x·g0^-1 and u_x^-1 the one by
+    g0·x^-1, both rows of mult, so no row is copied.  The strong generators
+    are the translations by minimal_generating_set(group).  No
+    Schreier-Sims runs."""
+    mult, inv = group.mult, group.inv
+    level = _Level(0)
+    gens = minimal_generating_set(group)
+    level.gens = [mult[g] for g in gens]
+    level.gen_invs = [mult[inv[g]] for g in gens]
+    if len(orbit_of_point(0, level.gens)) != group.order:
         raise AssertionError("the generators do not reach every element")
+    row0, inv0 = mult[0], inv[0]
+    level.transversal = {x: mult[row[inv0]] for x, row in enumerate(mult)}
+    level.inverses = {x: mult[row0[inv[x]]] for x in range(group.order)}
     return PermGroup._from_levels(group.order, [level] if group.order > 1 else [])
 
 

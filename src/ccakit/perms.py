@@ -767,13 +767,18 @@ def fixer(group: PermGroup, system: BlockSystem) -> PermGroup:
 
 
 def is_normal_subgroup(sub: PermGroup, group: PermGroup) -> bool:
-    """Whether sub is normal in group; requires sub <= group."""
+    """Whether sub is normal in group; requires sub <= group.  Generators
+    the two share need neither a membership test nor a conjugation: a
+    generator of sub conjugates sub onto itself."""
     if sub.degree != group.degree:
         raise ValueError("degree mismatch")
+    own, theirs = set(sub.generators), set(group.generators)
     for h in sub.generators:
-        if not group.contains(h):
+        if h not in theirs and not group.contains(h):
             raise ValueError("not a subgroup: generator outside the group")
     for k in group.generators:
+        if k in own:
+            continue
         kinv = pinv(k)
         for h in sub.generators:
             if not sub.contains(pmul(k, pmul(h, kinv))):

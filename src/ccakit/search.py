@@ -10,8 +10,9 @@ The search maintains an ordered partition of the vertices as one array
 of cell indices, the cells numbered in order.  Each row's nonzero columns
 and their colors are kept as n x d arrays, and the columns' too when the
 matrix is asymmetric; a symmetric matrix keeps no transpose.  A regular
-matrix, such as every Cayley graph's, is a reshape of its nonzero
-entries; a shorter row is padded with its own index and color 0.  A pass
+matrix is a reshape of its nonzero entries, and a shorter row is padded
+with its own index and color 0; a Cayley graph's automorphism search
+reads the arrays off the identity row instead (see below).  A pass
 hashes each vertex v to h(v) = sum of A[color] * B[cell(w)] mod 2^64 over
 its arcs (v, w), plus the same sum over its arcs (w, v) with another table
 for A when there is a transpose.  A and B are fixed splitmix64 tables, and
@@ -56,11 +57,14 @@ whose matrices need not be vertex-transitive, tries every root image.
 The automorphism group is perms.proved_orbits over the first path's
 target cells: the first vertex of each is a base point, the others its
 candidate images, each searched for below the path's node, so the levels
-and all their searches share one path.  On a Cayley graph the seeds are
-the left translations, which are transitive, so the group is G_L times
-the stabilizer of vertex 0 (orbit-stabilizer): the search starts at
-{0}, {1..n-1}, the chain's top level is G_L's, read off the group table,
-and Schreier-Sims runs only on the found generators, which all fix 0.
+and all their searches share one path.  A Cayley graph's matrix must be
+invariant under the left translations G_L, which one comparison with its
+identity row checks, and that row then gives every vertex's arcs.  G_L is
+transitive, so the group is G_L times the stabilizer of vertex 0
+(orbit-stabilizer).  Only the stabilizer is searched, from {0}, {1..n-1}
+with no seeds: a translation fixes no vertex, so it prunes no level.  The
+chain's top level is G_L's at vertex 0, read off the group table once per
+table, and Schreier-Sims runs only on the found generators.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .cayley import ColoredCayleyGraph
-from .groups import _translation_level, left_regular_group
+from .groups import GroupTable, left_regular_group
 from .perms import Perm, PermGroup, _check_chain_order, permgroup_from_elements, proved_orbits
 
 __all__ = [
@@ -127,21 +131,28 @@ class _Struct:
     row's nonzero columns and their colors, a row with fewer than d padded
     with its own index and color 0.  weights are the fixed colors' hash
     words, None with relabel.  With relabel, arcs holds every arc's tail and
-    head ordered by color, and where each color's arcs start.
+    head ordered by color, and where each color's arcs start.  Given a
+    group table, the sides are read off the identity row instead
+    (_translation_sides), and colors and weights are one row of d that
+    every vertex shares.
     """
 
     __slots__ = ("m", "n", "k", "relabel", "sides", "arcs")
 
-    def __init__(self, matrix: np.ndarray, relabel: bool) -> None:
+    def __init__(
+        self, matrix: np.ndarray, relabel: bool, group: GroupTable | None = None
+    ) -> None:
         m = np.ascontiguousarray(matrix, dtype=np.int64)
         self.n, self.relabel, self.arcs = m.shape[0], relabel, None
         if relabel:
             values = np.unique(m[m != 0])
             m = np.where(m != 0, np.searchsorted(values, m) + 1, 0)
-        self.m, self.k = m, int(m.max(initial=0))
-        self.sides = [self._side(m, _OUT, relabel)]
-        if not np.array_equal(m, m.T):
-            self.sides.append(self._side(np.ascontiguousarray(m.T), _IN, relabel))
+        if group is not None:
+            rows = _translation_sides(m, group)
+        else:
+            rows = [_scan(m)] if np.array_equal(m, m.T) else [_scan(m), _scan(m.T)]
+        self.m, self.k = m, int(rows[0][1].max(initial=0))
+        self.sides = [self._side(*side, salt) for side, salt in zip(rows, (_OUT, _IN))]
         if relabel and self.k:
             tails, heads = np.nonzero(m)
             colors = m[tails, heads]
@@ -149,28 +160,52 @@ class _Struct:
             starts = np.searchsorted(colors[order], np.arange(1, self.k + 1))
             self.arcs = (tails[order], heads[order], starts)
 
-    def _side(self, m: np.ndarray, salt: int, relabel: bool) -> tuple:
-        n = self.n
-        tails, heads = np.nonzero(m)
-        colors = m[tails, heads]
-        degrees = np.bincount(tails, minlength=n)
-        d = int(degrees.max(initial=0))
-        if len(tails) == n * d:  # every row has the largest degree
-            nbrs, cols = heads.reshape(n, d), colors.reshape(n, d)
-        else:
-            nbrs = np.repeat(np.arange(n), d).reshape(n, d)
-            cols = np.zeros((n, d), dtype=np.int64)
-            slots = np.arange(len(tails)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
-            nbrs[tails, slots], cols[tails, slots] = heads, colors
+    def _side(self, nbrs: np.ndarray, cols: np.ndarray, salt: int) -> tuple:
         weights = None
-        if not relabel:
+        if not self.relabel:
             top = int(cols.max(initial=0))
-            if top > n or int(cols.min(initial=0)) < 0:
+            if top > self.n or int(cols.min(initial=0)) < 0:
                 # Ranks, so that no table grows with the values.
-                cols = np.unique(cols, return_inverse=True)[1].reshape(n, d)
+                cols = np.unique(cols, return_inverse=True)[1].reshape(cols.shape)
                 top = int(cols.max(initial=0))
             weights = _hash_table(top + 1, salt)[cols]
         return nbrs, cols, weights, salt
+
+
+def _scan(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nonzero columns and their colors as n x d arrays, d the
+    largest degree, a shorter row padded with its own index and color 0."""
+    n = m.shape[0]
+    tails, heads = np.nonzero(m)
+    colors = m[tails, heads]
+    degrees = np.bincount(tails, minlength=n)
+    d = int(degrees.max(initial=0))
+    if len(tails) == n * d:  # every row has the largest degree
+        return heads.reshape(n, d), colors.reshape(n, d)
+    nbrs = np.repeat(np.arange(n), d).reshape(n, d)
+    cols = np.zeros((n, d), dtype=np.int64)
+    slots = np.arange(len(tails)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    nbrs[tails, slots], cols[tails, slots] = heads, colors
+    return nbrs, cols
+
+
+def _translation_sides(m: np.ndarray, group: GroupTable) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sides of a matrix invariant under the left translations, read
+    off its identity row e, or ValueError if it is not invariant.  Then
+    m[u, v] = m[e, u^-1 v]: with S the columns of e's row, vertex u has
+    arcs to u·s and from u·s^-1, colored m[e, s].  The columns are a side
+    of their own only when m[e, S^-1] differs from m[e, S].  A row lists
+    its arcs in the order of S, which leaves every hash sum as _scan's."""
+    e, mult, inv = group.identity, group.mult_array, np.asarray(group.inv)
+    row = m[e]
+    if m.shape != mult.shape or not np.array_equal(m, row[mult[inv]]):
+        raise ValueError("the matrix is not invariant under the left translations")
+    s = np.flatnonzero(row)
+    cols = row[s]
+    sides = [(mult[:, s], cols)]
+    if not np.array_equal(row[inv[s]], cols):
+        sides.append((mult[:, inv[s]], cols))
+    return sides
 
 
 def _split(ids: np.ndarray, order: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, int]:
@@ -375,28 +410,14 @@ def _image_search(path: _FirstPath, depth: int, w: int) -> Perm | None:
 
 
 def _search_levels(
-    matrix: np.ndarray, seeds: Sequence[Perm], top: bool
-) -> tuple[list[Perm], list[Perm], list[int]]:
-    """The seeds, checked and without repeats or the identity, the found
-    generators and the proved orbit lengths.  The first path starts from
-    the unit partition, or with top from {0}, {1..n-1}, vertex 0 then the
-    first base point, its orbit under the seeds taken as proved."""
-    struct = _Struct(matrix, relabel=False)
-    m, n = struct.m, struct.n
-    gens: list[Perm] = []
-    for seed in seeds:
-        perm = tuple(seed)
-        if len(perm) != n:
-            raise ValueError("seed degree mismatch")
-        if not preserves_matrix(m, perm):
-            raise ValueError("seed does not preserve the matrix")
-        if any(i != x for i, x in enumerate(perm)) and perm not in gens:
-            gens.append(perm)
-    path = _FirstPath(struct, _refine(struct, _top_root(n) if top else np.zeros(n, np.intp)))
+    struct: _Struct, root: np.ndarray, known: Sequence[Perm] = ()
+) -> tuple[list[Perm], list[int]]:
+    """The generators found and the orbit lengths proved by a search whose
+    first path starts from the refined root partition, the known elements
+    of the group pruning the orbits (perms.proved_orbits)."""
+    path = _FirstPath(struct, _refine(struct, root))
 
     def levels():
-        if top:
-            yield 0, (), None
         for depth in count():
             ids, t = path.node(depth)[0], path.targets[depth]
             if t is None:
@@ -404,8 +425,7 @@ def _search_levels(
             base, *candidates = np.flatnonzero(ids == t).tolist()
             yield base, candidates, partial(_image_search, path, depth)
 
-    found, orbit_lengths = proved_orbits(gens, levels())
-    return gens, found, orbit_lengths
+    return proved_orbits(known, levels())
 
 
 def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGroup:
@@ -415,8 +435,15 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
     A full Schreier-Sims build of the seeds, then the found generators, is
     checked against the orbit lengths perms.proved_orbits proved.
     """
-    n = len(matrix)
-    seeds, found, orbit_lengths = _search_levels(matrix, seeds, top=False)
+    struct = _Struct(matrix, relabel=False)
+    n = struct.n
+    seeds = [tuple(seed) for seed in seeds]
+    for perm in seeds:
+        if len(perm) != n:
+            raise ValueError("seed degree mismatch")
+        if not preserves_matrix(struct.m, perm):
+            raise ValueError("seed does not preserve the matrix")
+    found, orbit_lengths = _search_levels(struct, np.zeros(n, np.intp), seeds)
     group = PermGroup(n, seeds + found)
     _check_chain_order(group.order(), orbit_lengths)
     return group
@@ -476,20 +503,17 @@ def _top_root(n: int) -> np.ndarray:
 
 
 def _cayley_aut_group(graph: ColoredCayleyGraph, matrix: np.ndarray) -> PermGroup:
-    """matrix_aut_group of one of the graph's matrices, seeded with the
-    generators of G_L, its chain's top level read off the group table (see
-    the module docstring): n times the order of the found generators'
-    chain must be the product of the proved orbit lengths."""
-    n = graph.n
-    seeds, found, orbit_lengths = _search_levels(
-        matrix, left_regular_group(graph.group).generators, top=True
-    )
-    if orbit_lengths[0] != n:
-        raise AssertionError("the translations do not reach every vertex")
+    """The automorphisms of one of the graph's matrices, as G_L times the
+    stabilizer of vertex 0 (see the module docstring).  The matrix must be
+    invariant under G_L (_translation_sides); the stabilizer's chain is
+    checked against the orbit lengths its search proved, and G_L's chain,
+    one level at vertex 0, is put on top."""
+    n, gl = graph.n, left_regular_group(graph.group)
+    struct = _Struct(matrix, False, graph.group)
+    found, orbit_lengths = _search_levels(struct, _top_root(n))
     below = PermGroup(n, found)
-    _check_chain_order(n * below.order(), orbit_lengths)
-    levels = [_translation_level(graph.group, 0)] if n > 1 else []
-    return PermGroup._from_levels(n, levels + below._levels, tuple(seeds + found))
+    _check_chain_order(below.order(), orbit_lengths)
+    return PermGroup._from_levels(n, gl._levels + below._levels, gl.generators + tuple(found))
 
 
 def color_preserving_group(graph: ColoredCayleyGraph) -> PermGroup:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import numpy as np
@@ -227,13 +228,31 @@ def test_subgroup_generated_matches_a_naive_fixpoint():
         others = [x for x in range(g.order) if x != g.identity]
         for k in range(len(others) + 1):
             for gens in itertools.combinations(others, k):
-                closed = {g.identity, *gens}
-                while True:
-                    products = {g.mult[a][b] for a in closed for b in closed}
-                    if products <= closed:
-                        break
-                    closed |= products
-                assert subgroup_generated(g, gens) == closed
+                assert subgroup_generated(g, gens) == _naive_closure(g, gens)
+
+
+def _naive_closure(g, gens):
+    closed = {g.identity, *gens}
+    while True:
+        products = {g.mult[a][b] for a in closed for b in closed}
+        if products <= closed:
+            return closed
+        closed |= products
+
+
+def test_subgroup_generated_matches_a_naive_fixpoint_on_larger_groups():
+    # Orders 32 to 105, the groups the verdict-stream benchmark serves.
+    rng = random.Random(24)
+    for name in STREAM_GROUPS:
+        g = group_from_name(name)
+        for k in (1, 2, 3, 5):
+            gens = [rng.randrange(g.order) for _ in range(k)]
+            # Repeats, the identity, another order and NumPy ints.
+            lists = [gens, gens + gens[:1], [g.identity] + gens, rng.sample(gens, k)]
+            lists.append(list(np.array(gens, dtype=np.int64)))
+            closed = _naive_closure(g, gens)
+            assert all(subgroup_generated(g, x) == closed for x in lists)
+    assert subgroup_generated(g, []) == {g.identity}
 
 
 def test_is_normal_matches_conjugation_by_every_element():

@@ -11,6 +11,7 @@ from ccakit.cayley import (
     inverse_pairs,
     mask_to_connection_set,
 )
+from ccakit.cca import cca_verdict_with_group
 from ccakit.groups import all_subgroups, group_from_name, left_regular_group
 from ccakit.harness import _random_connected_set
 from ccakit.perms import (
@@ -415,6 +416,26 @@ def test_normality_and_stabilizers():
     assert not is_normal_subgroup(flip, s3)
     stab = point_stabilizer(s3, 2)
     assert stab.order() == 2 and stab.contains((1, 0, 2))
+
+
+def test_normality_when_the_group_shares_the_subgroups_generators(noncca_graph):
+    # A generator of sub is no conjugator to try; the others decide.
+    cycle, flip = (1, 2, 0), (1, 0, 2)
+    s3 = PermGroup(3, [flip, cycle])
+    assert is_normal_subgroup(PermGroup(3, [cycle]), s3)
+    assert not is_normal_subgroup(PermGroup(3, [flip]), s3)
+    assert not is_normal_subgroup(PermGroup(3, [flip]), PermGroup(3, [cycle, flip]))
+    # A shared generator is in the group; the others are still looked up.
+    with pytest.raises(ValueError, match="not a subgroup"):
+        is_normal_subgroup(s3, PermGroup(3, [cycle]))
+    # The F21 instance: ao's generators are G_L's and then the found ones.
+    verdict, ao = cca_verdict_with_group(noncca_graph)
+    gl = left_regular_group(noncca_graph.group)
+    assert ao.generators[: len(gl.generators)] == gl.generators
+    assert not is_normal_subgroup(gl, ao) and not verdict.notes["gl_normal"]
+    assert verdict.witness == (
+        0, 2, 1, 8, 6, 7, 15, 17, 16, 3, 4, 5, 19, 20, 18, 10, 9, 11, 12, 14, 13
+    )
 
 
 @pytest.mark.parametrize(

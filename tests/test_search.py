@@ -20,6 +20,7 @@ from ccakit.groups import (
     group_from_name,
     left_regular_group,
     make_cyclic,
+    make_dihedral,
     make_symmetric_table,
     subgroup_generated,
 )
@@ -37,6 +38,7 @@ from ccakit.search import (
     two_closure,
     uncolored_aut_group,
 )
+from ccakit.cca import cca_verdict
 from ccakit.harness import check_f21_census, f21_census
 from ccakit.suites import groups_up_to_order_8
 
@@ -760,6 +762,61 @@ def test_table_read_chain_matches_a_full_build_on_the_sweep_roster():
             grew += _assert_chain_matches_a_full_build(graph, True) > group.order
             checked += 1
     assert grew > checked // 4
+
+
+def _assert_table_sides_refine_as_the_scan(graph):
+    """The sides read off the identity row refine exactly as the scanned
+    ones, from {0}, {1..n-1} and from the unit partition."""
+    n = graph.n
+    for matrix in (graph.color_matrix, graph.uncolored_matrix):
+        scan = search._Struct(matrix, False)
+        table = search._Struct(matrix, False, graph.group)
+        assert len(table.sides) == len(scan.sides)
+        for root in (search._top_root(n), np.zeros(n, np.intp)):
+            ids, _, trace = search._refine(scan, root)
+            ids2, _, trace2 = search._refine(table, root)
+            assert np.array_equal(ids, ids2) and trace == trace2
+
+
+def test_identity_row_sides_refine_as_the_matrix_scan():
+    for name in SWEEP_GROUPS:  # relabeled, the identity off vertex 0
+        group = _renumbered(group_from_name(name), seed=len(name))
+        pairs = inverse_pairs(group)
+        for mask, _ in connection_set_orbits(group, connected_only=True)[::9]:
+            _assert_table_sides_refine_as_the_scan(
+                build_cayley(group, mask_to_connection_set(group, pairs, mask))
+            )
+    rng = random.Random(24)
+    for name in STREAM_GROUPS:
+        group = group_from_name(name)
+        pairs = inverse_pairs(group)
+        for k in (2, 4):
+            members = {e for i in rng.sample(range(len(pairs)), k) for e in pairs[i]}
+            _assert_table_sides_refine_as_the_scan(build_cayley(group, members))
+    # A digraph set that is not inverse-closed has two sides; one of
+    # involutions only, each its own inverse, has one.
+    for group, members, sides in ((make_cyclic(7), {1, 2}, 2), (make_dihedral(4), {4, 5}, 1)):
+        digraph = build_cayley(group, members, digraph_mode=True)
+        _assert_table_sides_refine_as_the_scan(digraph)
+        assert len(search._Struct(digraph.color_matrix, False, group).sides) == sides
+
+
+def test_a_matrix_the_translations_do_not_preserve_is_refused(noncca_graph):
+    group, s = noncca_graph.group, min(noncca_graph.connection.members)
+    recolored = noncca_graph.color_matrix.copy()
+    recolored[0, s] = recolored[s, 0] = recolored.max() + 1
+    cut = noncca_graph.color_matrix.copy()
+    cut[0, s] = cut[s, 0] = 0
+    for matrix, uncolored_too in ((recolored, False), (cut, True)):
+        graph = ColoredCayleyGraph(group, noncca_graph.connection, False, matrix)
+        checks = [color_preserving_group, cca_verdict]
+        if uncolored_too:
+            checks.append(uncolored_aut_group)
+        else:
+            assert uncolored_aut_group(graph).order() == uncolored_aut_group(noncca_graph).order()
+        for check in checks:
+            with pytest.raises(ValueError, match="not invariant under the left translations"):
+                check(graph)
 
 
 def _constant_tables(monkeypatch):
