@@ -130,7 +130,7 @@ def f21_census() -> CensusReport:
             negatives.append((row, graph))
         rows.append(row)
 
-    # Each negative graph is kept, so it keeps its root digest for are_isomorphic.
+    # Each negative graph is kept, so it keeps its refined root for are_isomorphic.
     class_reps: list[ColoredCayleyGraph] = []
     per_class: list[int] = []
     for row, graph in negatives:

@@ -11,17 +11,17 @@ of cell indices, the cells numbered in order.  Each row's nonzero columns
 and their colors are kept as n x d arrays, and the columns' too when the
 matrix is asymmetric; a symmetric matrix keeps no transpose.  A regular
 matrix is a reshape of its nonzero entries, and a shorter row is padded
-with its own index and color 0; a Cayley graph's automorphism search
-reads the arrays off the identity row instead (see below).  A pass
-hashes each vertex v to h(v) = sum of A[color] * B[cell(w)] mod 2^64 over
-its arcs (v, w), plus the same sum over its arcs (w, v) with another table
-for A when there is a transpose.  A and B are fixed splitmix64 tables, and
-one lexsort on (cell, hash) splits every cell, pieces in hash order.  h
-depends only on colors and cell indices, so refinement is invariant under
-relabeling the vertices.  A collision of two hashes only leaves a cell
-coarser: the search then runs longer, and the leaf check stays exact.
-The branching rule individualizes the first smallest non-singleton cell
-and tries images in ascending vertex order.
+with its own index and color 0; a Cayley graph's arrays are read off its
+identity row instead (see below).  A pass hashes each vertex v to
+h(v) = sum of A[color] * B[cell(w)] mod 2^64 over its arcs (v, w), plus
+the same sum over its arcs (w, v) with another table for A when there is
+a transpose.  A and B are fixed splitmix64 tables, and one lexsort on
+(cell, hash) splits every cell, pieces in hash order.  h depends only on
+colors and cell indices, so refinement is invariant under relabeling
+the vertices.  A collision of two hashes only leaves a cell coarser: the
+search then runs longer, and the leaf check stays exact.  The branching
+rule individualizes the first smallest non-singleton cell and tries
+images in ascending vertex order.
 
 When colors may be relabeled, the colors form a second ordered
 partition, also an array of cell indices, refined beside the vertices: an
@@ -50,9 +50,11 @@ build_cayley has the left translations of its group among its automorphisms,
 colored or not, so an isomorphism followed by a translation maps vertex 0 to
 vertex 0: the search starts from the partition {0}, {1..n-1} on both sides
 and is complete below it.  The trace of that root refinement is a graph
-invariant, so each graph keeps a hash of it per color mode, and two graphs
-whose hashes differ are told apart without a search.  matrix_isomorphism,
-whose matrices need not be vertex-transitive, tries every root image.
+invariant, so two graphs whose root traces differ are told apart without
+a search.  Each graph keeps its prepared matrix and refined root per
+color mode, and its automorphism searches start from the same root.
+matrix_isomorphism, whose matrices need not be vertex-transitive, tries
+every root image.
 
 The automorphism group is perms.proved_orbits over the first path's
 target cells: the first vertex of each is a base point, the others its
@@ -409,13 +411,10 @@ def _image_search(path: _FirstPath, depth: int, w: int) -> Perm | None:
     return _search_pair(path, path.struct, depth + 1, other[0], None)
 
 
-def _search_levels(
-    struct: _Struct, root: np.ndarray, known: Sequence[Perm] = ()
-) -> tuple[list[Perm], list[int]]:
-    """The generators found and the orbit lengths proved by a search whose
-    first path starts from the refined root partition, the known elements
-    of the group pruning the orbits (perms.proved_orbits)."""
-    path = _FirstPath(struct, _refine(struct, root))
+def _search_levels(path: _FirstPath, known: Sequence[Perm] = ()) -> tuple[list[Perm], list[int]]:
+    """The generators found and the orbit lengths proved by a search along
+    the path, the known elements of the group pruning the orbits
+    (perms.proved_orbits)."""
 
     def levels():
         for depth in count():
@@ -443,7 +442,8 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
             raise ValueError("seed degree mismatch")
         if not preserves_matrix(struct.m, perm):
             raise ValueError("seed does not preserve the matrix")
-    found, orbit_lengths = _search_levels(struct, np.zeros(n, np.intp), seeds)
+    path = _FirstPath(struct, _refine(struct, np.zeros(n, np.intp)))
+    found, orbit_lengths = _search_levels(path, seeds)
     group = PermGroup(n, seeds + found)
     _check_chain_order(group.order(), orbit_lengths)
     return group
@@ -461,24 +461,13 @@ def matrix_isomorphism(
     """
     if match_colors not in ("exact", "bijection"):
         raise ValueError(f"unknown color matching mode {match_colors!r}")
-    return _isomorphism(m1, m2, match_colors, np.zeros(m1.shape[0], np.intp))
-
-
-def _isomorphism(
-    m1: np.ndarray, m2: np.ndarray, match_colors: str, root: np.ndarray
-) -> Perm | None:
-    """matrix_isomorphism below the same root partition on both sides.
-
-    The search is complete only for isomorphisms that map each cell of
-    root onto the same cell.  Exact colors stay fixed; relabeled colors
-    start as one cell on each side, which needs as many colors on both.
-    """
     if m1.shape != m2.shape:
         return None
     relabel = match_colors == "bijection"
     s1, s2 = _Struct(m1, relabel), _Struct(m2, relabel)
     if relabel and s1.k != s2.k:
         return None
+    root = np.zeros(s1.n, np.intp)
     first = _refine_start(s1, root)
     refined = _refine_start(s2, root, first[2])
     if refined is None:
@@ -502,15 +491,33 @@ def _top_root(n: int) -> np.ndarray:
     return (np.arange(n) > 0).astype(np.intp)
 
 
-def _cayley_aut_group(graph: ColoredCayleyGraph, matrix: np.ndarray) -> PermGroup:
-    """The automorphisms of one of the graph's matrices, as G_L times the
-    stabilizer of vertex 0 (see the module docstring).  The matrix must be
-    invariant under G_L (_translation_sides); the stabilizer's chain is
-    checked against the orbit lengths its search proved, and G_L's chain,
-    one level at vertex 0, is put on top."""
+# Per graph, the struct and refined root of each (colored, relabel) asked for.
+_ROOTS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _graph_root(graph: ColoredCayleyGraph, colored: bool, relabel: bool) -> tuple[_Struct, Node]:
+    """The struct of the graph's color or uncolored matrix, its sides read
+    off the group table, and its refined root {0}, {1..n-1}.  Both are kept
+    per graph when its color matrix is read-only, as build_cayley makes
+    it, so the automorphism searches and are_isomorphic refine the root
+    once.  ValueError if the matrix is not invariant under G_L."""
+    kept = not graph.color_matrix.flags.writeable
+    roots = _ROOTS.setdefault(graph, {}) if kept else {}
+    if (colored, relabel) not in roots:
+        matrix = graph.color_matrix if colored else graph.uncolored_matrix
+        struct = _Struct(matrix, relabel, graph.group)
+        roots[colored, relabel] = struct, _refine_start(struct, _top_root(graph.n))
+    return roots[colored, relabel]
+
+
+def _cayley_aut_group(graph: ColoredCayleyGraph, colored: bool) -> PermGroup:
+    """The automorphisms of the graph's color or uncolored matrix, as G_L
+    times the stabilizer of vertex 0 (see the module docstring), searched
+    from the kept root (_graph_root).  The stabilizer's chain is checked
+    against the orbit lengths its search proved, and G_L's chain, one level
+    at vertex 0, is put on top."""
     n, gl = graph.n, left_regular_group(graph.group)
-    struct = _Struct(matrix, False, graph.group)
-    found, orbit_lengths = _search_levels(struct, _top_root(n))
+    found, orbit_lengths = _search_levels(_FirstPath(*_graph_root(graph, colored, False)))
     below = PermGroup(n, found)
     _check_chain_order(below.order(), orbit_lengths)
     return PermGroup._from_levels(n, gl._levels + below._levels, gl.generators + tuple(found))
@@ -520,13 +527,13 @@ def color_preserving_group(graph: ColoredCayleyGraph) -> PermGroup:
     """All automorphisms preserving the color matrix: each inverse pair's
     class setwise in graph mode, each arc color in digraph mode.  The
     chain reads its top level off the group table (_cayley_aut_group)."""
-    return _cayley_aut_group(graph, graph.color_matrix)
+    return _cayley_aut_group(graph, True)
 
 
 def uncolored_aut_group(graph: ColoredCayleyGraph) -> PermGroup:
     """The full automorphism group, ignoring colors.  The chain reads its
     top level off the group table (_cayley_aut_group)."""
-    return _cayley_aut_group(graph, graph.uncolored_matrix)
+    return _cayley_aut_group(graph, False)
 
 
 def brute_force_color_perms(graph: ColoredCayleyGraph) -> list[Perm]:
@@ -549,27 +556,6 @@ def brute_force_color_group(graph: ColoredCayleyGraph) -> PermGroup:
     return permgroup_from_elements(graph.n, brute_force_color_perms(graph))
 
 
-def _root_digest(matrix: np.ndarray, relabel: bool) -> int:
-    """A hash of the trace that refines {0}, {1..n-1} of matrix, with the
-    colors relabeled or not, as _isomorphism refines it."""
-    return hash(tuple(_refine_start(_Struct(matrix, relabel), _top_root(len(matrix)))[2]))
-
-
-# Per graph, the root digest of each mode (respect_colors) asked for so far.
-_ROOT_DIGESTS: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _graph_root_digest(graph: ColoredCayleyGraph, respect_colors: bool) -> int:
-    """The root digest of the graph's color or uncolored matrix, kept per
-    graph when its color matrix is read-only, as build_cayley makes it."""
-    kept = not graph.color_matrix.flags.writeable
-    digests = _ROOT_DIGESTS.setdefault(graph, {}) if kept else {}
-    if respect_colors not in digests:
-        matrix = graph.color_matrix if respect_colors else graph.uncolored_matrix
-        digests[respect_colors] = _root_digest(matrix, respect_colors)
-    return digests[respect_colors]
-
-
 def are_isomorphic(
     g1: ColoredCayleyGraph, g2: ColoredCayleyGraph, respect_colors: bool
 ) -> Perm | None:
@@ -587,27 +573,22 @@ def are_isomorphic(
     root is complete.  The returned map is any isomorphism, not a canonical
     one.
 
-    The trace that refines that root is a graph invariant.  Each graph
-    keeps a hash of it per mode, computed at its first call, and two graphs
-    whose hashes differ are not isomorphic: refining the second side
-    against the first side's trace would stop at the first pass that
-    differs.  Equal hashes only let the search run, so a collision costs
-    time and cannot change an answer.  Keeping the hash relies on the
-    graph's matrices being read-only.
+    The trace that refines that root is a graph invariant, so two graphs
+    whose root traces differ, compared as bytes, are not isomorphic, and
+    otherwise the search runs below the two roots.  Each graph's root is
+    kept (_graph_root), shared with uncolored_aut_group in the uncolored
+    mode.  A matrix that the translations do not preserve raises
+    ValueError, as in the automorphism searches.
     """
     if g1.n != g2.n:
         raise ValueError("vertex counts differ")
     if g1.digraph_mode != g2.digraph_mode:
         raise ValueError("mixed graph and digraph modes")
-    if _graph_root_digest(g1, respect_colors) != _graph_root_digest(
-        g2, respect_colors
-    ):
+    s1, root1 = _graph_root(g1, respect_colors, respect_colors)
+    s2, root2 = _graph_root(g2, respect_colors, respect_colors)
+    if s1.k != s2.k or root1[2] != root2[2]:
         return None
-    if respect_colors:
-        m1, m2, mode = g1.color_matrix, g2.color_matrix, "bijection"
-    else:
-        m1, m2, mode = g1.uncolored_matrix, g2.uncolored_matrix, "exact"
-    return _isomorphism(m1, m2, mode, _top_root(g1.n))
+    return _search_pair(_FirstPath(s1, root1), s2, 0, root2[0], root2[1])
 
 
 def pair_orbit_matrix(group: PermGroup) -> np.ndarray:

@@ -88,6 +88,23 @@ def test_dihedral_and_symmetric():
     assert sorted(s3.element_orders) == [1, 2, 2, 2, 3, 3]
 
 
+# The groups of the sweep and verdict-stream benchmarks, and the largest
+# admitted cycle.
+ORDER_GROUPS = (
+    "f21", "z3xs3", "z2xq8", "d8", "z3xz9",
+    "d16", "q8xz2^2", "z2xz16", "z35", "d25", "d27", "z7xz9", "z3xf21", "z5xf21",
+    "z2048",
+)
+
+
+def test_element_orders_match_order_of():
+    for group in [group_from_name(name) for name in ORDER_GROUPS] + [_renumbered_f21()]:
+        assert group.element_orders == tuple(map(group.order_of, range(group.order)))
+    # Every row refers to one int object per element.
+    z2048 = group_from_name("z2048")
+    assert len({id(x) for row in z2048.mult[:64] for x in row}) == 2048
+
+
 def test_conjugate_convention():
     d4 = make_dihedral(4)
     r = next(g for g in range(8) if d4.order_of(g) == 4)

@@ -390,7 +390,7 @@ def test_are_isomorphic_negative():
     assert not are_isomorphic(g1, g2, respect_colors=True)
 
 
-def _renumbered(group, seed):
+def _shuffled(group, seed):
     """The same group with its elements renumbered at random."""
     new = np.random.default_rng(seed).permutation(group.order)
     old = np.argsort(new)
@@ -423,32 +423,40 @@ def _carried(graph, copy):
     return build_cayley(copy, members, digraph_mode=graph.digraph_mode)
 
 
-def _equal_digests(monkeypatch):
-    """Give every graph built from now on the same root digest, so that the
-    exact search decides every pair that are_isomorphic is asked."""
-    monkeypatch.setattr(search, "_root_digest", lambda matrix, relabel: 0)
+def _unrefined_roots(monkeypatch):
+    """Start every graph's searches at the unrefined root {0}, {1..n-1}
+    with an empty trace, so that no root trace tells a pair apart and the
+    search below the root decides every pair that are_isomorphic is asked."""
+
+    def graph_root(graph, colored, relabel):
+        matrix = graph.color_matrix if colored else graph.uncolored_matrix
+        struct = search._Struct(matrix, relabel, graph.group)
+        colors = np.zeros(struct.k, np.intp) if relabel else None
+        return struct, (search._top_root(graph.n), colors, [])
+
+    monkeypatch.setattr(search, "_graph_root", graph_root)
 
 
 @pytest.mark.parametrize(
-    "respect_colors, equal_digests",
+    "respect_colors, unrefined_roots",
     [(False, False), (True, False), (False, True), (True, True)],
-    ids=["False", "True", "False-equal-digests", "True-equal-digests"],
+    ids=["False", "True", "False-unrefined-roots", "True-unrefined-roots"],
 )
 def test_one_top_branch_matches_full_search_on_f21(
-    respect_colors, equal_digests, monkeypatch
+    respect_colors, unrefined_roots, monkeypatch
 ):
     # Every pair of equal valency among the connected orbit representatives,
     # which are 51 classes, colored or not.  The second graph is carried to
     # a renumbered copy of F21, so that the maps found are not the identity.
-    if equal_digests:
-        _equal_digests(monkeypatch)
+    if unrefined_roots:
+        _unrefined_roots(monkeypatch)
     f21 = group_from_name("f21")
     pairs = inverse_pairs(f21)
     reps = [
         build_cayley(f21, mask_to_connection_set(f21, pairs, mask))
         for mask, _ in connection_set_orbits(f21, connected_only=True)
     ]
-    copy = _renumbered(f21, seed=21)
+    copy = _shuffled(f21, seed=21)
     others = [_carried(graph, copy) for graph in reps]
     for i, a in enumerate(reps):
         for j, b in enumerate(others):
@@ -463,7 +471,7 @@ def test_complete_graphs_of_order_21_colored():
     # VM; a search that meets the color map only at the leaves runs for
     # minutes.
     f21, z21 = group_from_name("f21"), group_from_name("z21")
-    copy = _renumbered(f21, seed=21)
+    copy = _shuffled(f21, seed=21)
     kf, kc, kz = (
         build_cayley(g, [x for x in range(21) if x != g.identity])
         for g in (f21, copy, z21)
@@ -480,7 +488,7 @@ def test_complete_graphs_of_order_21_colored():
 def test_one_top_branch_matches_full_search_on_digraphs(name):
     rng = np.random.default_rng(9)
     group = group_from_name(name)
-    copy = _renumbered(group, seed=3)
+    copy = _shuffled(group, seed=3)
     others = np.arange(1, group.order)  # every constructor puts e at 0
     answers = []
     for k in range(24):
@@ -517,40 +525,43 @@ def test_shrikhande_and_rook_graph_are_told_apart_below_the_top_branch(monkeypat
     rook = build_cayley(z4z4, {4, 12, 8, 1, 3, 2})
     s1 = search._Struct(shrikhande.uncolored_matrix, False)
     s2 = search._Struct(rook.uncolored_matrix, False)
-    root, top = np.zeros(16, dtype=np.intp), search._top_root(16)
+    root = np.zeros(16, dtype=np.intp)
     _, _, trace = search._refine(s1, root)
     assert search._refine(s2, root, None, trace) is not None
-    ids, _, trace = search._refine(s1, top)
+    (_, (ids, _, trace)), (_, (_, _, other)) = (
+        search._graph_root(g, False, False) for g in (shrikhande, rook)
+    )
     assert ids[0] == 0 and sorted(np.bincount(ids).tolist()) == [1, 6, 9]
-    assert search._refine(s2, top, None, trace) is not None
+    assert trace == other
     for respect_colors in (False, True):
         assert not _same_answer_as_full_search(shrikhande, rook, respect_colors)
-    # Again on new graph objects, all with one root digest: the exact
-    # search decides the pair.
-    _equal_digests(monkeypatch)
-    shrikhande, rook = (build_cayley(z4z4, g.connection) for g in (shrikhande, rook))
+    # Again from unrefined roots: the search below the root decides the pair.
+    _unrefined_roots(monkeypatch)
     for respect_colors in (False, True):
         assert not _same_answer_as_full_search(shrikhande, rook, respect_colors)
 
 
-def test_root_digests_are_kept_per_mode():
+def test_roots_are_kept_per_mode():
     # Uncolored, the complete graphs on Z4 and Z2 x Z2 are both K4; colored,
-    # they have 2 and 3 colors, and their root digests differ.  The same two
+    # they have 2 and 3 colors, and their root traces differ.  The same two
     # graph objects are compared in both modes and both argument orders,
-    # once with each mode asked first, so a digest kept for one mode must
+    # once with each mode asked first, so a root kept for one mode must
     # not answer for the other.
     for first in (True, False):
         k4, kv = (build_cayley(group_from_name(g), {1, 2, 3}) for g in ("z4", "z2^2"))
-        assert search._root_digest(k4.color_matrix, True) != search._root_digest(
-            kv.color_matrix, True
-        )
         for respect_colors in (first, not first):
             for a, b in ((k4, kv), (kv, k4)):
                 assert _same_answer_as_full_search(a, b, respect_colors) != respect_colors
+        for graph in (k4, kv):
+            assert sorted(search._ROOTS[graph]) == [(False, False), (True, True)]
+        colored, uncolored = (
+            [search._graph_root(g, mode, mode)[1][2] for g in (k4, kv)] for mode in (True, False)
+        )
+        assert colored[0] != colored[1] and uncolored[0] == uncolored[1]
 
 
-def test_root_digest_is_not_kept_for_a_writable_matrix():
-    # A graph whose color matrix can still change keeps no digest: once the
+def test_root_is_not_kept_for_a_writable_matrix():
+    # A graph whose color matrix can still change keeps no root: once the
     # matrix is edited, the answer follows the new matrix.
     z4 = make_cyclic(4)
     cycle, k4 = build_cayley(z4, {1, 3}), build_cayley(z4, {1, 2, 3})
@@ -559,6 +570,47 @@ def test_root_digest_is_not_kept_for_a_writable_matrix():
     assert are_isomorphic(edited, k4, respect_colors=True) is not None
     m[:] = cycle.color_matrix
     assert are_isomorphic(edited, cycle, respect_colors=True) is not None
+    assert edited not in search._ROOTS and cycle in search._ROOTS
+
+
+def test_are_isomorphic_refuses_a_matrix_the_translations_do_not_preserve():
+    # The paths 0-1-2 and 1-0-2 on the vertices of Z3 are isomorphic, but
+    # no translation preserves either, so no isomorphism need fix vertex 0:
+    # are_isomorphic refuses them, as the automorphism searches do, and
+    # only the search over every root image finds the map.
+    z3 = make_cyclic(3)
+    connection = build_cayley(z3, {1, 2}).connection
+    paths = [_graph_matrix(3, edges) for edges in ([(0, 1), (1, 2)], [(1, 0), (0, 2)])]
+    assert matrix_isomorphism(*paths) == (1, 0, 2)
+    g1, g2 = (ColoredCayleyGraph(z3, connection, False, m) for m in paths)
+    refused = "not invariant under the left translations"
+    for respect_colors in (False, True):
+        with pytest.raises(ValueError, match=refused):
+            are_isomorphic(g1, g2, respect_colors)
+    with pytest.raises(ValueError, match=refused):
+        uncolored_aut_group(g1)
+
+
+def test_are_isomorphic_and_the_aut_group_refine_each_root_once(monkeypatch):
+    # are_isomorphic refines the root of each graph, and the automorphism
+    # search of either graph starts from the same kept root: counted like
+    # the first path below, no root is refined twice.
+    f21 = group_from_name("f21")
+    graph = build_cayley(f21, mask_to_connection_set(f21, inverse_pairs(f21), 877))
+    other = _carried(graph, _shuffled(f21, seed=21))
+    refine = search._refine
+    roots = []
+
+    def counting(struct, ids, colors=None, expect=None):
+        if expect is None and np.array_equal(ids, search._top_root(len(ids))):
+            roots.append(struct)
+        return refine(struct, ids, colors, expect)
+
+    monkeypatch.setattr(search, "_refine", counting)
+    assert are_isomorphic(graph, other, respect_colors=False) is not None
+    assert len(roots) == 2
+    assert uncolored_aut_group(graph).order() == uncolored_aut_group(other).order()
+    assert len(roots) == 2
 
 
 def test_aut_group_refines_the_first_path_once(monkeypatch):
@@ -875,9 +927,10 @@ def test_a_hash_with_two_values_keeps_the_f21_census(monkeypatch):
 
 
 @pytest.mark.parametrize("digraph_mode", [False, True], ids=["graph", "digraph"])
-def test_root_digests_survive_vertex_relabelling(digraph_mode):
+def test_root_traces_survive_vertex_relabelling(digraph_mode):
     # A Cayley graph is vertex-transitive, so the trace below {0}, {1..n-1}
-    # does not depend on which vertex is called 0.
+    # does not depend on which vertex is called 0; the kept root, read off
+    # the group table, has the trace of the scanned matrix.
     rng = np.random.default_rng(23)
     for name in ("f21", "z3xs3", "q8", "z2xz4"):
         group = group_from_name(name)
@@ -887,12 +940,15 @@ def test_root_digests_survive_vertex_relabelling(digraph_mode):
             members = [x for i in chosen for x in pairs[i]]
             if digraph_mode:
                 members = members[::2]
-            m = build_cayley(group, members, digraph_mode=digraph_mode).color_matrix
+            graph = build_cayley(group, members, digraph_mode=digraph_mode)
+            top = search._top_root(graph.n)
             for relabel in (False, True):
-                for matrix in (m, (m != 0).astype(np.int64)):
-                    digest = search._root_digest(matrix, relabel)
-                    other = _relabeled(rng, matrix, recolor=relabel)
-                    assert search._root_digest(other, relabel) == digest, (name, members)
+                for colored in (True, False):
+                    kept = search._graph_root(graph, colored, relabel)[1][2]
+                    matrix = graph.color_matrix if colored else graph.uncolored_matrix
+                    for x in (matrix, _relabeled(rng, matrix, recolor=relabel)):
+                        trace = search._refine_start(search._Struct(x, relabel), top)[2]
+                        assert trace == kept, (name, members)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
