@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import gcd
 from typing import NamedTuple
 
 from .cayley import (
@@ -45,9 +44,7 @@ from .perms import (
 from .search import (
     are_isomorphic,
     color_bijection_between,
-    color_preserving_group,
     preserves_matrix,
-    uncolored_aut_group,
 )
 
 __all__ = [
@@ -57,10 +54,7 @@ __all__ = [
     "DecompositionResult",
     "cartesian_decompose",
     "product_structure_verdict",
-    "aut_product_check",
 ]
-
-_AUT_PRODUCT_MAX = 126
 
 
 def _stabilizer_classes(
@@ -340,45 +334,3 @@ def _factor_product(graph: ColoredCayleyGraph) -> _Split | None:
             return split
     return None
 
-
-def _embed_product_perm(
-    p: Perm, n1: int, n2: int, left: bool
-) -> Perm:
-    if left:
-        return tuple(p[u] * n2 + v for u in range(n1) for v in range(n2))
-    return tuple(u * n2 + p[v] for u in range(n1) for v in range(n2))
-
-
-def aut_product_check(
-    g1: ColoredCayleyGraph, g2: ColoredCayleyGraph
-) -> bool:
-    """Whether automorphisms of the product factor through the parts.
-
-    Checks, for coprime vertex counts, that the product's automorphism
-    group has order |Aut1|·|Aut2| and contains both embedded factor
-    groups, and the same for the color-preserving groups.
-    """
-    n1, n2 = g1.n, g2.n
-    if n1 * n2 > _AUT_PRODUCT_MAX:
-        raise ValueError(f"product size capped at {_AUT_PRODUCT_MAX}")
-    if gcd(n1, n2) != 1:
-        raise ValueError("factor orders must be coprime")
-    product = cartesian_product(g1, g2)
-    for colored in (False, True):
-        if colored:
-            whole = color_preserving_group(product)
-            part1 = color_preserving_group(g1)
-            part2 = color_preserving_group(g2)
-        else:
-            whole = uncolored_aut_group(product)
-            part1 = uncolored_aut_group(g1)
-            part2 = uncolored_aut_group(g2)
-        if whole.order() != part1.order() * part2.order():
-            return False
-        for p in part1.generators:
-            if not whole.contains(_embed_product_perm(p, n1, n2, left=True)):
-                return False
-        for p in part2.generators:
-            if not whole.contains(_embed_product_perm(p, n1, n2, left=False)):
-                return False
-    return True

@@ -40,12 +40,10 @@ __all__ = [
     "is_connected",
     "quotient_graph",
     "cartesian_product",
-    "enumerate_connection_sets",
     "connection_set_orbits",
     "count_orbits_burnside",
     "f21_noncca_connection_set",
     "f21_noncca_graph",
-    "graph_to_json",
 ]
 
 _MAX_PAIRS_FOR_ENUMERATION = 24
@@ -114,10 +112,6 @@ class ColoredCayleyGraph:
         m = (self.color_matrix != 0).astype(np.int64)
         m.setflags(write=False)
         return m
-
-    def edge_count(self) -> int:
-        arcs = int(np.count_nonzero(self.color_matrix))
-        return arcs if self.digraph_mode else arcs // 2
 
     def __repr__(self) -> str:
         kind = "digraph" if self.digraph_mode else "graph"
@@ -374,17 +368,6 @@ def _mask_generates(
     return len(subgroup_generated(group, gens)) == group.order
 
 
-def enumerate_connection_sets(
-    group: GroupTable, connected_only: bool = False
-) -> Iterator[ConnectionSet]:
-    """Yield nonempty inverse-closed connection sets as mask order ascends."""
-    pairs = _enumerable_pairs(group)
-    for mask in range(1, 1 << len(pairs)):
-        if connected_only and not _mask_generates(group, pairs, mask):
-            continue
-        yield mask_to_connection_set(group, pairs, mask)
-
-
 def _cycle_masks(perm: Sequence[int]) -> list[int]:
     """The cycles of a permutation of pair indices, each as a mask."""
     seen = 0
@@ -451,16 +434,3 @@ def f21_noncca_graph() -> ColoredCayleyGraph:
     group = make_f21()
     return build_cayley(group, f21_noncca_connection_set(group))
 
-
-def graph_to_json(graph: ColoredCayleyGraph) -> dict:
-    m = graph.color_matrix
-    us, vs = np.nonzero(m)
-    return {
-        "group": graph.group.name,
-        "order": graph.n,
-        "digraph": graph.digraph_mode,
-        "connection_set": list(graph.connection.sorted_members()),
-        "connection_labels": list(graph.connection.labels()),
-        # Row-major order is sorted by (u, v), and each arc has one color.
-        "edges": list(zip(us.tolist(), vs.tolist(), (m[us, vs] - 1).tolist())),
-    }

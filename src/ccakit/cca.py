@@ -71,9 +71,6 @@ __all__ = [
     "is_hamiltonian_2group",
     "complete_connection_set",
     "complete_graph",
-    "InversionReport",
-    "inversion_conjugation_report",
-    "affine_elements",
 ]
 
 
@@ -90,11 +87,6 @@ def is_affine(perm: Sequence[int], group: GroupTable) -> bool:
     k_inv = group.inv[int(alpha[group.identity])]
     beta = m[k_inv, alpha]
     return bool(np.array_equal(beta[m], m[beta[:, np.newaxis], beta[np.newaxis, :]]))
-
-
-def affine_elements(perm_group: PermGroup, group: GroupTable) -> list[Perm]:
-    """The affine members of a permutation group on the group's elements."""
-    return [g for g in perm_group.elements() if is_affine(g, group)]
 
 
 @dataclass(frozen=True)
@@ -217,79 +209,3 @@ def complete_graph(group: GroupTable) -> ColoredCayleyGraph:
     """The complete Cayley graph: every non-identity element connects."""
     return build_cayley(group, complete_connection_set(group))
 
-
-@dataclass(frozen=True)
-class InversionReport:
-    """Conjugation constraints satisfied by a color-preserving map of the
-    complete Cayley graph that fixes the identity.
-
-    Such a map sends every element to itself or its inverse.  For every
-    properly inverted x and every fixed g of order above 2, conjugation by
-    x must invert g; and unless the map inverts everything, every properly
-    inverted x has order 4.
-    """
-
-    fixed: tuple[int, ...]
-    inverted: tuple[int, ...]
-    global_inversion: bool
-    pairs_checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "fixed": list(self.fixed),
-            "inverted": list(self.inverted),
-            "global_inversion": self.global_inversion,
-            "pairs_checked": self.pairs_checked,
-            "violations": list(self.violations),
-        }
-
-
-def inversion_conjugation_report(
-    group: GroupTable, phi: Sequence[int]
-) -> InversionReport:
-    graph = complete_graph(group)
-    perm = tuple(phi)
-    if len(perm) != group.order:
-        raise ValueError("degree does not match the group order")
-    if perm[group.identity] != group.identity:
-        raise ValueError("map must fix the identity")
-    if not preserves_matrix(graph.color_matrix, perm):
-        raise ValueError("map must preserve every color class")
-    inv = group.inv
-    for g in range(group.order):
-        if perm[g] not in (g, inv[g]):
-            raise AssertionError("color-preserving identity-fixing map moved "
-                                 "an element outside its inverse pair")
-    fixed = tuple(g for g in range(group.order) if perm[g] == g)
-    inverted = tuple(
-        x for x in range(group.order) if perm[x] == inv[x] and inv[x] != x
-    )
-    global_inversion = all(perm[g] == inv[g] for g in range(group.order))
-    violations: list[str] = []
-    checked = 0
-    fixed_big = [g for g in fixed if group.order_of(g) > 2]
-    for x in inverted:
-        for g in fixed_big:
-            checked += 1
-            if group.conjugate(x, g) != inv[g]:
-                violations.append(
-                    f"conjugating {group.label_of(g)} by {group.label_of(x)} "
-                    f"does not invert it"
-                )
-            if not global_inversion and group.order_of(x) != 4:
-                violations.append(
-                    f"{group.label_of(x)} is inverted but has order "
-                    f"{group.order_of(x)}, not 4"
-                )
-    return InversionReport(
-        fixed=fixed,
-        inverted=inverted,
-        global_inversion=global_inversion,
-        pairs_checked=checked,
-        violations=tuple(violations),
-    )

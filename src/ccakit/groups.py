@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, wraps
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd
 from typing import Callable, Iterable, Sequence, TypeVar
 from weakref import WeakKeyDictionary
 
@@ -36,24 +36,20 @@ __all__ = [
     "subgroup_generated",
     "is_subgroup",
     "is_normal",
-    "center",
     "left_cosets",
     "quotient",
     "subgroup_table",
-    "all_subgroups",
     "minimal_generating_set",
     "group_automorphisms",
     "left_translation",
     "left_regular_group",
     "parse_elements",
     "group_from_name",
-    "group_to_json",
-    "group_from_json",
 ]
 
 
 MAX_GROUP_ORDER = 2048
-"""The largest order group_from_name and group_from_json build.
+"""The largest order group_from_name builds.
 
 A table holds its order**2 entries twice, as tuples of Python ints that
 share one int object per element and as an int64 array, 32 MB each at
@@ -177,24 +173,24 @@ class GroupTable:
             k >>= 1
         return result
 
-    def order_of(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        """order_of of every element, stepping all powers a^k at once."""
-        span = np.arange(self.order)
-        orders = np.zeros(self.order, dtype=np.intp)
-        power, k = span, 1
-        while True:
-            orders[(power == self.identity) & (orders == 0)] = k
-            if orders.all():
-                return tuple(orders.tolist())
-            power, k = self.mult_array[power, span], k + 1
+        """The order of every element, from one walk of <a> for each element
+        a whose order is still unknown: if <a> has m elements, a^j has order
+        m / gcd(j, m)."""
+        mult, e = self.mult, self.identity
+        orders = [0] * self.order
+        for a in range(self.order):
+            if orders[a]:
+                continue
+            powers, x = [e], a
+            while x != e:
+                powers.append(x)
+                x = mult[x][a]
+            m = len(powers)
+            for j, p in enumerate(powers):
+                orders[p] = m // gcd(j, m)
+        return tuple(orders)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -367,11 +363,6 @@ def is_normal(group: GroupTable, members: Iterable[int]) -> bool:
     )
 
 
-def center(group: GroupTable) -> frozenset[int]:
-    m = group.mult_array
-    return frozenset(np.flatnonzero((m == m.T).all(axis=1)).tolist())
-
-
 def left_cosets(group: GroupTable, members: Iterable[int]) -> BlockSystem:
     """The left cosets gH of a subgroup H, numbered by their least element,
     ascending.  Raises ValueError when they do not partition G."""
@@ -414,27 +405,6 @@ def subgroup_table(group: GroupTable, members: Iterable[int]) -> tuple[GroupTabl
     labels = [group.labels[g] for g in elems]
     table = GroupTable.from_mult(mult, labels, name=f"{group.name}_sub{len(elems)}")
     return table, elems
-
-
-def all_subgroups(group: GroupTable) -> list[frozenset[int]]:
-    """Every subgroup, by closing the cyclic subgroups under pairwise joins:
-    the tests' oracle for the subgroup lattice."""
-    if group.order > 64:
-        raise ValueError("subgroup enumeration capped at order 64")
-    subs: set[frozenset[int]] = {frozenset({group.identity})}
-    for g in range(group.order):
-        subs.add(subgroup_generated(group, [g]))
-    frontier = list(subs)
-    while frontier:
-        new: list[frozenset[int]] = []
-        for a in frontier:
-            for b in list(subs):
-                j = subgroup_generated(group, a | b)
-                if j not in subs:
-                    subs.add(j)
-                    new.append(j)
-        frontier = new
-    return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -708,38 +678,3 @@ def _group_from_text(text: str) -> GroupTable:
         out = direct_product(out, t)
     return out
 
-
-# -- serialization --------------------------------------------------------------
-
-
-def group_to_json(group: GroupTable) -> dict:
-    return {
-        "order": group.order,
-        "mult": [x for row in group.mult for x in row],
-        "labels": list(group.labels),
-        "name": group.name,
-    }
-
-
-def group_from_json(data: dict) -> GroupTable:
-    if not isinstance(data, dict):
-        raise ValueError("a group must be a JSON object")
-    n, flat = data.get("order"), data.get("mult")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"group order must be an integer of at least 1, not {n!r}")
-    if n > MAX_GROUP_ORDER:
-        raise ValueError(f"group order {n} is larger than {MAX_GROUP_ORDER}")
-    if not isinstance(flat, list):
-        raise ValueError("mult must be a flat list")
-    if len(flat) != n * n:
-        raise ValueError("flat table has wrong length")
-    labels, name = data.get("labels"), data.get("name", "group")
-    if labels is not None and not isinstance(labels, list):
-        raise ValueError(f"labels must be a list, not {labels!r}")
-    if labels is not None and not all(isinstance(label, str) for label in labels):
-        raise ValueError(f"labels must be strings, not {labels!r}")
-    if not isinstance(name, str):
-        raise ValueError(f"name must be a string, not {name!r}")
-    # Rows as lists, so that from_mult refuses bool entries among the ints.
-    mult = [flat[i : i + n] for i in range(0, n * n, n)]
-    return GroupTable.from_mult(mult, labels, name=name)

@@ -52,24 +52,16 @@ __all__ = [
     "is_identity_perm",
     "PermGroup",
     "permgroup_from_elements",
-    "closure_of_perms",
     "orbit_of_point",
     "orbits_of_gens",
     "proved_orbits",
     "BlockSystem",
-    "singleton_partition",
-    "one_block_partition",
-    "join_block_systems",
     "minimal_block_system",
     "all_block_systems",
     "block_action",
     "fixer",
     "is_normal_subgroup",
     "point_stabilizer",
-    "perm_to_json",
-    "perm_from_json",
-    "permgroup_to_json",
-    "permgroup_from_json",
 ]
 
 
@@ -357,21 +349,6 @@ def permgroup_from_elements(degree: int, perms: Iterable[Sequence[int]]) -> Perm
     return group
 
 
-def closure_of_perms(degree: int, gens: Iterable[Sequence[int]]) -> set[Perm]:
-    """Brute-force closure of a generator list under composition."""
-    gens = [_as_perm(g, degree) for g in gens]
-    seen: set[Perm] = {identity_perm(degree)}
-    queue = deque(seen)
-    while queue:
-        p = queue.popleft()
-        for g in gens:
-            q = pmul(g, p)
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return seen
-
-
 def orbit_of_point(point: int, gens: Sequence[Perm]) -> tuple[int, ...]:
     seen = {point}
     queue = deque([point])
@@ -474,13 +451,6 @@ class BlockSystem:
                 block_of[p] = i
         return BlockSystem(degree, tuple(blks), tuple(block_of))
 
-    @staticmethod
-    def from_block_of(block_of: Sequence[int]) -> "BlockSystem":
-        groups: dict[int, list[int]] = {}
-        for p, b in enumerate(block_of):
-            groups.setdefault(b, []).append(p)
-        return BlockSystem.from_blocks(len(block_of), groups.values())
-
     @property
     def block_count(self) -> int:
         return len(self.blocks)
@@ -491,14 +461,6 @@ class BlockSystem:
 
     def is_trivial(self) -> bool:
         return self.block_size in (1, self.degree)
-
-
-def singleton_partition(degree: int) -> BlockSystem:
-    return BlockSystem.from_blocks(degree, [[p] for p in range(degree)])
-
-
-def one_block_partition(degree: int) -> BlockSystem:
-    return BlockSystem.from_blocks(degree, [list(range(degree))])
 
 
 class _UnionFind:
@@ -528,19 +490,6 @@ def _uf_blocks(uf: _UnionFind, degree: int) -> BlockSystem:
     for p in range(degree):
         groups.setdefault(uf.find(p), []).append(p)
     return BlockSystem.from_blocks(degree, groups.values())
-
-
-def join_block_systems(a: BlockSystem, b: BlockSystem) -> BlockSystem:
-    """Finest common coarsening of two partitions: the connected components
-    of a union b."""
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch")
-    uf = _UnionFind(a.degree)
-    for system in (a, b):
-        for blk in system.blocks:
-            for p in blk[1:]:
-                uf.union(blk[0], p)
-    return _uf_blocks(uf, a.degree)
 
 
 def minimal_block_system(group: PermGroup, seed: tuple[int, int]) -> BlockSystem:
@@ -796,39 +745,3 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     )
     return PermGroup._from_levels(group.degree, rebased._levels[1:])
 
-
-# -- serialization ------------------------------------------------------------
-
-
-def perm_to_json(p: Perm) -> list[int]:
-    return list(p)
-
-
-def perm_from_json(data: list[int]) -> Perm:
-    """A permutation from a list of ints, or from a NumPy integer array,
-    which reads as the list of its Python ints.  Any other value, and any
-    entry that is not an int (a bool or a float), raises ValueError."""
-    entries = data.tolist() if hasattr(data, "tolist") else data
-    if not isinstance(entries, list) or any(type(x) is not int for x in entries):
-        raise ValueError(f"not a permutation: a list of integers is needed, not {data!r}")
-    return _as_perm(entries, len(entries))
-
-
-def permgroup_to_json(group: PermGroup) -> dict:
-    return {
-        "degree": group.degree,
-        "generators": [list(g) for g in group.generators],
-    }
-
-
-def permgroup_from_json(data: dict) -> PermGroup:
-    if not isinstance(data, dict):
-        raise ValueError("a permutation group must be a JSON object")
-    degree, gens = data.get("degree"), data.get("generators")
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
-        raise ValueError(f"degree must be an integer of at least 0, not {degree!r}")
-    if not isinstance(gens, list) or any(
-        not isinstance(g, list) or any(type(x) is not int for x in g) for g in gens
-    ):
-        raise ValueError("generators must be a list of integer lists")
-    return PermGroup(degree, [tuple(g) for g in gens])

@@ -8,7 +8,6 @@ from ccakit.cartesian import (
     _factor_product,
     _split_product,
     _stabilizer_classes,
-    aut_product_check,
     cartesian_decompose,
     product_structure_verdict,
     stabilizer_classes,
@@ -36,9 +35,9 @@ from ccakit.perms import (
     all_block_systems,
     fixer,
     point_stabilizer,
-    singleton_partition,
 )
 from ccakit.search import are_isomorphic, color_preserving_group
+from oracles import singleton_partition
 
 
 def cycle_graph(n):
@@ -316,13 +315,3 @@ def test_factor_product_needs_the_order_21_instance():
     assert _split_product(graph, subgroup_generated(group, parse_elements(group, "(e,a),(e,x)")))
     assert _factor_product(graph) is None
 
-
-def test_aut_product_check_coprime_cycles():
-    assert aut_product_check(cycle_graph(3), cycle_graph(5))
-
-
-def test_aut_product_check_validation():
-    with pytest.raises(ValueError):
-        aut_product_check(cycle_graph(3), cycle_graph(3))  # not coprime
-    with pytest.raises(ValueError):
-        aut_product_check(cycle_graph(7), f21_noncca_graph())  # over the cap

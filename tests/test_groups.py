@@ -16,13 +16,9 @@ from ccakit.groups import (
     _group_from_text,
     _is_associative,
     _left_regular_systems,
-    all_subgroups,
-    center,
     direct_product,
     group_automorphisms,
-    group_from_json,
     group_from_name,
-    group_to_json,
     is_normal,
     is_subgroup,
     left_cosets,
@@ -44,6 +40,7 @@ from ccakit.cca import cca_verdict
 from ccakit.harness import DEFAULT_ROSTER
 from ccakit.perms import PermGroup
 from ccakit.suites import groups_up_to_order_8
+from oracles import all_subgroups, order_of
 
 
 def test_cyclic_arithmetic():
@@ -52,7 +49,7 @@ def test_cyclic_arithmetic():
     assert z6.mul(4, 5) == 3
     assert z6.inverse(2) == 4
     assert z6.power(2, 5) == 4
-    assert z6.order_of(2) == 3
+    assert order_of(z6, 2) == 3
     assert z6.is_abelian
 
 
@@ -61,8 +58,8 @@ def test_f21_relations():
     assert g.order == 21
     a = g.index_of("a")
     x = g.index_of("x")
-    assert g.order_of(a) == 3
-    assert g.order_of(x) == 7
+    assert order_of(g, a) == 3
+    assert order_of(g, x) == 7
     # conjugation by a squares x
     assert g.mul(g.inverse(a), g.mul(x, a)) == g.power(x, 2)
     assert sorted(g.element_orders) == [1] + [3] * 14 + [7] * 6
@@ -73,7 +70,6 @@ def test_q8_structure():
     q8 = make_q8()
     assert q8.order == 8
     assert sorted(q8.element_orders) == [1, 2, 4, 4, 4, 4, 4, 4]
-    assert len(center(q8)) == 2
     i = q8.index_of("i")
     j = q8.index_of("j")
     assert q8.mul(i, i) == q8.index_of("-1")
@@ -99,7 +95,7 @@ ORDER_GROUPS = (
 
 def test_element_orders_match_order_of():
     for group in [group_from_name(name) for name in ORDER_GROUPS] + [_renumbered_f21()]:
-        assert group.element_orders == tuple(map(group.order_of, range(group.order)))
+        assert group.element_orders == tuple(order_of(group, a) for a in range(group.order))
     # Every row refers to one int object per element.
     z2048 = group_from_name("z2048")
     assert len({id(x) for row in z2048.mult[:64] for x in row}) == 2048
@@ -107,8 +103,8 @@ def test_element_orders_match_order_of():
 
 def test_conjugate_convention():
     d4 = make_dihedral(4)
-    r = next(g for g in range(8) if d4.order_of(g) == 4)
-    s = next(g for g in range(8) if d4.order_of(g) == 2 and g != d4.power(r, 2))
+    r = next(g for g in range(8) if order_of(d4, g) == 4)
+    s = next(g for g in range(8) if order_of(d4, g) == 2 and g != d4.power(r, 2))
     # conjugate(g, x) is g^-1 x g
     assert d4.conjugate(s, r) == d4.inverse(r)
 
@@ -119,7 +115,7 @@ def test_direct_product():
     assert p.is_abelian
     assert p.labels[0] == "(e,e)"
     g = p.index_of("(1,1)")
-    assert p.order_of(g) == 6
+    assert order_of(p, g) == 6
 
 
 @pytest.mark.parametrize("pair", [("q8", "f21"), ("z1", "z3"), ("s3", "z2")])
@@ -237,7 +233,7 @@ def test_subgroup_table():
     sub, elems = subgroup_table(g, members)
     assert sub.order == 7
     assert sorted(elems) == sorted(members)
-    assert any(sub.order_of(s) == 7 for s in range(7))
+    assert any(order_of(sub, s) == 7 for s in range(7))
 
 
 def test_subgroup_generated_matches_a_naive_fixpoint():
@@ -337,7 +333,7 @@ def test_automorphism_group_orders():
 def test_automorphism_chain_is_checked_against_the_proved_orbits(monkeypatch):
     # A chain built from too few generators disagrees with the orbit
     # lengths the backtrack proved, and the shared check must say so.
-    q8 = group_from_json(group_to_json(make_q8()))  # a table with nothing kept
+    q8 = make_q8()  # a new table, with nothing kept
     monkeypatch.setattr(groups, "PermGroup", lambda n, gens: PermGroup(n, gens[:1]))
     with pytest.raises(AssertionError, match="orbit lengths"):
         group_automorphisms(q8)
@@ -373,10 +369,10 @@ def test_center_and_commutativity_match_their_definition(group):
         (a, b) for a in range(group.order) for b in range(group.order)
         if group.mult[a][b] == group.mult[b][a]
     }
-    assert center(group) == {
+    center = {
         z for z in range(group.order) if all((z, g) in commutes for g in range(group.order))
     }
-    assert group.is_abelian == (len(commutes) == group.order**2)
+    assert group.is_abelian == (len(center) == group.order) == (len(commutes) == group.order**2)
 
 
 def test_left_regular_group():
@@ -525,44 +521,10 @@ def test_group_from_name_refuses_up_front(name, message):
     assert time.perf_counter() - start < 1.0
 
 
-def test_group_from_json_refuses_up_front():
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="larger than 2048"):
-        group_from_json({"order": 1_000_000, "mult": []})
-    assert time.perf_counter() - start < 1.0
-    with pytest.raises(ValueError, match="JSON object"):
-        group_from_json([2, [0, 1, 1, 0]])
-
-
-@pytest.mark.parametrize(
-    "extra, message",
-    [
-        ({"labels": 5}, "labels must be a list"),
-        ({"labels": "ab"}, "labels must be a list"),
-        ({"labels": {"0": "e"}}, "labels must be a list"),
-        ({"name": 5}, "name must be a string"),
-        ({"name": None}, "name must be a string"),
-        ({"labels": [None, [1]]}, "labels must be strings"),
-        ({"labels": ["e", 1]}, "labels must be strings"),
-    ],
-)
-def test_group_from_json_checks_labels_and_name(extra, message):
-    with pytest.raises(ValueError, match=message):
-        group_from_json({"order": 2, "mult": [0, 1, 1, 0], **extra})
-
-
-def test_group_from_json_labels_and_name_may_be_absent_or_null():
-    g = group_from_json({"order": 2, "mult": [0, 1, 1, 0], "labels": None})
-    assert (g.labels, g.name) == (("g0", "g1"), "group")
-    g = group_from_json({"order": 2, "mult": [0, 1, 1, 0], "labels": ["e", "t"], "name": "C2"})
-    assert (g.labels, g.name) == (("e", "t"), "C2")
-
-
 def test_groups_at_the_order_cap_build():
     assert MAX_GROUP_ORDER == 2048
     a = np.arange(MAX_GROUP_ORDER)
-    flat = ((a[:, None] + a) % MAX_GROUP_ORDER).ravel().tolist()
-    assert group_from_json({"order": MAX_GROUP_ORDER, "mult": flat}).order == 2048
+    assert GroupTable.from_mult((a[:, None] + a) % MAX_GROUP_ORDER).order == 2048
     try:
         assert group_from_name("z2048").order == 2048
     finally:
@@ -573,14 +535,6 @@ def test_hamiltonian_2group_builder():
     g = group_from_name("q8xz2^2")
     assert g.order == 32
     assert not g.is_abelian
-
-
-def test_group_json_roundtrip():
-    g = make_q8()
-    h = group_from_json(group_to_json(g))
-    assert h.order == 8
-    assert h.mult == g.mult
-    assert h.labels == g.labels
 
 
 def _swap_intercalate(n, rows, cols):
@@ -651,26 +605,15 @@ def test_from_mult_refuses_non_associative_loops(table):
         ([[[0], [1]], [[1], [0]]], "entries must be integers"),
         # numpy stores these as int64 arrays; the bools must still be seen.
         ([[0, True], [True, 0]], "entries must be integers"),
-        ({"order": 2, "mult": [0, True, True, 0]}, "entries must be integers"),
-        # The JSON reader checks its fields before it builds anything.
-        ({"order": 1.5, "mult": [0]}, "order must be an integer"),
-        ({"order": True, "mult": [0]}, "order must be an integer"),
-        ({"order": 0, "mult": []}, "at least 1"),
-        ({"order": 2, "mult": 5}, "mult must be a flat list"),
-        ({"mult": [0]}, "order must be an integer of at least 1, not None"),
-        ({"order": 1}, "mult must be a flat list"),
     ],
     ids=[
         "row", "column", "identity", "inverse", "short-row", "bad-then-short",
-        "long-row", "nested", "int-and-bool", "json-int-and-bool",
-        "json-float-order", "json-bool-order", "json-zero-order", "json-scalar-mult",
-        "json-missing-order", "json-missing-mult",
+        "long-row", "nested", "int-and-bool",
     ],
 )
 def test_from_mult_refusals(table, message):
-    build = group_from_json if isinstance(table, dict) else GroupTable.from_mult
     with pytest.raises(ValueError, match=message):
-        build(table)
+        GroupTable.from_mult(table)
 
 
 @pytest.mark.parametrize(
@@ -681,8 +624,6 @@ def test_from_mult_refusals(table, message):
 def test_non_integer_entries_are_refused(flat):
     with pytest.raises(ValueError, match="table entries must be integers"):
         GroupTable.from_mult([flat[:2], flat[2:]])
-    with pytest.raises(ValueError, match="table entries must be integers"):
-        group_from_json({"order": 2, "mult": flat})
 
 
 @pytest.mark.parametrize(

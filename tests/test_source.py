@@ -43,6 +43,54 @@ def test_unused_import_check_flags_an_unused_name():
     assert _unused_imports(tree) == ["os", "Iterable"]
 
 
+def _unreached_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """The top-level functions and classes, as module.name, that no other
+    top-level statement of the modules names by an ast.Name or an
+    ast.Attribute."""
+    tops = [(module, node) for module, tree in trees.items() for node in tree.body]
+    named_by: dict[str, set[int]] = {}  # name -> the statements that name it
+    for _, node in tops:
+        for n in ast.walk(node):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                named_by.setdefault(getattr(n, "id", None) or n.attr, set()).add(id(node))
+    return sorted(
+        f"{module}.{node.name}"
+        for module, node in tops
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not named_by.get(node.name, set()) - {id(node)}
+    )
+
+
+# Public definitions that nothing in the package calls, kept on purpose.
+KEPT_UNREACHED = [
+    # The one call that states the product theorem; the benchmark's
+    # per-layer keys name it.
+    "cartesian.product_structure_verdict",
+    # Atkinson's blocks from one seed pair: the tests' independent check of
+    # primitivity and of the atoms all_block_systems reads off the chain.
+    "perms.minimal_block_system",
+    # The full isomorphism search from no fixed root: the oracle that the
+    # single-root are_isomorphic is checked against.
+    "search.matrix_isomorphism",
+]
+
+
+def test_every_definition_is_reached_from_another():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert _unreached_definitions(trees) == KEPT_UNREACHED
+
+
+def test_unreached_definition_check_flags_a_lone_definition():
+    trees = {
+        "a": ast.parse(
+            "def used():\n    pass\ndef lone():\n    return lone\n"
+            "class Kept:\n    def m(self):\n        return Kept\n"
+        ),
+        "b": ast.parse("import a\nX = a.used\ndef f():\n    return Kept()\n"),
+    }
+    assert _unreached_definitions(trees) == ["a.lone", "b.f"]
+
+
 def _avoidable_function_imports(tree: ast.Module) -> list[str]:
     """Relative imports inside a function body from a module that the
     module already imports at module level, where no import cycle can
