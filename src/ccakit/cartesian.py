@@ -10,7 +10,9 @@ at the identity and the graph is a color-respecting Cartesian product of
 the two induced factor graphs.  The product theorem's check needs no block
 system: it splits the connection set along the subgroup K of order 21
 generated by a class of pairwise non-commuting generators, and checks the
-split on G and S alone; the stabilizer classes stay as its oracle.
+split on G and S alone.  The stabilizer classes stay as its oracle: their
+identity class is checked against that algebraic split, and the oracle
+builds no factors.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .cayley import (
     ColoredCayleyGraph,
     build_cayley,
-    cartesian_product,
     f21_noncca_graph,
     is_connected,
 )
@@ -35,7 +38,6 @@ from .groups import (
 )
 from .perms import (
     BlockSystem,
-    Perm,
     PermGroup,
     _block_image,
     fixer,
@@ -139,36 +141,16 @@ def strip_block_edges(graph: ColoredCayleyGraph, b: BlockSystem) -> StrippedGrap
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Outcome of one factorization attempt over a block system."""
+    """Outcome of one factorization attempt over a block system: on success,
+    the identity's stabilizer class and block as sorted elements."""
 
     success: bool
     block_system: BlockSystem
     stab_classes: BlockSystem
-    factor1: ColoredCayleyGraph | None
-    factor2: ColoredCayleyGraph | None
     g1: tuple[int, ...]
     g2: tuple[int, ...]
-    iso: Perm | None
     failing_pair: tuple[int, int] | None
     phrasings_agree: bool
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "success": self.success,
-            "block_count": self.block_system.block_count,
-            "class_count": self.stab_classes.block_count,
-            "phrasings_agree": self.phrasings_agree,
-        }
-        if self.success:
-            assert self.factor1 is not None and self.factor2 is not None
-            out["factor1_connection"] = list(self.factor1.connection.labels())
-            out["factor2_connection"] = list(self.factor2.connection.labels())
-            out["g1"] = list(self.g1)
-            out["g2"] = list(self.g2)
-            out["iso_images"] = list(self.iso or ())
-        else:
-            out["failing_pair"] = list(self.failing_pair or ())
-        return out
 
 
 def _intersection_condition(
@@ -194,45 +176,64 @@ def _fixed_points_condition(b: BlockSystem, fixed: list[frozenset[int]]) -> bool
 
 
 class _Split(NamedTuple):
-    """Cay(G,S) as Cay(H,P) □ Cay(K,Q): the factors, H and K as sorted
-    elements, and the vertex map hk ↦ (h, k) onto the product."""
+    """Cay(G,S) as Cay(H,P) □ Cay(K,Q): the factors, and H and K as sorted
+    elements."""
 
     factor1: ColoredCayleyGraph
     factor2: ColoredCayleyGraph
     g1: tuple[int, ...]
     g2: tuple[int, ...]
-    iso: Perm
 
 
-def _split_product(graph: ColoredCayleyGraph, k: frozenset[int]) -> _Split | None:
-    """The split of S along the subgroup K: Q = S ∩ K, P = S∖K, H = ⟨P⟩.
+def _splitting_subgroup(graph: ColoredCayleyGraph, k: frozenset[int]) -> frozenset[int] | None:
+    """H = ⟨P⟩ when S splits along the subgroup K: Q = S ∩ K, P = S∖K.
 
     None unless ⟨Q⟩ = K, P commutes with Q, H ∩ K = {e} and |H|·|K| = |G|;
     then G = H × K and Cay(G,S) = Cay(H,P) □ Cay(K,Q) (Imrich & Klavžar,
-    *Product Graphs*, 2000), which is re-verified on the colors.
+    *Product Graphs*, 2000).
     """
     group = graph.group
     members = graph.connection.members
-    s2 = sorted(members & k)
-    s1 = sorted(members - k)
+    q, p = members & k, members - k
     mult = group.mult
-    if subgroup_generated(group, s2) != k:
+    if subgroup_generated(group, q) != k:
         return None
-    if any(mult[x][y] != mult[y][x] for x in s1 for y in s2):
+    if any(mult[x][y] != mult[y][x] for x in p for y in q):
         return None
-    h = subgroup_generated(group, s1)
+    h = subgroup_generated(group, p)
     if h & k != {group.identity} or len(h) * len(k) != graph.n:
         return None
+    return h
+
+
+def _cartesian_matrix(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """A1 ⊗ I + I ⊗ A2: the color matrix of the Cartesian product, vertex
+    (i, j) at i·|A2| + j, with A2's colors shifted past A1's so that the
+    two factors' colors stay disjoint."""
+    a2 = np.where(m2 > 0, m2 + m1.max(), 0)
+    return np.kron(m1, np.eye(len(m2), dtype=int)) + np.kron(np.eye(len(m1), dtype=int), a2)
+
+
+def _split_product(graph: ColoredCayleyGraph, k: frozenset[int]) -> _Split | None:
+    """The split of S along the subgroup K, or None (see _splitting_subgroup).
+
+    The factor graphs are built on their own tables, and A1 ⊗ I + I ⊗ A2
+    is checked against the input's colors under (h, k) ↦ hk.
+    """
+    h = _splitting_subgroup(graph, k)
+    if h is None:
+        return None
+    group = graph.group
+    members = graph.connection.members
     table1, elems1 = subgroup_table(group, h)
     table2, elems2 = subgroup_table(group, k)
-    factor1 = build_cayley(table1, {elems1.index(s) for s in s1})
-    factor2 = build_cayley(table2, {elems2.index(s) for s in s2})
-    pair = {mult[x][y]: i * len(k) + j for i, x in enumerate(elems1) for j, y in enumerate(elems2)}
-    iso = tuple(pair[g] for g in range(graph.n))
-    product = cartesian_product(factor1, factor2)
-    if color_bijection_between(graph.color_matrix, product.color_matrix, iso) is None:
+    factor1 = build_cayley(table1, {elems1.index(s) for s in members - k})
+    factor2 = build_cayley(table2, {elems2.index(s) for s in members & k})
+    product = _cartesian_matrix(factor1.color_matrix, factor2.color_matrix)
+    vertices = group.mult_array[np.ix_(elems1, elems2)].ravel()
+    if color_bijection_between(product, graph.color_matrix, vertices) is None:
         raise AssertionError("factor product is not color-isomorphic to the input")
-    return _Split(factor1, factor2, elems1, elems2, iso)
+    return _Split(factor1, factor2, elems1, elems2)
 
 
 def cartesian_decompose(
@@ -243,8 +244,8 @@ def cartesian_decompose(
     The group a must contain all left translations, consist of
     color-preserving maps, and leave b invariant; the group order must be
     odd.  Success requires every stabilizer class to meet every block
-    exactly once; the factors and the vertex isomorphism onto their
-    product are then built and re-verified.
+    exactly once; the identity's block K must then split the connection set
+    with H = ⟨S∖K⟩ equal to the identity's class.
     """
     group = graph.group
     n = graph.n
@@ -267,14 +268,16 @@ def cartesian_decompose(
     failing = _intersection_condition(e, b)
     phrasings_agree = (failing is None) == _fixed_points_condition(b, fixed)
     if failing is not None:
-        return DecompositionResult(False, b, e, None, None, (), (), None, failing, phrasings_agree)
+        return DecompositionResult(False, b, e, (), (), failing, phrasings_agree)
 
-    split = _split_product(graph, frozenset(b.blocks[b.block_of[group.identity]]))
-    if split is None:
+    g1 = e.blocks[e.block_of[group.identity]]
+    g2 = b.blocks[b.block_of[group.identity]]
+    h = _splitting_subgroup(graph, frozenset(g2))
+    if h is None:
         raise AssertionError("the identity block does not split the connection set")
-    if frozenset(split.g1) != frozenset(e.blocks[e.block_of[group.identity]]):
+    if h != frozenset(g1):
         raise AssertionError("identity class is not the first factor subgroup")
-    return DecompositionResult(True, b, e, *split, None, phrasings_agree)
+    return DecompositionResult(True, b, e, g1, g2, None, phrasings_agree)
 
 
 def _is_square_free(n: int) -> bool:

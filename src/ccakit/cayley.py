@@ -24,6 +24,7 @@ import numpy as np
 
 from .groups import (
     GroupTable,
+    _element_set,
     direct_product,
     group_automorphisms,
     make_f21,
@@ -57,9 +58,7 @@ class ConnectionSet:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        for s in self.members:
-            if not 0 <= s < self.group.order:
-                raise ValueError(f"element index {s} out of range")
+        _element_set(self.group, self.members)
         if self.group.identity in self.members:
             raise ValueError("connection set may not contain the identity")
 

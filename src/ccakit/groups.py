@@ -154,9 +154,6 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return self.mult[a][b]
 
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def conjugate(self, g: int, x: int) -> int:
         """g^-1 * x * g."""
         return self.mul(self.mul(self.inv[g], x), g)

@@ -282,9 +282,6 @@ class PermGroup:
     def order(self) -> int:
         return prod(len(lvl.transversal) for lvl in self._levels)
 
-    def is_trivial(self) -> bool:
-        return self.order() == 1
-
     def contains(self, p: Sequence[int]) -> bool:
         g = _as_perm(p, self.degree)
         residue, _ = self._sift(g, 0)
@@ -458,9 +455,6 @@ class BlockSystem:
     @property
     def block_size(self) -> int:
         return len(self.blocks[0])
-
-    def is_trivial(self) -> bool:
-        return self.block_size in (1, self.degree)
 
 
 class _UnionFind:

@@ -1,10 +1,11 @@
 import random
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
+from ccakit import cartesian, harness
 from ccakit.cartesian import (
+    _cartesian_matrix,
     _factor_product,
     _split_product,
     _stabilizer_classes,
@@ -21,6 +22,7 @@ from ccakit.cayley import (
 )
 from ccakit.cca import cca_verdict_with_group
 from ccakit.groups import (
+    GroupTable,
     group_automorphisms,
     group_from_name,
     left_cosets,
@@ -36,7 +38,7 @@ from ccakit.perms import (
     fixer,
     point_stabilizer,
 )
-from ccakit.search import are_isomorphic, color_preserving_group
+from ccakit.search import are_isomorphic, color_bijection_between, color_preserving_group
 from oracles import singleton_partition
 
 
@@ -133,14 +135,14 @@ def test_strip_block_edges(small_product):
 
 def test_decompose_small_product(small_product):
     prod, ao = small_product
-    result = cartesian_decompose(prod, ao, fiber_system(15, 5))
+    fibers = fiber_system(15, 5)
+    result = cartesian_decompose(prod, ao, fibers)
     assert result.success
     assert result.phrasings_agree
-    assert len(result.g1) == 3 and len(result.g2) == 5
-    assert result.factor1.n == 3 and result.factor2.n == 5
-    assert result.iso is not None
-    data = result.to_json()
-    assert data["success"] is True and data["g2"] == [0, 1, 2, 3, 4]
+    assert len(result.g1) == 3 and result.g2 == (0, 1, 2, 3, 4)
+    split = _split_product(prod, frozenset(fibers.blocks[0]))
+    assert (split.g1, split.g2) == (result.g1, result.g2)
+    assert split.factor1.n == 3 and split.factor2.n == 5
 
 
 def test_decompose_other_fiber_system(small_product):
@@ -159,9 +161,7 @@ def test_decompose_fails_on_non_product():
     result = cartesian_decompose(c9, ao, blocks)
     assert not result.success
     assert result.failing_pair is not None
-    assert result.factor1 is None
-    data = result.to_json()
-    assert data["success"] is False and "failing_pair" in data
+    assert result.g1 == result.g2 == ()
 
 
 def test_decompose_input_validation(small_product):
@@ -248,12 +248,12 @@ def _lattice_search(graph, ao):
     decomposes with a factor isomorphic, colors respected, to the order-21
     instance."""
     canon = f21_noncca_graph()
-    systems = [b for b in all_block_systems(ao) if not b.is_trivial()]
+    systems = [b for b in all_block_systems(ao) if b.block_size not in (1, b.degree)]
     for system in systems + [singleton_partition(ao.degree)]:
-        result = cartesian_decompose(graph, ao, system)
-        if not result.success:
+        if not cartesian_decompose(graph, ao, system).success:
             continue
-        for other, f in ((result.factor1, result.factor2), (result.factor2, result.factor1)):
+        split = _split_product(graph, frozenset(system.blocks[system.block_of[graph.group.identity]]))
+        for other, f in ((split.factor1, split.factor2), (split.factor2, split.factor1)):
             if f.n == 21 and are_isomorphic(f, canon, respect_colors=True):
                 return other.n, f.n
     return None
@@ -267,9 +267,7 @@ def test_factor_product_matches_the_block_system_search(name, m):
         # The stabilizer classes over K's cosets must find the same split.
         oracle = cartesian_decompose(graph, ao, left_cosets(graph.group, result.g2))
         assert oracle.success and oracle.phrasings_agree
-        assert (oracle.g1, oracle.g2, oracle.iso) == (result.g1, result.g2, result.iso)
-        for ours, theirs in ((result.factor1, oracle.factor1), (result.factor2, oracle.factor2)):
-            assert np.array_equal(ours.color_matrix, theirs.color_matrix)
+        assert (oracle.g1, oracle.g2) == (result.g1, result.g2)
 
 
 Z5XF21_NEGATIVE = "(1,e),(4,e),(e,a),(e,a^2),(e,x^4a),(e,x^6a^2)"
@@ -315,3 +313,45 @@ def test_factor_product_needs_the_order_21_instance():
     assert _split_product(graph, subgroup_generated(group, parse_elements(group, "(e,a),(e,x)")))
     assert _factor_product(graph) is None
 
+
+@pytest.mark.parametrize("factors", ["c3 x c3", "c3 x c5", "c5 x gamma", "z11xf21 split"])
+def test_cartesian_matrix_is_the_product_graph_up_to_colors(factors):
+    # c3 x c3 gives both factors the same colors, which must stay apart.
+    if factors == "z11xf21 split":
+        split = _split("z11xf21", "(1,e),(10,e),(e,a),(e,a^2),(e,x^4a),(e,x^6a^2)", "(e,a),(e,x)")
+        f1, f2 = split.factor1, split.factor2
+        assert (f1.n, f2.n) == (11, 21)
+    else:
+        f1, f2 = {
+            "c3 x c3": (cycle_graph(3), cycle_graph(3)),
+            "c3 x c5": (cycle_graph(3), cycle_graph(5)),
+            "c5 x gamma": (cycle_graph(5), f21_noncca_graph()),
+        }[factors]
+    matrix = _cartesian_matrix(f1.color_matrix, f2.color_matrix)
+    product = cartesian_product(f1, f2).color_matrix
+    assert color_bijection_between(matrix, product, range(f1.n * f2.n)) is not None
+
+
+def test_product_demo_splits_each_factored_graph_once(monkeypatch):
+    calls = []
+
+    def counted(graph, k):
+        calls.append(graph.n)
+        return _split_product(graph, k)
+
+    monkeypatch.setattr(cartesian, "_split_product", counted)
+    rows, _ = harness.cmd_product_demo(5, seed=0)
+    assert calls == [105] and [row["kind"] for row in rows if "factor1_n" in row] == ["factors"]
+
+
+def test_cartesian_decompose_builds_no_group_table(monkeypatch, product_graph, product_ao):
+    builds = []
+    from_mult = GroupTable.from_mult
+
+    def counted(*args, **kwargs):
+        builds.append(len(args[0]))
+        return from_mult(*args, **kwargs)
+
+    monkeypatch.setattr(GroupTable, "from_mult", staticmethod(counted))
+    assert cartesian_decompose(product_graph, product_ao, fiber_system(105, 21)).success
+    assert builds == []

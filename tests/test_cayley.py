@@ -35,6 +35,10 @@ def test_connection_set_validation():
         ConnectionSet(z5, frozenset({0}))  # identity
     with pytest.raises(ValueError):
         ConnectionSet(z5, frozenset({7}))  # out of range
+    z7 = group_from_name("z7")
+    for not_indices in ([1.0, 6.0], ["1"]):
+        with pytest.raises(ValueError, match="is not an element index"):
+            build_cayley(z7, not_indices)
     cs = ConnectionSet(z5, frozenset({1, 4}))
     assert cs.is_inverse_closed()
     assert cs.sorted_members() == (1, 4)
@@ -88,7 +92,7 @@ def test_colors_pair_elements_with_inverses():
     m = g.color_matrix
     e = grp.identity
     for s in g.connection.members:
-        assert m[e, s] == m[e, grp.inverse(s)] != 0
+        assert m[e, s] == m[e, grp.inv[s]] != 0
     assert len(set(m[m != 0].tolist())) == 2
 
 

@@ -61,7 +61,7 @@ def test_negation_is_affine():
 
 def test_inversion_not_affine_on_q8():
     q8 = make_q8()
-    inversion = tuple(q8.inverse(g) for g in range(8))
+    inversion = tuple(q8.inv[g] for g in range(8))
     assert not is_affine(inversion, q8)
 
 

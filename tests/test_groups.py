@@ -47,7 +47,7 @@ def test_cyclic_arithmetic():
     z6 = make_cyclic(6)
     assert z6.order == 6
     assert z6.mul(4, 5) == 3
-    assert z6.inverse(2) == 4
+    assert z6.inv[2] == 4
     assert z6.power(2, 5) == 4
     assert order_of(z6, 2) == 3
     assert z6.is_abelian
@@ -61,7 +61,7 @@ def test_f21_relations():
     assert order_of(g, a) == 3
     assert order_of(g, x) == 7
     # conjugation by a squares x
-    assert g.mul(g.inverse(a), g.mul(x, a)) == g.power(x, 2)
+    assert g.mul(g.inv[a], g.mul(x, a)) == g.power(x, 2)
     assert sorted(g.element_orders) == [1] + [3] * 14 + [7] * 6
     assert not g.is_abelian
 
@@ -106,7 +106,7 @@ def test_conjugate_convention():
     r = next(g for g in range(8) if order_of(d4, g) == 4)
     s = next(g for g in range(8) if order_of(d4, g) == 2 and g != d4.power(r, 2))
     # conjugate(g, x) is g^-1 x g
-    assert d4.conjugate(s, r) == d4.inverse(r)
+    assert d4.conjugate(s, r) == d4.inv[r]
 
 
 def test_direct_product():

@@ -263,8 +263,8 @@ def test_block_system_constructors_validate():
 def test_trivial_partitions():
     assert singleton_partition(3).block_count == 3
     assert one_block_partition(3).block_count == 1
-    assert singleton_partition(3).is_trivial()
-    assert one_block_partition(3).is_trivial()
+    for bs in (singleton_partition(3), one_block_partition(3)):
+        assert bs.block_size in (1, bs.degree)
 
 
 def test_join_block_systems():

@@ -44,20 +44,34 @@ def test_unused_import_check_flags_an_unused_name():
 
 
 def _unreached_definitions(trees: dict[str, ast.Module]) -> list[str]:
-    """The top-level functions and classes, as module.name, that no other
-    top-level statement of the modules names by an ast.Name or an
-    ast.Attribute."""
-    tops = [(module, node) for module, tree in trees.items() for node in tree.body]
-    named_by: dict[str, set[int]] = {}  # name -> the statements that name it
-    for _, node in tops:
-        for n in ast.walk(node):
-            if isinstance(n, (ast.Name, ast.Attribute)):
-                named_by.setdefault(getattr(n, "id", None) or n.attr, set()).add(id(node))
+    """The top-level functions and classes, as module.name, and the methods
+    and properties of top-level classes, as module.Class.name, that no other
+    statement of the modules names by an ast.Name or an ast.Attribute.  A
+    member is matched by attribute name alone, whatever object the attribute
+    is read from; dunder members, which Python itself calls, are left out."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs: list[tuple[str, str, ast.AST]] = []  # (reported as, name, own node)
+    named_in: dict[str, list[set[int]]] = {}  # name -> the definitions around each naming
+    for module, tree in trees.items():
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else []
+            if isinstance(top, (*funcs, ast.ClassDef)):
+                defs.append((f"{module}.{top.name}", top.name, top))
+            defs += [
+                (f"{module}.{top.name}.{m.name}", m.name, m)
+                for m in members
+                if isinstance(m, funcs) and not m.name.startswith("__")
+            ]
+            member_of = {id(n): id(m) for m in members for n in ast.walk(m)}
+            for n in ast.walk(top):
+                if isinstance(n, (ast.Name, ast.Attribute)):
+                    named_in.setdefault(getattr(n, "id", None) or n.attr, []).append(
+                        {id(top), member_of.get(id(n))}
+                    )
     return sorted(
-        f"{module}.{node.name}"
-        for module, node in tops
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not named_by.get(node.name, set()) - {id(node)}
+        label
+        for label, name, node in defs
+        if all(id(node) in around for around in named_in.get(name, []))
     )
 
 
@@ -86,9 +100,26 @@ def test_unreached_definition_check_flags_a_lone_definition():
             "def used():\n    pass\ndef lone():\n    return lone\n"
             "class Kept:\n    def m(self):\n        return Kept\n"
         ),
-        "b": ast.parse("import a\nX = a.used\ndef f():\n    return Kept()\n"),
+        "b": ast.parse("import a\nX = a.used\ndef f():\n    return Kept().m()\n"),
     }
     assert _unreached_definitions(trees) == ["a.lone", "b.f"]
+
+
+def test_unreached_definition_check_flags_a_lone_member():
+    # A member named only by itself is flagged; one named by a sibling
+    # member, or by an attribute of its name on any object, is reached.
+    trees = {
+        "a": ast.parse(
+            "class A:\n    size = 1\n"
+            "    def __len__(self):\n        return 0\n"
+            "    def lone(self):\n        return self.lone()\n"
+            "    @property\n    def shared(self):\n        return self.helper()\n"
+            "    def helper(self):\n        pass\n"
+            "class B:\n    def shared(self):\n        pass\n"
+        ),
+        "b": ast.parse("import a\ndef f(x):\n    return x.shared, a.A, a.B\nX = f\n"),
+    }
+    assert _unreached_definitions(trees) == ["a.A.lone"]
 
 
 def _avoidable_function_imports(tree: ast.Module) -> list[str]:
