@@ -7,12 +7,14 @@ conjugation, gives them all.  The classes E of that comparison form a
 second invariant partition.  When every class meets every block exactly
 once (odd group order required), the connection set splits along the block
 at the identity and the graph is a color-respecting Cartesian product of
-the two induced factor graphs.  The product theorem's check needs no block
-system: it splits the connection set along the subgroup K of order 21
-generated by a class of pairwise non-commuting generators, and checks the
-split on G and S alone.  The stabilizer classes stay as its oracle: their
-identity class is checked against that algebraic split, and the oracle
-builds no factors.
+the two induced factor graphs.  The product theorem is stated once, by
+product_structure_verdict: a negative verdict of odd square-free order
+must split off the order-21 instance Γ, and the other factor's group H
+must be CCA.  The split needs no block system: it splits the connection
+set along the subgroup K of order 21 generated by a class of pairwise
+non-commuting generators, and checks the split on G and S alone.  The
+stabilizer classes stay as its oracle: their identity class is checked
+against that algebraic split, and the oracle builds no factors.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .cayley import (
+    _MAX_PAIRS_FOR_ENUMERATION,
     ColoredCayleyGraph,
     build_cayley,
     f21_noncca_graph,
-    is_connected,
+    inverse_pairs,
 )
-from .cca import cca_verdict
+from .cca import cca_group_verdict, cca_verdict
 from .groups import (
     GroupTable,
     left_regular_group,
@@ -253,7 +256,7 @@ def cartesian_decompose(
         raise ValueError("decomposition applies to graph mode only")
     if n % 2 == 0:
         raise ValueError("decomposition requires odd group order")
-    if not is_connected(graph):
+    if not graph.connection.generates_group():
         raise ValueError("decomposition requires a connected graph")
     if a.degree != n or b.degree != n:
         raise ValueError("degree mismatch")
@@ -305,19 +308,37 @@ def _noncommuting_classes(group: GroupTable, members: frozenset[int]) -> Iterato
 
 def product_structure_verdict(
     graph: ColoredCayleyGraph,
-) -> tuple[ColoredCayleyGraph, ColoredCayleyGraph] | None:
-    """Factor a connected negative-verdict graph of odd square-free order.
+) -> tuple[ColoredCayleyGraph, ColoredCayleyGraph]:
+    """The paper's product theorem as a check on one graph: the pair
+    (Cay(H,P), Γ) with Cay(G,S) = Cay(H,P) □ Γ.
 
-    Cay(G,S) = Cay(H,P) □ Γ, with Γ the order-21 negative instance up to
-    colored isomorphism, as the pair (Cay(H,P), Γ); None when there is none.
+    A negative verdict on a group of odd square-free order must factor as
+    Cay(H,P) □ Γ with Γ the order-21 negative instance, and H = ⟨P⟩ must be
+    CCA; that clause is decided by cca_group_verdict when H has at most
+    _MAX_PAIRS_FOR_ENUMERATION inverse pairs.  Past that bound it follows
+    from the theorem the paper builds on: |G| = |H| * 21 is odd and
+    square-free, so |H| is odd and prime to 21, and H has no section
+    isomorphic to F21; every non-CCA group of odd order has such a section
+    (Hujdurović, Kutnar, D. W. Morris and J. Morris), so H is CCA.  The
+    exhaustive run stays an independent check where it runs.  A graph the
+    theorem does not cover is refused with ValueError; a failed clause
+    raises AssertionError.
     """
-    group = graph.group
-    if group.order % 2 == 0 or not _is_square_free(group.order):
+    order = graph.n
+    if order % 2 == 0 or not _is_square_free(order):
         raise ValueError("verdict requires odd square-free group order")
     if cca_verdict(graph).is_cca:
         raise ValueError("verdict requires a graph with a negative verdict")
     result = _factor_product(graph)
-    return None if result is None else (result.factor1, result.factor2)
+    if result is None:
+        raise AssertionError(
+            f"negative verdict of odd square-free order {order} has no "
+            "factor isomorphic to the order-21 instance"
+        )
+    h = result.factor1.group
+    if len(inverse_pairs(h)) <= _MAX_PAIRS_FOR_ENUMERATION and not cca_group_verdict(h)[0]:
+        raise AssertionError(f"product theorem: the factor H of order {h.order} is not CCA")
+    return result.factor1, result.factor2
 
 
 def _factor_product(graph: ColoredCayleyGraph) -> _Split | None:

@@ -38,7 +38,6 @@ __all__ = [
     "ColoredCayleyGraph",
     "inverse_pairs",
     "build_cayley",
-    "is_connected",
     "quotient_graph",
     "cartesian_product",
     "connection_set_orbits",
@@ -72,6 +71,7 @@ class ConnectionSet:
         return tuple(self.group.labels[s] for s in self.sorted_members())
 
     def generates_group(self) -> bool:
+        """Whether Cay(G, S) is connected: S must generate the group."""
         return len(subgroup_generated(self.group, self.members)) == self.group.order
 
 
@@ -151,12 +151,6 @@ def build_cayley(
     matrix[np.arange(n)[:, None], group.mult_array[:, list(members)]] = np.add(colors, 1)
     matrix.setflags(write=False)
     return ColoredCayleyGraph(group, connection, digraph_mode, matrix)
-
-
-def is_connected(graph: ColoredCayleyGraph) -> bool:
-    """Connectivity as an undirected graph: the set must generate the group."""
-    reach = subgroup_generated(graph.group, graph.connection.members)
-    return len(reach) == graph.n
 
 
 def quotient_graph(

@@ -13,7 +13,10 @@ partitions {gH} of the subgroups H (Dixon & Mortimer, *Permutation Groups*,
 1996, section 1.5); so the color group's systems are those coset partitions
 that each of its generators preserves, and the note stops at the first
 nontrivial one.  G_L and its coset partitions are read off the group table
-once and kept with it.
+once and kept with it.  When |ao| = n, ao is G_L itself, and no partition
+is needed: it is primitive exactly when n is 1 or prime, since a composite
+n has a subgroup of prime order (Cauchy), whose cosets form a nontrivial
+system.
 
 The color group's generators are G_L's, then those its search found.  The
 affinity test and the block systems read only the found ones, told apart
@@ -38,6 +41,7 @@ three disjoint triangles, Cay(Z9, {3, 6}), is S3 wr S3, of order 1296 =
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -49,7 +53,6 @@ from .cayley import (
     build_cayley,
     connection_set_orbits,
     inverse_pairs,
-    is_connected,
     mask_to_connection_set,
 )
 from .groups import (
@@ -133,7 +136,7 @@ def cca_verdict_with_group(
     """The verdict together with the color-preserving group it came from."""
     if graph.digraph_mode:
         raise ValueError("verdicts are defined for graph mode only")
-    if not is_connected(graph):
+    if not graph.connection.generates_group():
         raise ValueError("verdicts are defined for connected graphs only")
     ao = color_preserving_group(graph)
     n = graph.n
@@ -153,9 +156,12 @@ def cca_verdict_with_group(
         raise AssertionError("normality and affinity criteria disagree")
     if witness is not None and not preserves_matrix(graph.color_matrix, witness):
         raise AssertionError("witness does not preserve the coloring")
-    ao_primitive = all(
-        len(bs.blocks) in (1, n) for bs in _color_group_systems(graph.group, found)
-    )
+    if ao_order == n:  # ao = G_L: primitive iff n is 1 or prime
+        ao_primitive = all(n % d for d in range(2, math.isqrt(n) + 1))
+    else:
+        ao_primitive = all(
+            len(bs.blocks) in (1, n) for bs in _color_group_systems(graph.group, found)
+        )
     verdict = CcaVerdict(
         is_cca=gl_normal,
         ao_order=ao_order,

@@ -238,31 +238,16 @@ def make_f21() -> GroupTable:
     return GroupTable.from_mult(mult, labels, name="F21")
 
 
-_Q8_UNIT_MULT = {
-    (1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),
-    (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (0, 1),
-    (3, 1): (0, 2), (3, 2): (1, 1), (3, 3): (1, 0),
-}
-
-
 def make_q8() -> GroupTable:
-    """The quaternion group: 1, -1, i, -i, j, -j, k, -k in that order."""
-    def decode(e: int) -> tuple[int, int]:
-        return e % 2, e // 2
+    """The quaternion group: 1, -1, i, -i, j, -j, k, -k in that order.
 
-    def encode(s: int, u: int) -> int:
-        return 2 * u + s
-
-    mult = [[0] * 8 for _ in range(8)]
-    for a in range(8):
-        for b in range(8):
-            s1, u1 = decode(a)
-            s2, u2 = decode(b)
-            if u1 == 0 or u2 == 0:
-                s, u = 0, u1 or u2
-            else:
-                s, u = _Q8_UNIT_MULT[(u1, u2)]
-            mult[a][b] = encode((s1 + s2 + s) % 2, u)
+    Element 2u + s is (-1)^s times unit u of (1, i, j, k).  The unit of a
+    product is u1 XOR u2 (ij = k, jk = i, ki = j up to sign), and its sign
+    adds the sign of that unit product, read off a 4 x 4 table.
+    """
+    u, s = np.divmod(np.arange(8), 2)
+    unit_sign = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    mult = 2 * (u[:, None] ^ u) + (s[:, None] + s + unit_sign[u[:, None], u]) % 2
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     return GroupTable.from_mult(mult, labels, name="Q8")
 

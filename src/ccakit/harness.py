@@ -3,7 +3,9 @@
 Each cmd_* function returns (rows, summary): rows are JSON-ready dicts, one
 per instance checked, and summary is a list of human-readable lines.  Failed
 checks raise AssertionError, bad inputs raise ValueError; the CLI maps those
-to exit codes.
+to exit codes.  Every negative verdict of odd square-free order that a
+command computes is checked against the product theorem by
+cartesian.product_structure_verdict.
 """
 
 from __future__ import annotations
@@ -12,9 +14,13 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cartesian import _factor_product, _is_square_free, cartesian_decompose
+from .cartesian import (
+    _factor_product,
+    _is_square_free,
+    cartesian_decompose,
+    product_structure_verdict,
+)
 from .cayley import (
-    _MAX_PAIRS_FOR_ENUMERATION,
     ColoredCayleyGraph,
     ConnectionSet,
     build_cayley,
@@ -30,7 +36,6 @@ from .cayley import (
 )
 from .cca import (
     CcaVerdict,
-    cca_group_verdict,
     cca_verdict,
     cca_verdict_with_group,
     complete_graph,
@@ -41,7 +46,6 @@ from .groups import (
     group_from_name,
     left_cosets,
     make_cyclic,
-    subgroup_generated,
 )
 from .search import are_isomorphic, uncolored_aut_group
 from .suites import run_oracle_suites
@@ -251,41 +255,19 @@ def _random_connected_set(group: GroupTable, rng: random.Random) -> ConnectionSe
     pairs = inverse_pairs(group)
     while True:
         chosen = rng.sample(range(len(pairs)), rng.randint(2, 4))
-        members = frozenset(e for i in chosen for e in pairs[i])
-        if len(subgroup_generated(group, members)) == group.order:
-            return ConnectionSet(group, members)
+        cs = ConnectionSet(group, frozenset(e for i in chosen for e in pairs[i]))
+        if cs.generates_group():
+            return cs
 
 
 def _product_theorem_factors(graph: ColoredCayleyGraph, verdict: CcaVerdict) -> dict:
-    """The paper's product theorem as a check on one verdict.
-
-    A negative verdict on a group of odd square-free order must factor as
-    Cay(H,P) □ Γ with Γ the order-21 negative instance, and H = ⟨P⟩ must be
-    CCA; that clause is decided by cca_group_verdict when H has at most
-    _MAX_PAIRS_FOR_ENUMERATION inverse pairs.  Past that bound it follows
-    from the theorem the paper builds on: |G| = |H| * 21 is odd and
-    square-free, so |H| is odd and prime to 21, and H has no section
-    isomorphic to F21; every non-CCA group of odd order has such a section
-    (Hujdurović, Kutnar, D. W. Morris and J. Morris), so H is CCA.  The
-    exhaustive run stays an independent check where it runs.  The two
-    factor orders are returned as row fields.  Other verdicts give no fields.
-    """
-    order = graph.n
-    if verdict.is_cca or order % 2 == 0 or not _is_square_free(order):
+    """The two factor orders of product_structure_verdict as row fields, for
+    a negative verdict of odd square-free order; other verdicts, which the
+    product theorem does not cover, give no fields."""
+    if verdict.is_cca or graph.n % 2 == 0 or not _is_square_free(graph.n):
         return {}
-    result = _factor_product(graph)
-    _check(
-        result is not None,
-        f"negative verdict of odd square-free order {order} has no "
-        "factor isomorphic to the order-21 instance",
-    )
-    h = result.factor1.group
-    if len(inverse_pairs(h)) <= _MAX_PAIRS_FOR_ENUMERATION:
-        _check(
-            cca_group_verdict(h)[0],
-            f"product theorem: the factor H of order {h.order} is not CCA",
-        )
-    return {"factor1_n": result.factor1.n, "factor2_n": result.factor2.n}
+    factor1, factor2 = product_structure_verdict(graph)
+    return {"factor1_n": factor1.n, "factor2_n": factor2.n}
 
 
 def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:

@@ -15,12 +15,18 @@ from ccakit.cartesian import (
     strip_block_edges,
 )
 from ccakit.cayley import (
+    ConnectionSet,
     build_cayley,
     cartesian_product,
+    connection_set_mask,
+    f21_noncca_connection_set,
     f21_noncca_graph,
+    inverse_pairs,
+    mask_orbit,
+    mask_to_connection_set,
     parse_elements,
 )
-from ccakit.cca import cca_verdict_with_group
+from ccakit.cca import cca_verdict, cca_verdict_with_group
 from ccakit.groups import (
     GroupTable,
     group_automorphisms,
@@ -312,6 +318,66 @@ def test_factor_product_needs_the_order_21_instance():
     graph = build_cayley(group, parse_elements(group, "(1,e),(2,e),(e,a),(e,a^2),(e,x),(e,x^6)"))
     assert _split_product(graph, subgroup_generated(group, parse_elements(group, "(e,a),(e,x)")))
     assert _factor_product(graph) is None
+
+
+def test_product_structure_verdict_fails_without_the_order_21_factor(monkeypatch, noncca_graph):
+    monkeypatch.setattr(cartesian, "_factor_product", lambda graph: None)
+    with pytest.raises(AssertionError, match="order 21 has no factor isomorphic to the order-21"):
+        product_structure_verdict(noncca_graph)
+
+
+def test_product_structure_verdict_checks_that_h_is_cca(monkeypatch):
+    seen = []
+
+    def not_cca(group):
+        seen.append(group.order)
+        return False, []
+
+    monkeypatch.setattr(cartesian, "cca_group_verdict", not_cca)
+    group = group_from_name("z5xf21")
+    graph = build_cayley(group, parse_elements(group, Z5XF21_NEGATIVE))
+    with pytest.raises(AssertionError, match="the factor H of order 5 is not CCA"):
+        product_structure_verdict(graph)
+    assert seen == [5]
+
+
+@lru_cache(maxsize=None)
+def _z5xf21_predicted_sets():
+    """The 63 sets T ∪ Q of Z5 x F21 (element (c, f) at 21c + f) whose graphs
+    the product theorem predicts negative: T one of the 3 connected sets of
+    Z5, Q one of the 21 sets in the Aut(F21)-orbit of Γ's set."""
+    f21 = make_f21()
+    pairs = inverse_pairs(f21)
+    gamma = connection_set_mask(f21, pairs, f21_noncca_connection_set(f21))
+    qs = [mask_to_connection_set(f21, pairs, mask).members for mask in mask_orbit(f21, gamma)]
+    ts = [{1, 4}, {2, 3}, {1, 2, 3, 4}]
+    return tuple(frozenset({21 * c for c in t} | q) for t in ts for q in qs)
+
+
+def test_product_theorem_holds_on_every_predicted_negative_of_z5xf21():
+    group = group_from_name("z5xf21")
+    predicted = _z5xf21_predicted_sets()
+    assert len(set(predicted)) == 63
+    for members in predicted:
+        # A positive verdict would be refused with ValueError; H = Z5 is
+        # checked CCA by cca_group_verdict.
+        factor1, factor2 = product_structure_verdict(build_cayley(group, members))
+        assert (factor1.n, factor2.n) == (5, 21)
+
+
+def test_one_pair_neighbours_of_predicted_sets_are_negative_exactly_when_predicted():
+    group = group_from_name("z5xf21")
+    pairs = inverse_pairs(group)
+    predicted = set(_z5xf21_predicted_sets())
+    seeds = random.Random(0).sample(_z5xf21_predicted_sets(), 20)
+    neighbours = [members ^ set(pair) for members in seeds for pair in pairs]
+    connected = [m for m in neighbours if ConnectionSet(group, m).generates_group()]
+    negative = 0
+    for members in connected:
+        is_cca = cca_verdict(build_cayley(group, members)).is_cca
+        assert is_cca == (members not in predicted), sorted(members)
+        negative += not is_cca
+    assert (len(connected), negative) == (986, 26)
 
 
 @pytest.mark.parametrize("factors", ["c3 x c3", "c3 x c5", "c5 x gamma", "z11xf21 split"])

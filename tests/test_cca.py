@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -26,6 +27,7 @@ from ccakit.cca import (
     is_hamiltonian_2group,
 )
 from ccakit.groups import (
+    direct_product,
     group_from_name,
     left_cosets,
     left_regular_group,
@@ -291,6 +293,26 @@ def test_block_systems_closed_once_per_table(monkeypatch):
     positive = cca_verdict(build_cayley(group, cycle))
     assert (negative.is_cca, positive.is_cca) == (False, True)
     assert calls == [21]
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_colored_cubes_close_no_block_lattice(monkeypatch, k):
+    # The color group is G_L, so primitivity is read off n = 2^k; closing
+    # the lattice of Z2^k's subgroups took seconds for the 7-cube, and the
+    # 8-cube's 417,199 subgroups did not finish in a minute.
+    calls = []
+
+    def counted(gl):
+        calls.append(gl.degree)
+        return all_block_systems(gl)
+
+    monkeypatch.setattr(groups, "all_block_systems", counted)
+    # The k-cube, one color per direction, on a new table: element
+    # (b1, ..., bk) sits at index b1...bk in binary.
+    group = reduce(direct_product, [make_cyclic(2)] * k)
+    verdict = cca_verdict(build_cayley(group, [1 << i for i in range(k)]))
+    assert (verdict.is_cca, verdict.ao_order, verdict.notes["ao_primitive"]) == (True, 2**k, False)
+    assert calls == []
 
 
 def test_hamiltonian_2group_detection():

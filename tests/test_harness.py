@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ccakit
-from ccakit import groups, harness, suites
+from ccakit import cartesian, groups, harness, suites
 from ccakit.cli import main
 from ccakit.groups import (
     direct_product,
@@ -153,6 +153,14 @@ def test_cmd_complete_cca_answers_2groups_past_order_64():
     assert not rows[0]["is_cca"] and rows[0]["hamiltonian_2_group"] and rows[0]["ok"]
 
 
+def test_cmd_complete_cca_answers_z2_8():
+    # Each color is one element, so the color group is G_L, and primitivity
+    # needs none of Z2^8's 417,199 subgroups.
+    rows, _ = cmd_complete_cca(["z2^8"])
+    assert (rows[0]["order"], rows[0]["ao_order"]) == (256, 256)
+    assert rows[0]["is_cca"] and not rows[0]["hamiltonian_2_group"] and rows[0]["ok"]
+
+
 def test_cmd_product_demo_degenerate():
     rows, summary = cmd_product_demo(1)
     kinds = [row["kind"] for row in rows]
@@ -204,7 +212,7 @@ def test_theorem_checks_that_h_is_cca(monkeypatch, capsys):
         seen.append(group.order)
         return False, []
 
-    monkeypatch.setattr(harness, "cca_group_verdict", not_cca)
+    monkeypatch.setattr(cartesian, "cca_group_verdict", not_cca)
     with pytest.raises(AssertionError, match="H of order 5 is not CCA"):
         cmd_verdict("z5xf21", Z5XF21_NEGATIVE)
     assert main(["verdict", "--group", "f21", "--set", F21_NEGATIVE]) == 1
@@ -213,7 +221,7 @@ def test_theorem_checks_that_h_is_cca(monkeypatch, capsys):
 
 
 def test_theorem_check_failure_is_a_check_failure(monkeypatch, capsys):
-    monkeypatch.setattr(harness, "_factor_product", lambda graph: None)
+    monkeypatch.setattr(cartesian, "_factor_product", lambda graph: None)
     with pytest.raises(AssertionError, match="order-21 instance"):
         cmd_verdict("f21", F21_NEGATIVE)
     assert main(["verdict", "--group", "f21", "--set", F21_NEGATIVE]) == 1
@@ -227,18 +235,17 @@ def test_product_demo_checks_negative_random_sets(monkeypatch):
     assert [row["is_cca"] for row in randoms] == [False, True, True]
     assert (randoms[0]["factor1_n"], randoms[0]["factor2_n"]) == (1, 21)
     assert all("factor1_n" not in row for row in randoms[1:])
-    # only the demo's own product may factor; the random set then fails
-    real = harness._factor_product
+    # the demo's own product factors through harness's binding, so only the
+    # theorem's call on the random set sees no factor, and fails
     calls = []
 
-    def first_only(graph):
+    def no_factor(graph):
         calls.append(graph.n)
-        return real(graph) if len(calls) == 1 else None
 
-    monkeypatch.setattr(harness, "_factor_product", first_only)
+    monkeypatch.setattr(cartesian, "_factor_product", no_factor)
     with pytest.raises(AssertionError, match="order-21 instance"):
         cmd_product_demo(1, seed=3)
-    assert calls == [21, 21]
+    assert calls == [21]
 
 
 def test_cli_verdict_and_json(tmp_path, capsys):

@@ -77,9 +77,6 @@ def _unreached_definitions(trees: dict[str, ast.Module]) -> list[str]:
 
 # Public definitions that nothing in the package calls, kept on purpose.
 KEPT_UNREACHED = [
-    # The one call that states the product theorem; the benchmark's
-    # per-layer keys name it.
-    "cartesian.product_structure_verdict",
     # Atkinson's blocks from one seed pair: the tests' independent check of
     # primitivity and of the atoms all_block_systems reads off the chain.
     "perms.minimal_block_system",
