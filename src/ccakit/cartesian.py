@@ -8,11 +8,11 @@ second invariant partition.  When every class meets every block exactly
 once (odd group order required), the connection set splits along the block
 at the identity and the graph is a color-respecting Cartesian product of
 the two induced factor graphs.  The product theorem is stated once, by
-product_structure_verdict: a negative verdict of odd square-free order
-must split off the order-21 instance Γ, and the other factor's group H
-must be CCA.  The split needs no block system: it splits the connection
-set along the subgroup K of order 21 generated by a class of pairwise
-non-commuting generators, and checks the split on G and S alone.  The
+product_structure_verdict on the caller's verdict: a negative verdict of
+odd square-free order must split off the order-21 instance Γ, and the
+other factor's group H must be CCA.  The split needs no block system: it
+splits the connection set along the subgroup K of order 21 generated by a
+class of pairwise non-commuting generators, and checks it on G and S.  The
 stabilizer classes stay as its oracle: their identity class is checked
 against that algebraic split, and the oracle builds no factors.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from .cayley import (
     f21_noncca_graph,
     inverse_pairs,
 )
-from .cca import cca_group_verdict, cca_verdict
+from .cca import CcaVerdict, cca_group_verdict
 from .groups import (
     GroupTable,
     left_regular_group,
@@ -58,6 +59,7 @@ __all__ = [
     "strip_block_edges",
     "DecompositionResult",
     "cartesian_decompose",
+    "ProductSplit",
     "product_structure_verdict",
 ]
 
@@ -171,14 +173,13 @@ def _intersection_condition(
 
 
 def _fixed_points_condition(b: BlockSystem, fixed: list[frozenset[int]]) -> bool:
-    """Alternative phrasing: each point's stabilizer in the fixer leaves
-    exactly one point of every block unmoved."""
-    return all(
-        sum(1 for v in blk if v in f) == 1 for f in fixed for blk in b.blocks
-    )
+    """Alternative phrasing: each point's stabilizer in the fixer leaves one
+    point of every block unmoved, so as many points as blocks, one each."""
+    m = b.block_count
+    return all(len(f) == m and len({b.block_of[v] for v in f}) == m for f in fixed)
 
 
-class _Split(NamedTuple):
+class ProductSplit(NamedTuple):
     """Cay(G,S) as Cay(H,P) □ Cay(K,Q): the factors, and H and K as sorted
     elements."""
 
@@ -217,7 +218,7 @@ def _cartesian_matrix(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return np.kron(m1, np.eye(len(m2), dtype=int)) + np.kron(np.eye(len(m1), dtype=int), a2)
 
 
-def _split_product(graph: ColoredCayleyGraph, k: frozenset[int]) -> _Split | None:
+def _split_product(graph: ColoredCayleyGraph, k: frozenset[int]) -> ProductSplit | None:
     """The split of S along the subgroup K, or None (see _splitting_subgroup).
 
     The factor graphs are built on their own tables, and A1 ⊗ I + I ⊗ A2
@@ -236,7 +237,7 @@ def _split_product(graph: ColoredCayleyGraph, k: frozenset[int]) -> _Split | Non
     vertices = group.mult_array[np.ix_(elems1, elems2)].ravel()
     if color_bijection_between(product, graph.color_matrix, vertices) is None:
         raise AssertionError("factor product is not color-isomorphic to the input")
-    return _Split(factor1, factor2, elems1, elems2)
+    return ProductSplit(factor1, factor2, elems1, elems2)
 
 
 def cartesian_decompose(
@@ -307,10 +308,10 @@ def _noncommuting_classes(group: GroupTable, members: frozenset[int]) -> Iterato
 
 
 def product_structure_verdict(
-    graph: ColoredCayleyGraph,
-) -> tuple[ColoredCayleyGraph, ColoredCayleyGraph]:
-    """The paper's product theorem as a check on one graph: the pair
-    (Cay(H,P), Γ) with Cay(G,S) = Cay(H,P) □ Γ.
+    graph: ColoredCayleyGraph, verdict: CcaVerdict
+) -> ProductSplit | None:
+    """The paper's product theorem as a check on one graph and its verdict:
+    the split Cay(G,S) = Cay(H,P) □ Γ, or None outside the theorem.
 
     A negative verdict on a group of odd square-free order must factor as
     Cay(H,P) □ Γ with Γ the order-21 negative instance, and H = ⟨P⟩ must be
@@ -320,15 +321,13 @@ def product_structure_verdict(
     square-free, so |H| is odd and prime to 21, and H has no section
     isomorphic to F21; every non-CCA group of odd order has such a section
     (Hujdurović, Kutnar, D. W. Morris and J. Morris), so H is CCA.  The
-    exhaustive run stays an independent check where it runs.  A graph the
-    theorem does not cover is refused with ValueError; a failed clause
+    exhaustive run stays an independent check where it runs.  The theorem
+    covers a negative verdict of odd square-free order; a failed clause
     raises AssertionError.
     """
     order = graph.n
-    if order % 2 == 0 or not _is_square_free(order):
-        raise ValueError("verdict requires odd square-free group order")
-    if cca_verdict(graph).is_cca:
-        raise ValueError("verdict requires a graph with a negative verdict")
+    if verdict.is_cca or order % 2 == 0 or not _is_square_free(order):
+        return None
     result = _factor_product(graph)
     if result is None:
         raise AssertionError(
@@ -338,17 +337,23 @@ def product_structure_verdict(
     h = result.factor1.group
     if len(inverse_pairs(h)) <= _MAX_PAIRS_FOR_ENUMERATION and not cca_group_verdict(h)[0]:
         raise AssertionError(f"product theorem: the factor H of order {h.order} is not CCA")
-    return result.factor1, result.factor2
+    return result
 
 
-def _factor_product(graph: ColoredCayleyGraph) -> _Split | None:
+@lru_cache(maxsize=None)
+def _gamma() -> ColoredCayleyGraph:
+    """Γ, kept for the process: each comparison reuses its refined root."""
+    return f21_noncca_graph()
+
+
+def _factor_product(graph: ColoredCayleyGraph) -> ProductSplit | None:
     """The split of S whose second factor is the order-21 instance; None
     when there is none.  With K ≅ F21 (trivial center; normal subgroups 1,
     Z7, F21), Q = S ∩ K is one noncommuting class of S: one split per class
     generating a subgroup of order 21.
     """
     group = graph.group
-    canon = f21_noncca_graph()
+    canon = _gamma()
     for q in _noncommuting_classes(group, graph.connection.members):
         k = subgroup_generated(group, q)
         if len(k) != 21:

@@ -4,8 +4,8 @@ Each cmd_* function returns (rows, summary): rows are JSON-ready dicts, one
 per instance checked, and summary is a list of human-readable lines.  Failed
 checks raise AssertionError, bad inputs raise ValueError; the CLI maps those
 to exit codes.  Every negative verdict of odd square-free order that a
-command computes is checked against the product theorem by
-cartesian.product_structure_verdict.
+command computes, product-demo's own product among them, is checked
+against the product theorem by cartesian.product_structure_verdict.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cartesian import (
-    _factor_product,
-    _is_square_free,
-    cartesian_decompose,
-    product_structure_verdict,
-)
+from .cartesian import cartesian_decompose, product_structure_verdict
 from .cayley import (
     ColoredCayleyGraph,
     ConnectionSet,
@@ -261,21 +256,20 @@ def _random_connected_set(group: GroupTable, rng: random.Random) -> ConnectionSe
 
 
 def _product_theorem_factors(graph: ColoredCayleyGraph, verdict: CcaVerdict) -> dict:
-    """The two factor orders of product_structure_verdict as row fields, for
-    a negative verdict of odd square-free order; other verdicts, which the
-    product theorem does not cover, give no fields."""
-    if verdict.is_cca or graph.n % 2 == 0 or not _is_square_free(graph.n):
+    """The two factor orders of product_structure_verdict as row fields; a
+    graph the product theorem does not cover gives no fields."""
+    split = product_structure_verdict(graph, verdict)
+    if split is None:
         return {}
-    factor1, factor2 = product_structure_verdict(graph)
-    return {"factor1_n": factor1.n, "factor2_n": factor2.n}
+    return {"factor1_n": split.factor1.n, "factor2_n": split.factor2.n}
 
 
 def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
     """Build the m-cycle product of the order-21 negative instance, confirm
-    the verdict stays negative, and split the connection set along its
-    order-21 subgroup K, checked by the stabilizer-class decomposition over
-    K's cosets.  Also reports three seeded random sets; a negative one must
-    pass the product theorem."""
+    the verdict stays negative, and check it by the product theorem (Γ as
+    one factor, H = Z_m CCA) and its split by the stabilizer-class
+    decomposition over K's cosets.  Also reports three seeded random sets;
+    a negative one must pass the product theorem."""
     if m not in (1, 5):
         raise ValueError("m must be odd, square-free, coprime to 21 and at most 5: 1 or 5")
     base = f21_noncca_graph()
@@ -293,8 +287,7 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
         }
     ]
 
-    result = _factor_product(prod)
-    _check(result is not None, "the product does not factor through the order-21 instance")
+    result = product_structure_verdict(prod, verdict)
     # The oracle checks its identity stabilizer class against H = result.g1.
     oracle = cartesian_decompose(prod, ao, left_cosets(prod.group, result.g2))
     fibers = tuple(v // 21 for v in range(prod.n))

@@ -14,6 +14,7 @@ from ccakit.cartesian import (
     strip_block_edges,
 )
 from ccakit.cayley import f21_noncca_graph, quotient_graph
+from ccakit.cca import cca_verdict
 from ccakit.groups import group_automorphisms, subgroup_generated
 from ccakit.harness import check_f21_census, cmd_complete_cca, f21_census
 from ccakit.perms import BlockSystem, block_action, point_stabilizer
@@ -149,12 +150,12 @@ def test_criterion_07_two_closure():
 
 def test_criterion_08_product_factorization(product_graph, product_ao):
     start = time.time()
-    factors = product_structure_verdict(product_graph)
-    recovered = factors is not None
+    split = product_structure_verdict(product_graph, cca_verdict(product_graph))
+    recovered = split is not None
     f1_n = f2_n = 0
     canon_match = False
     if recovered:
-        f1, f2 = factors
+        f1, f2 = split.factor1, split.factor2
         f1_n, f2_n = f1.n, f2.n
         canon_match = are_isomorphic(f2, f21_noncca_graph(), respect_colors=False)
     result = cartesian_decompose(product_graph, product_ao, _fibers(105, 21))

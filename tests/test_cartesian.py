@@ -3,10 +3,11 @@ from functools import lru_cache
 
 import pytest
 
-from ccakit import cartesian, harness
+from ccakit import cartesian, cca, harness
 from ccakit.cartesian import (
     _cartesian_matrix,
     _factor_product,
+    _fixed_points_condition,
     _split_product,
     _stabilizer_classes,
     cartesian_decompose,
@@ -94,6 +95,9 @@ def test_transported_fixed_sets_match_per_point_stabilizers(
     for system in all_block_systems(ao) + [singleton_partition(ao.degree)]:
         e, fixed = _stabilizer_classes(ao, system)
         assert fixed == per_point_fixed_sets(ao, system)
+        # The per-set count against the literal one point of every block.
+        literal = all(sum(v in f for v in blk) == 1 for f in fixed for blk in system.blocks)
+        assert _fixed_points_condition(system, fixed) == literal
         # equal stabilizers <=> each point is fixed by the other's stabilizer
         for p in range(ao.degree):
             for q in range(ao.degree):
@@ -189,18 +193,27 @@ def test_decompose_on_big_instance(product_graph, product_ao):
 
 
 def test_product_structure_verdict_on_degenerate_instance(noncca_graph):
-    factors = product_structure_verdict(noncca_graph)
-    assert factors is not None
-    one, canon = factors
+    split = product_structure_verdict(noncca_graph, cca_verdict(noncca_graph))
+    assert split is not None
+    one, canon = split.factor1, split.factor2
     assert one.n == 1 and canon.n == 21
     assert are_isomorphic(canon, f21_noncca_graph(), respect_colors=False)
 
 
 def test_product_structure_verdict_input_validation():
-    with pytest.raises(ValueError):
-        product_structure_verdict(cycle_graph(6))  # even order
-    with pytest.raises(ValueError):
-        product_structure_verdict(cycle_graph(15))  # positive verdict
+    # The theorem covers neither even order, even with a negative verdict,
+    # nor a positive verdict.
+    q8 = group_from_name("q8")
+    graph = build_cayley(q8, parse_elements(q8, "-1,i,-i,j,-j,k,-k"))
+    verdict = cca_verdict(graph)
+    assert not verdict.is_cca
+    assert product_structure_verdict(graph, verdict) is None
+    c6 = cycle_graph(6)
+    assert product_structure_verdict(c6, cca_verdict(c6)) is None
+    c15 = cycle_graph(15)
+    verdict = cca_verdict(c15)
+    assert verdict.is_cca
+    assert product_structure_verdict(c15, verdict) is None
 
 
 def _theorem_sets(name, m):
@@ -323,7 +336,7 @@ def test_factor_product_needs_the_order_21_instance():
 def test_product_structure_verdict_fails_without_the_order_21_factor(monkeypatch, noncca_graph):
     monkeypatch.setattr(cartesian, "_factor_product", lambda graph: None)
     with pytest.raises(AssertionError, match="order 21 has no factor isomorphic to the order-21"):
-        product_structure_verdict(noncca_graph)
+        product_structure_verdict(noncca_graph, cca_verdict(noncca_graph))
 
 
 def test_product_structure_verdict_checks_that_h_is_cca(monkeypatch):
@@ -337,8 +350,26 @@ def test_product_structure_verdict_checks_that_h_is_cca(monkeypatch):
     group = group_from_name("z5xf21")
     graph = build_cayley(group, parse_elements(group, Z5XF21_NEGATIVE))
     with pytest.raises(AssertionError, match="the factor H of order 5 is not CCA"):
-        product_structure_verdict(graph)
+        product_structure_verdict(graph, cca_verdict(graph))
     assert seen == [5]
+
+
+def test_product_structure_verdict_reads_the_verdict_it_is_given(monkeypatch):
+    group = group_from_name("z5xf21")
+    graph = build_cayley(group, parse_elements(group, Z5XF21_NEGATIVE))
+    verdict = cca_verdict(graph)
+    degrees = []
+    search = cca.color_preserving_group
+
+    def recorded(g):
+        degrees.append(g.n)
+        return search(g)
+
+    monkeypatch.setattr(cca, "color_preserving_group", recorded)
+    split = product_structure_verdict(graph, verdict)
+    assert (split.factor1.n, split.factor2.n) == (5, 21)
+    # Only the H clause searches, on the graphs of Z5; none on the input.
+    assert degrees and set(degrees) == {5}
 
 
 @lru_cache(maxsize=None)
@@ -359,10 +390,13 @@ def test_product_theorem_holds_on_every_predicted_negative_of_z5xf21():
     predicted = _z5xf21_predicted_sets()
     assert len(set(predicted)) == 63
     for members in predicted:
-        # A positive verdict would be refused with ValueError; H = Z5 is
-        # checked CCA by cca_group_verdict.
-        factor1, factor2 = product_structure_verdict(build_cayley(group, members))
-        assert (factor1.n, factor2.n) == (5, 21)
+        # The theorem covers only negative verdicts; H = Z5 is checked CCA
+        # by cca_group_verdict.
+        graph = build_cayley(group, members)
+        verdict = cca_verdict(graph)
+        assert not verdict.is_cca, graph.connection.labels()
+        split = product_structure_verdict(graph, verdict)
+        assert (split.factor1.n, split.factor2.n) == (5, 21)
 
 
 def test_one_pair_neighbours_of_predicted_sets_are_negative_exactly_when_predicted():

@@ -235,17 +235,36 @@ def test_product_demo_checks_negative_random_sets(monkeypatch):
     assert [row["is_cca"] for row in randoms] == [False, True, True]
     assert (randoms[0]["factor1_n"], randoms[0]["factor2_n"]) == (1, 21)
     assert all("factor1_n" not in row for row in randoms[1:])
-    # the demo's own product factors through harness's binding, so only the
-    # theorem's call on the random set sees no factor, and fails
+    # The demo's own product (n = 21 at m = 1) factors as before; the
+    # theorem's second call, on the random set, sees no factor and fails.
     calls = []
+    factor_product = cartesian._factor_product
 
-    def no_factor(graph):
+    def second_has_no_factor(graph):
         calls.append(graph.n)
+        return factor_product(graph) if len(calls) == 1 else None
 
-    monkeypatch.setattr(cartesian, "_factor_product", no_factor)
-    with pytest.raises(AssertionError, match="order-21 instance"):
+    monkeypatch.setattr(cartesian, "_factor_product", second_has_no_factor)
+    with pytest.raises(AssertionError, match="order 21 has no factor isomorphic to the order-21"):
         cmd_product_demo(1, seed=3)
-    assert calls == [21]
+    assert calls == [21, 21]
+
+
+@pytest.mark.parametrize("m", [5, 1])
+def test_product_demo_checks_that_h_is_cca(monkeypatch, m):
+    seen = []
+    group_verdict = cartesian.cca_group_verdict
+
+    def recorded(group):
+        seen.append(group.order)
+        return group_verdict(group)
+
+    monkeypatch.setattr(cartesian, "cca_group_verdict", recorded)
+    cmd_product_demo(m)
+    assert seen == [m]
+    monkeypatch.setattr(cartesian, "cca_group_verdict", lambda group: (False, []))
+    with pytest.raises(AssertionError, match=f"H of order {m} is not CCA"):
+        cmd_product_demo(m)
 
 
 def test_cli_verdict_and_json(tmp_path, capsys):
