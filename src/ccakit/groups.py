@@ -460,7 +460,8 @@ def group_automorphisms(group: GroupTable) -> PermGroup:
     An automorphism is fixed by its images of gens = minimal_generating_set,
     which are the base points of perms.proved_orbits; the candidate images
     of gens[i] are the elements of its order, each searched for by one
-    backtrack over the later images."""
+    backtrack over the later images.  The found automorphisms are a strong
+    generating set on that base, and the chain is built on it."""
     gens = minimal_generating_set(group)
     orders = group.element_orders
     candidates = [[h for h in range(group.order) if orders[h] == orders[g]] for g in gens]
@@ -475,12 +476,12 @@ def group_automorphisms(group: GroupTable) -> PermGroup:
         autos = (extend(images + [h]) for h in candidates[len(images)])
         return next((a for a in autos if a is not None), None)
 
-    levels = (
+    levels = [
         (g, candidates[i], lambda h, fixed=list(gens[:i]): extend(fixed + [h]))
         for i, g in enumerate(gens)
-    )
+    ]
     found, orbit_lengths = proved_orbits((), levels)
-    out = PermGroup(group.order, found)
+    out = PermGroup(group.order, found, base_prefix=gens)
     _check_chain_order(out.order(), orbit_lengths)
     return out
 

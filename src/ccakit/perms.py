@@ -25,6 +25,13 @@ chain is the one a full run builds (Seress, *Permutation Group
 Algorithms*, 2003, ch. 4).  ``point_stabilizer`` and ``fixer`` then read
 the stabilizer off the chain's tail levels.
 
+``proved_orbits`` is the one backtrack behind every automorphism search:
+it proves the orbit of each base point under the stabilizer of the earlier
+ones, deepest level first, so the elements found below a level, which fix
+its prefix, prune it.  What it finds is then a strong generating set on
+its base; each caller builds a full chain on that base and holds its order
+to the proved orbit lengths (``_check_chain_order``).
+
 A block system of a transitive group is held as the int bitmask of its
 block through the first base point; ``all_block_systems`` closes the
 minimal blocks under joins, one join per orbit of a block's stabilizer on
@@ -374,10 +381,10 @@ def orbits_of_gens(degree: int, gens: Sequence[Perm]) -> list[tuple[int, ...]]:
 
 def proved_orbits(
     known: Sequence[Perm],
-    levels: Iterable[tuple[int, Iterable[int], Callable[[int], Perm | None]]],
+    levels: Sequence[tuple[int, Iterable[int], Callable[[int], Perm | None]]],
 ) -> tuple[list[Perm], list[int]]:
     """The elements a backtrack finds and the orbit lengths it proves, one
-    base point at a time.
+    base point at a time, deepest level first.
 
     Each level is (b, candidates, search): a base point; every point of
     b's orbit under the stabilizer S of the earlier base points that the
@@ -387,11 +394,20 @@ def proved_orbits(
     points (weak pruning), and each candidate outside it gets one search.
     So each orbit is proved, and the product of the lengths is the order
     of the group searched (orbit-stabilizer): _check_chain_order holds a
-    chain of the known and found elements to it."""
+    chain of the known and found elements to it.
+
+    Every element found below a level fixes its prefix, so it prunes that
+    level too (McKay, "Practical graph isomorphism", 1981).  By induction
+    from the deepest level, the elements fixing each prefix generate its
+    stabilizer: they reach its full orbit and contain the next stabilizer.
+    So they are a strong generating set on the base points, the base the
+    caller's chain is built on.  Lengths are returned in level order."""
+    bases = [b for b, _, _ in levels]
     found: list[Perm] = []
-    prefix: list[int] = []
     lengths: list[int] = []
-    for b, candidates, search in levels:
+    for i in reversed(range(len(levels))):
+        b, candidates, search = levels[i]
+        prefix = bases[:i]
         fixing = [g for g in (*known, *found) if all(g[p] == p for p in prefix)]
         orbit = set(orbit_of_point(b, fixing))
         for w in candidates:
@@ -403,8 +419,7 @@ def proved_orbits(
                 fixing.append(g)
                 orbit = set(orbit_of_point(b, fixing))
         lengths.append(len(orbit))
-        prefix.append(b)
-    return found, lengths
+    return found, lengths[::-1]
 
 
 def _check_chain_order(order: int, lengths: Sequence[int]) -> None:

@@ -59,14 +59,18 @@ every root image.
 The automorphism group is perms.proved_orbits over the first path's
 target cells: the first vertex of each is a base point, the others its
 candidate images, each searched for below the path's node, so the levels
-and all their searches share one path.  A Cayley graph's matrix must be
+and all their searches share one path.  The deepest level is searched
+first, and the generators found below a level prune it; they are then a
+strong generating set on the path's base points, and the chain is built
+on that base by a full Schreier-Sims run.  A Cayley graph's matrix must be
 invariant under the left translations G_L, which one comparison with its
 identity row checks, and that row then gives every vertex's arcs.  G_L is
 transitive, so the group is G_L times the stabilizer of vertex 0
 (orbit-stabilizer).  Only the stabilizer is searched, from {0}, {1..n-1}
 with no seeds: a translation fixes no vertex, so it prunes no level.  The
 chain's top level is G_L's at vertex 0, read off the group table once per
-table, and Schreier-Sims runs only on the found generators.
+table, and Schreier-Sims runs only on the found generators, on the base of
+the path below {0}.
 """
 
 from __future__ import annotations
@@ -411,28 +415,32 @@ def _image_search(path: _FirstPath, depth: int, w: int) -> Perm | None:
     return _search_pair(path, path.struct, depth + 1, other[0], None)
 
 
-def _search_levels(path: _FirstPath, known: Sequence[Perm] = ()) -> tuple[list[Perm], list[int]]:
-    """The generators found and the orbit lengths proved by a search along
-    the path, the known elements of the group pruning the orbits
-    (perms.proved_orbits)."""
-
-    def levels():
-        for depth in count():
-            ids, t = path.node(depth)[0], path.targets[depth]
-            if t is None:
-                return
-            base, *candidates = np.flatnonzero(ids == t).tolist()
-            yield base, candidates, partial(_image_search, path, depth)
-
-    return proved_orbits(known, levels())
+def _searched_chain(path: _FirstPath, known: Sequence[Perm] = ()) -> PermGroup:
+    """The chain of the known elements, then the generators a search along
+    the path finds.  The found elements prune the levels above them
+    (perms.proved_orbits), so with the known ones they are a strong
+    generating set on the path's base points, and the chain is built on
+    that base.  Its full Schreier-Sims build is checked against the orbit
+    lengths the search proved."""
+    levels = []
+    for depth in count():
+        ids, t = path.node(depth)[0], path.targets[depth]
+        if t is None:
+            break
+        base, *candidates = np.flatnonzero(ids == t).tolist()
+        levels.append((base, candidates, partial(_image_search, path, depth)))
+    found, orbit_lengths = proved_orbits(known, levels)
+    chain = PermGroup(path.struct.n, [*known, *found], base_prefix=[b for b, _, _ in levels])
+    _check_chain_order(chain.order(), orbit_lengths)
+    return chain
 
 
 def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGroup:
     """The group of permutations preserving the color matrix entrywise.
 
     Seeds must already preserve the matrix; they bootstrap orbit pruning.
-    A full Schreier-Sims build of the seeds, then the found generators, is
-    checked against the orbit lengths perms.proved_orbits proved.
+    The chain of the seeds, then the found generators, is built and checked
+    by _searched_chain.
     """
     struct = _Struct(matrix, relabel=False)
     n = struct.n
@@ -442,11 +450,7 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
             raise ValueError("seed degree mismatch")
         if not preserves_matrix(struct.m, perm):
             raise ValueError("seed does not preserve the matrix")
-    path = _FirstPath(struct, _refine(struct, np.zeros(n, np.intp)))
-    found, orbit_lengths = _search_levels(path, seeds)
-    group = PermGroup(n, seeds + found)
-    _check_chain_order(group.order(), orbit_lengths)
-    return group
+    return _searched_chain(_FirstPath(struct, _refine(struct, np.zeros(n, np.intp))), seeds)
 
 
 def matrix_isomorphism(
@@ -516,11 +520,11 @@ def _cayley_aut_group(graph: ColoredCayleyGraph, colored: bool) -> PermGroup:
     from the kept root (_graph_root).  The stabilizer's chain is checked
     against the orbit lengths its search proved, and G_L's chain, one level
     at vertex 0, is put on top."""
-    n, gl = graph.n, left_regular_group(graph.group)
-    found, orbit_lengths = _search_levels(_FirstPath(*_graph_root(graph, colored, False)))
-    below = PermGroup(n, found)
-    _check_chain_order(below.order(), orbit_lengths)
-    return PermGroup._from_levels(n, gl._levels + below._levels, gl.generators + tuple(found))
+    gl = left_regular_group(graph.group)
+    below = _searched_chain(_FirstPath(*_graph_root(graph, colored, False)))
+    return PermGroup._from_levels(
+        graph.n, gl._levels + below._levels, gl.generators + below.generators
+    )
 
 
 def color_preserving_group(graph: ColoredCayleyGraph) -> PermGroup:

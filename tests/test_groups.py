@@ -334,7 +334,9 @@ def test_automorphism_chain_is_checked_against_the_proved_orbits(monkeypatch):
     # A chain built from too few generators disagrees with the orbit
     # lengths the backtrack proved, and the shared check must say so.
     q8 = make_q8()  # a new table, with nothing kept
-    monkeypatch.setattr(groups, "PermGroup", lambda n, gens: PermGroup(n, gens[:1]))
+    monkeypatch.setattr(
+        groups, "PermGroup", lambda n, gens, base_prefix: PermGroup(n, gens[:1], base_prefix)
+    )
     with pytest.raises(AssertionError, match="orbit lengths"):
         group_automorphisms(q8)
 

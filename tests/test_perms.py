@@ -250,6 +250,30 @@ def test_proved_orbits_searches_only_outside_the_orbit():
         _check_chain_order(PermGroup(4, [(1, 2, 3, 0)]).order(), lengths)
 
 
+def test_proved_orbits_prunes_each_level_with_the_finds_below_it():
+    # S3 with the transposition (0 1) known.  Vertex 1's level runs first,
+    # and its find (1 2) fixes the earlier base point 0; with (0 1) it
+    # takes 0 to 2, so vertex 0's orbit is settled with no search.
+    # Top-down, vertex 0's level would first search for the image 2.
+    s3 = sorted(PermGroup(3, [(1, 2, 0), (1, 0, 2)]).elements())
+    asked = []
+
+    def level(b, prefix):
+        def search(w):
+            asked.append((b, w))
+            fixing = (g for g in s3 if all(g[p] == p for p in prefix))
+            return next((g for g in fixing if g[b] == w), None)
+
+        return b, range(3), search
+
+    found, lengths = proved_orbits([(1, 0, 2)], [level(0, []), level(1, [0])])
+    assert asked == [(1, 0), (1, 2)]
+    assert found == [(0, 2, 1)]
+    assert lengths == [3, 2]
+    chain = PermGroup(3, [(1, 0, 2)] + found, base_prefix=(0, 1))
+    _check_chain_order(chain.order(), lengths)
+
+
 def test_block_system_constructors_validate():
     with pytest.raises(ValueError):
         BlockSystem.from_blocks(4, [[0, 1], [2]])
@@ -432,7 +456,7 @@ def test_normality_when_the_group_shares_the_subgroups_generators(noncca_graph):
     assert ao.generators[: len(gl.generators)] == gl.generators
     assert not is_normal_subgroup(gl, ao) and not verdict.notes["gl_normal"]
     assert verdict.witness == (
-        0, 2, 1, 8, 6, 7, 15, 17, 16, 3, 4, 5, 19, 20, 18, 10, 9, 11, 12, 14, 13
+        0, 1, 2, 3, 5, 4, 11, 10, 9, 8, 7, 6, 19, 20, 18, 17, 16, 15, 14, 12, 13
     )
 
 

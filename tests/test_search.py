@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from math import factorial
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from ccakit.search import (
     two_closure,
     uncolored_aut_group,
 )
-from ccakit.cca import cca_verdict
+from ccakit.cca import cca_verdict, complete_graph
 from ccakit.harness import check_f21_census, f21_census
 from ccakit.suites import groups_up_to_order_8
 
@@ -702,9 +703,29 @@ def test_color_group_chain_is_checked_against_the_searched_orbits(
     monkeypatch, noncca_graph
 ):    # A chain built from too few generators disagrees with the orbit
     # lengths the search proved, and the cross-check must say so.
-    monkeypatch.setattr(search, "PermGroup", lambda n, gens: PermGroup(n, gens[:1]))
+    monkeypatch.setattr(
+        search, "PermGroup", lambda n, gens, base_prefix: PermGroup(n, gens[:1], base_prefix)
+    )
     with pytest.raises(AssertionError, match="orbit lengths"):
         color_preserving_group(noncca_graph)
+
+
+def test_complete_graph_stabilizer_search_is_pruned_from_below():
+    # Aut(K_n) is S_n, searched below {0}, {1..n-1} along a path of n - 2
+    # levels.  Searched deepest first, the elements found below a level
+    # fix its base point, so the level's first find settles its orbit: one
+    # generator per level.  Top-down, a level finds one per image, 465 on
+    # K_32.
+    for n in (32, 64):
+        graph = complete_graph(group_from_name(f"z{n}"))
+        start = time.perf_counter()
+        aut = uncolored_aut_group(graph)
+        elapsed = time.perf_counter() - start
+        assert aut.order() == factorial(n)
+        gl = set(left_regular_group(graph.group).generators)
+        assert len([g for g in aut.generators if g not in gl]) == n - 2
+    # K_64 takes 0.7 s on a 2-core VM, and about 16 s searched top-down.
+    assert elapsed < 5
 
 
 def _assert_chain_matches_a_full_build(graph, respect_colors):
