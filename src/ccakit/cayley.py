@@ -401,7 +401,7 @@ def count_orbits_burnside(group: GroupTable, connected_only: bool = False) -> in
     # All automorphisms, not just distinct pair actions, must be averaged.
     auts = group_automorphisms(group)
     total = 0
-    for a in auts.elements(limit=100_000):
+    for a in auts.elements():
         cycles = _cycle_masks(_pair_perm_from_automorphism(group, pairs, a))
         low = _unions(cycles[:16])
         for high in _unions(cycles[16:]).tolist():

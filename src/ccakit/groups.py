@@ -6,7 +6,8 @@ Every table, built here or given from outside, passes ``GroupTable.from_mult``,
 which validates it as one integer array: Latin square, two-sided identity,
 inverses, and associativity at every order by Light's test.  Derived tables
 (products, subgroups, quotients) are computed by index arithmetic on the
-arrays of their parents.
+arrays of their parents.  perms builds the chains of Aut(G), by proved_chain
+over a generating set's images, and of G_L, by regular_group from the table's rows.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .perms import BlockSystem, Perm, PermGroup, _Level, all_block_systems, orbit_of_point
-from .perms import _check_chain_order, proved_orbits
+from .perms import BlockSystem, Perm, PermGroup, all_block_systems, proved_chain, regular_group
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -332,17 +332,23 @@ def is_subgroup(group: GroupTable, members: Iterable[int]) -> bool:
     return all(group.mul(a, b) in mem for a in mem for b in mem)
 
 
-def is_normal(group: GroupTable, members: Iterable[int]) -> bool:
-    """Whether a subgroup is normal; raises if members is not a subgroup.
-
-    The g with g^-1 H g = H form a subgroup, the normalizer of H, so H is
-    normal once every element of a generating set of G normalizes it."""
-    mem = frozenset(members)
+def _not_normal(group: GroupTable, mem: frozenset[int]) -> str | None:
+    """Why the subgroup H is not normal, or None; ValueError unless H is a
+    subgroup.  The g with g^-1 H g = H form a subgroup, the normalizer of
+    H, so H is normal once every element of a generating set normalizes it."""
     if not is_subgroup(group, mem):
         raise ValueError("not a subgroup")
-    return all(
-        group.conjugate(g, h) in mem for g in minimal_generating_set(group) for h in mem
-    )
+    for g in minimal_generating_set(group):
+        for h in mem:
+            c = group.conjugate(g, h)
+            if c not in mem:
+                return f"conjugating {group.labels[h]} by {group.labels[g]} gives {group.labels[c]}"
+    return None
+
+
+def is_normal(group: GroupTable, members: Iterable[int]) -> bool:
+    """Whether a subgroup is normal; raises if members is not a subgroup."""
+    return _not_normal(group, frozenset(members)) is None
 
 
 def left_cosets(group: GroupTable, members: Iterable[int]) -> BlockSystem:
@@ -358,16 +364,9 @@ def quotient(group: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tup
 
     The cosets are numbered as left_cosets numbers them."""
     mem = frozenset(members)
-    if not is_subgroup(group, mem):
-        raise ValueError("not a subgroup")
-    for g in minimal_generating_set(group):  # normal once each generator normalizes it
-        for h in mem:
-            c = group.conjugate(g, h)
-            if c not in mem:
-                raise ValueError(
-                    f"not normal: conjugating {group.labels[h]} by "
-                    f"{group.labels[g]} gives {group.labels[c]}"
-                )
+    why = _not_normal(group, mem)
+    if why is not None:
+        raise ValueError(f"not normal: {why}")
     cosets = left_cosets(group, mem)
     reps = [blk[0] for blk in cosets.blocks]
     mult = np.asarray(cosets.block_of)[group.mult_array[np.ix_(reps, reps)]]
@@ -458,10 +457,10 @@ def group_automorphisms(group: GroupTable) -> PermGroup:
     """All table automorphisms, one generator image at a time.
 
     An automorphism is fixed by its images of gens = minimal_generating_set,
-    which are the base points of perms.proved_orbits; the candidate images
+    which are the base points of perms.proved_chain; the candidate images
     of gens[i] are the elements of its order, each searched for by one
-    backtrack over the later images.  The found automorphisms are a strong
-    generating set on that base, and the chain is built on it."""
+    backtrack over the later images.  The chain is built on that base and
+    checked against the orbit lengths the backtrack proved."""
     gens = minimal_generating_set(group)
     orders = group.element_orders
     candidates = [[h for h in range(group.order) if orders[h] == orders[g]] for g in gens]
@@ -480,10 +479,7 @@ def group_automorphisms(group: GroupTable) -> PermGroup:
         (g, candidates[i], lambda h, fixed=list(gens[:i]): extend(fixed + [h]))
         for i, g in enumerate(gens)
     ]
-    found, orbit_lengths = proved_orbits((), levels)
-    out = PermGroup(group.order, found, base_prefix=gens)
-    _check_chain_order(out.order(), orbit_lengths)
-    return out
+    return proved_chain(group.order, levels)
 
 
 def left_translation(group: GroupTable, g: int) -> Perm:
@@ -496,23 +492,18 @@ def left_regular_group(group: GroupTable) -> PermGroup:
     """The left translations as a permutation group.
 
     The representation is regular, so its chain is one level, at point 0,
-    read off the table.  It is also the top level of every group containing
-    the transitive G_L, such as a Cayley graph's color group.  With g0 the
-    element 0, u_x is the translation by x·g0^-1 and u_x^-1 the one by
-    g0·x^-1, both rows of mult, so no row is copied.  The strong generators
-    are the translations by minimal_generating_set(group).  No
-    Schreier-Sims runs."""
+    read off the table (perms.regular_group).  It is also the top level of
+    every group containing the transitive G_L, such as a Cayley graph's
+    color group.  With g0 the element 0, u_x is the translation by x·g0^-1
+    and u_x^-1 the one by g0·x^-1, both rows of mult, so no row is copied.
+    The generators are the translations by minimal_generating_set(group)."""
     mult, inv = group.mult, group.inv
-    level = _Level(0)
-    gens = minimal_generating_set(group)
-    level.gens = [mult[g] for g in gens]
-    level.gen_invs = [mult[inv[g]] for g in gens]
-    if len(orbit_of_point(0, level.gens)) != group.order:
-        raise AssertionError("the generators do not reach every element")
     row0, inv0 = mult[0], inv[0]
-    level.transversal = {x: mult[row[inv0]] for x, row in enumerate(mult)}
-    level.inverses = {x: mult[row0[inv[x]]] for x in range(group.order)}
-    return PermGroup._from_levels(group.order, [level] if group.order > 1 else [])
+    return regular_group(
+        [mult[g] for g in minimal_generating_set(group)],
+        [mult[row[inv0]] for row in mult],
+        [mult[row0[inv[x]]] for x in range(group.order)],
+    )
 
 
 @_per_table

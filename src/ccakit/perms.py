@@ -25,12 +25,12 @@ chain is the one a full run builds (Seress, *Permutation Group
 Algorithms*, 2003, ch. 4).  ``point_stabilizer`` and ``fixer`` then read
 the stabilizer off the chain's tail levels.
 
-``proved_orbits`` is the one backtrack behind every automorphism search:
+``proved_chain`` is the one backtrack behind every automorphism search:
 it proves the orbit of each base point under the stabilizer of the earlier
 ones, deepest level first, so the elements found below a level, which fix
 its prefix, prune it.  What it finds is then a strong generating set on
-its base; each caller builds a full chain on that base and holds its order
-to the proved orbit lengths (``_check_chain_order``).
+its base; the chain is built on that base and held to the proved orbit
+lengths.  No other module reads or builds a chain's levels.
 
 A block system of a transitive group is held as the int bitmask of its
 block through the first base point; ``all_block_systems`` closes the
@@ -51,6 +51,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
+MAX_ELEMENTS = 100_000  # the largest group PermGroup.elements lists
+
 __all__ = [
     "Perm",
     "identity_perm",
@@ -61,7 +63,8 @@ __all__ = [
     "permgroup_from_elements",
     "orbit_of_point",
     "orbits_of_gens",
-    "proved_orbits",
+    "proved_chain",
+    "regular_group",
     "BlockSystem",
     "minimal_block_system",
     "all_block_systems",
@@ -294,10 +297,10 @@ class PermGroup:
         residue, _ = self._sift(g, 0)
         return is_identity_perm(residue)
 
-    def elements(self, limit: int = 200_000) -> Iterator[Perm]:
-        """Iterate all elements in deterministic chain order."""
-        if self.order() > limit:
-            raise ValueError(f"group order {self.order()} exceeds limit {limit}")
+    def elements(self) -> Iterator[Perm]:
+        """All elements in chain order; ValueError past MAX_ELEMENTS."""
+        if self.order() > MAX_ELEMENTS:
+            raise ValueError(f"group order {self.order()} exceeds limit {MAX_ELEMENTS}")
 
         def rec(i: int) -> Iterator[Perm]:
             if i == len(self._levels):
@@ -379,12 +382,14 @@ def orbits_of_gens(degree: int, gens: Sequence[Perm]) -> list[tuple[int, ...]]:
     return out
 
 
-def proved_orbits(
-    known: Sequence[Perm],
+def proved_chain(
+    degree: int,
     levels: Sequence[tuple[int, Iterable[int], Callable[[int], Perm | None]]],
-) -> tuple[list[Perm], list[int]]:
-    """The elements a backtrack finds and the orbit lengths it proves, one
-    base point at a time, deepest level first.
+    known: Sequence[Perm] = (),
+    top: PermGroup | None = None,
+) -> PermGroup:
+    """The group a backtrack searches, one base point at a time, deepest
+    level first, as a chain checked against the orbit lengths it proves.
 
     Each level is (b, candidates, search): a base point; every point of
     b's orbit under the stabilizer S of the earlier base points that the
@@ -393,22 +398,23 @@ def proved_orbits(
     grows under the known and found elements that fix the earlier base
     points (weak pruning), and each candidate outside it gets one search.
     So each orbit is proved, and the product of the lengths is the order
-    of the group searched (orbit-stabilizer): _check_chain_order holds a
-    chain of the known and found elements to it.
+    of the group searched (orbit-stabilizer).
 
     Every element found below a level fixes its prefix, so it prunes that
     level too (McKay, "Practical graph isomorphism", 1981).  By induction
     from the deepest level, the elements fixing each prefix generate its
     stabilizer: they reach its full orbit and contain the next stabilizer.
-    So they are a strong generating set on the base points, the base the
-    caller's chain is built on.  Lengths are returned in level order."""
+    So the known and found elements are a strong generating set on the base
+    points; the chain is built on it by a full Schreier-Sims run, and
+    AssertionError names the lengths unless its order is their product.
+    With top, a regular group whose one level is at a point the searched
+    group fixes, top's level and generators go above the chain's."""
     bases = [b for b, _, _ in levels]
     found: list[Perm] = []
-    lengths: list[int] = []
+    lengths = [0] * len(levels)
     for i in reversed(range(len(levels))):
         b, candidates, search = levels[i]
-        prefix = bases[:i]
-        fixing = [g for g in (*known, *found) if all(g[p] == p for p in prefix)]
+        fixing = [g for g in (*known, *found) if all(g[p] == p for p in bases[:i])]
         orbit = set(orbit_of_point(b, fixing))
         for w in candidates:
             if w in orbit:
@@ -418,17 +424,34 @@ def proved_orbits(
                 found.append(g)
                 fixing.append(g)
                 orbit = set(orbit_of_point(b, fixing))
-        lengths.append(len(orbit))
-    return found, lengths[::-1]
-
-
-def _check_chain_order(order: int, lengths: Sequence[int]) -> None:
-    """AssertionError unless a chain's order is the product of the orbit
-    lengths proved_orbits proved."""
-    if order != prod(lengths):
+        lengths[i] = len(orbit)
+    chain = PermGroup(degree, [*known, *found], base_prefix=bases)
+    if chain.order() != prod(lengths):
         raise AssertionError(
-            f"chain order {order} differs from the searched orbit lengths {list(lengths)}"
+            f"chain order {chain.order()} differs from the searched orbit lengths {lengths}"
         )
+    if top is None:
+        return chain
+    return PermGroup._from_levels(
+        degree, top._levels + chain._levels, top.generators + chain.generators
+    )
+
+
+def regular_group(
+    generators: Sequence[Perm], transversal: Sequence[Perm], inverses: Sequence[Perm]
+) -> PermGroup:
+    """A regular group's one-level chain at point 0, with no Schreier-Sims
+    run: transversal[x] takes 0 to x and inverses[x] is its inverse, both
+    kept as given.  AssertionError unless the generators reach every point."""
+    degree = len(transversal)
+    if len(orbit_of_point(0, generators)) != degree:
+        raise AssertionError("the generators do not reach every element")
+    level = _Level(0)
+    level.gens = list(generators)
+    level.gen_invs = [inverses[g[0]] for g in generators]  # g takes 0 to g[0]
+    level.transversal = dict(enumerate(transversal))
+    level.inverses = dict(enumerate(inverses))
+    return PermGroup._from_levels(degree, [level] if degree > 1 else [])
 
 
 # -- block systems ----------------------------------------------------------
@@ -484,14 +507,9 @@ class _UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
+    def union(self, x: int, y: int) -> None:
+        rx, ry = sorted((self.find(x), self.find(y)))
         self.parent[ry] = rx
-        return True
 
 
 def _uf_blocks(uf: _UnionFind, degree: int) -> BlockSystem:
@@ -525,8 +543,7 @@ def minimal_block_system(group: PermGroup, seed: tuple[int, int]) -> BlockSystem
             if uf.find(gx) != uf.find(gy):
                 uf.union(gx, gy)
                 queue.append((gx, gy))
-    system = _uf_blocks(uf, group.degree)
-    return system
+    return _uf_blocks(uf, group.degree)
 
 
 def all_block_systems(group: PermGroup) -> list[BlockSystem]:

@@ -56,21 +56,21 @@ color mode, and its automorphism searches start from the same root.
 matrix_isomorphism, whose matrices need not be vertex-transitive, tries
 every root image.
 
-The automorphism group is perms.proved_orbits over the first path's
+The automorphism group is perms.proved_chain over the first path's
 target cells: the first vertex of each is a base point, the others its
 candidate images, each searched for below the path's node, so the levels
 and all their searches share one path.  The deepest level is searched
-first, and the generators found below a level prune it; they are then a
-strong generating set on the path's base points, and the chain is built
-on that base by a full Schreier-Sims run.  A Cayley graph's matrix must be
+first, and the generators found below a level prune it; on the path's
+base points, they are then a strong generating set, from which
+proved_chain builds and checks the chain.  A Cayley graph's matrix must be
 invariant under the left translations G_L, which one comparison with its
 identity row checks, and that row then gives every vertex's arcs.  G_L is
 transitive, so the group is G_L times the stabilizer of vertex 0
 (orbit-stabilizer).  Only the stabilizer is searched, from {0}, {1..n-1}
-with no seeds: a translation fixes no vertex, so it prunes no level.  The
-chain's top level is G_L's at vertex 0, read off the group table once per
-table, and Schreier-Sims runs only on the found generators, on the base of
-the path below {0}.
+with no seeds: a translation fixes no vertex, so it prunes no level.  G_L's
+one level at vertex 0, read off the group table once per table, goes on
+top of the stabilizer's chain, so Schreier-Sims runs only on the found
+generators, on the base of the path below {0}.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ import numpy as np
 
 from .cayley import ColoredCayleyGraph
 from .groups import GroupTable, left_regular_group
-from .perms import Perm, PermGroup, _check_chain_order, permgroup_from_elements, proved_orbits
+from .perms import Perm, PermGroup, permgroup_from_elements, proved_chain
 
 __all__ = [
     "color_preserving_group",
@@ -415,13 +415,12 @@ def _image_search(path: _FirstPath, depth: int, w: int) -> Perm | None:
     return _search_pair(path, path.struct, depth + 1, other[0], None)
 
 
-def _searched_chain(path: _FirstPath, known: Sequence[Perm] = ()) -> PermGroup:
-    """The chain of the known elements, then the generators a search along
-    the path finds.  The found elements prune the levels above them
-    (perms.proved_orbits), so with the known ones they are a strong
-    generating set on the path's base points, and the chain is built on
-    that base.  Its full Schreier-Sims build is checked against the orbit
-    lengths the search proved."""
+def _searched_chain(
+    path: _FirstPath, known: Sequence[Perm] = (), top: PermGroup | None = None
+) -> PermGroup:
+    """perms.proved_chain over the path's levels (see the module docstring):
+    the chain of the known elements, then the found ones, with top's level
+    above them."""
     levels = []
     for depth in count():
         ids, t = path.node(depth)[0], path.targets[depth]
@@ -429,10 +428,7 @@ def _searched_chain(path: _FirstPath, known: Sequence[Perm] = ()) -> PermGroup:
             break
         base, *candidates = np.flatnonzero(ids == t).tolist()
         levels.append((base, candidates, partial(_image_search, path, depth)))
-    found, orbit_lengths = proved_orbits(known, levels)
-    chain = PermGroup(path.struct.n, [*known, *found], base_prefix=[b for b, _, _ in levels])
-    _check_chain_order(chain.order(), orbit_lengths)
-    return chain
+    return proved_chain(path.struct.n, levels, known, top)
 
 
 def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGroup:
@@ -517,14 +513,10 @@ def _graph_root(graph: ColoredCayleyGraph, colored: bool, relabel: bool) -> tupl
 def _cayley_aut_group(graph: ColoredCayleyGraph, colored: bool) -> PermGroup:
     """The automorphisms of the graph's color or uncolored matrix, as G_L
     times the stabilizer of vertex 0 (see the module docstring), searched
-    from the kept root (_graph_root).  The stabilizer's chain is checked
-    against the orbit lengths its search proved, and G_L's chain, one level
-    at vertex 0, is put on top."""
+    from the kept root (_graph_root), with G_L's one level at vertex 0 on
+    top of the stabilizer's chain."""
     gl = left_regular_group(graph.group)
-    below = _searched_chain(_FirstPath(*_graph_root(graph, colored, False)))
-    return PermGroup._from_levels(
-        graph.n, gl._levels + below._levels, gl.generators + below.generators
-    )
+    return _searched_chain(_FirstPath(*_graph_root(graph, colored, False)), top=gl)
 
 
 def color_preserving_group(graph: ColoredCayleyGraph) -> PermGroup:

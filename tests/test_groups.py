@@ -8,7 +8,7 @@ import pytest
 
 import time
 
-from ccakit import groups
+from ccakit import groups, perms
 from ccakit.groups import (
     _MAX_NESTING,
     MAX_GROUP_ORDER,
@@ -332,10 +332,10 @@ def test_automorphism_group_orders():
 
 def test_automorphism_chain_is_checked_against_the_proved_orbits(monkeypatch):
     # A chain built from too few generators disagrees with the orbit
-    # lengths the backtrack proved, and the shared check must say so.
+    # lengths the backtrack proved, and perms.proved_chain must say so.
     q8 = make_q8()  # a new table, with nothing kept
     monkeypatch.setattr(
-        groups, "PermGroup", lambda n, gens, base_prefix: PermGroup(n, gens[:1], base_prefix)
+        perms, "PermGroup", lambda n, gens, base_prefix: PermGroup(n, gens[:1], base_prefix)
     )
     with pytest.raises(AssertionError, match="orbit lengths"):
         group_automorphisms(q8)

@@ -70,15 +70,15 @@ def test_census_check_survives_optimized_mode():
 
 def test_census_builds_aut_f21_at_most_once(monkeypatch):
     # Aut(G) is kept per table, and the census and its check share one table.
-    # Only group_automorphisms builds a PermGroup by Schreier-Sims in groups.
+    # Only group_automorphisms builds a chain in groups, by perms.proved_chain.
     built = []
+    proved_chain = groups.proved_chain
 
-    class Counted(groups.PermGroup):
-        def __init__(self, degree, *args, **kwargs):
-            built.append(degree)
-            super().__init__(degree, *args, **kwargs)
+    def counted(degree, *args, **kwargs):
+        built.append(degree)
+        return proved_chain(degree, *args, **kwargs)
 
-    monkeypatch.setattr(groups, "PermGroup", Counted)
+    monkeypatch.setattr(groups, "proved_chain", counted)
     groups._group_from_text.cache_clear()  # a new F21 table, with nothing kept
     check_f21_census(f21_census())
     assert built == [21]

@@ -15,9 +15,9 @@ from ccakit.cca import cca_verdict_with_group
 from ccakit.groups import group_from_name, left_regular_group
 from ccakit.harness import _random_connected_set
 from ccakit.perms import (
+    MAX_ELEMENTS,
     BlockSystem,
     PermGroup,
-    _check_chain_order,
     all_block_systems,
     block_action,
     fixer,
@@ -31,7 +31,8 @@ from ccakit.perms import (
     pinv,
     pmul,
     point_stabilizer,
-    proved_orbits,
+    proved_chain,
+    regular_group,
 )
 from ccakit.search import color_preserving_group
 from ccakit.suites import _groups_equal
@@ -188,6 +189,13 @@ def test_permgroup_order_and_contains():
     assert len(set(g.elements())) == 24
 
 
+def test_elements_refuses_a_group_past_the_cap_before_listing_any():
+    s9 = PermGroup(9, [rotation(9), (1, 0, 2, 3, 4, 5, 6, 7, 8)])
+    assert s9.order() == 362_880 > MAX_ELEMENTS
+    with pytest.raises(ValueError, match="362880 exceeds limit 100000"):
+        s9.elements()
+
+
 def test_permgroup_base_levels_cover_order():
     g = PermGroup(4, S4_GENS)
     total = 1
@@ -226,52 +234,84 @@ def test_orbits_of_gens_matches_group_orbits():
     assert orbits_of_gens(6, gens) == [(0, 1), (2, 3, 4), (5,)]
 
 
-def test_proved_orbits_searches_only_outside_the_orbit():
+def _recorded_levels(elements, bases, candidates, asked):
+    """proved_chain levels at the given base points, each searching the
+    given elements for one that fixes the earlier base points; every search
+    is recorded in asked as (base point, image)."""
+
+    def level(i, b):
+        def search(w):
+            asked.append((b, w))
+            fixing = (g for g in elements if all(g[p] == p for p in bases[:i]))
+            return next((g for g in fixing if g[b] == w), None)
+
+        return b, candidates[i], search
+
+    return [level(i, b) for i, b in enumerate(bases)]
+
+
+def _basic_orbit_lengths(group):
+    return [len(lvl.transversal) for lvl in group._levels]
+
+
+def test_proved_chain_searches_only_outside_the_orbit():
     # D4 on the corners 0..3 of a square, with the rotation known: it
     # settles the orbit of 0, so only vertex 1's level searches, and only
     # for the images its orbit does not yet hold.
     d4 = list(PermGroup(4, [(1, 2, 3, 0), (0, 3, 2, 1)]).elements())
     asked = []
-
-    def level(b, prefix):
-        def search(w):
-            asked.append((b, w))
-            fixing = (g for g in d4 if all(g[p] == p for p in prefix))
-            return next((g for g in fixing if g[b] == w), None)
-
-        return b, range(4), search
-
-    found, lengths = proved_orbits([(1, 2, 3, 0)], [level(0, []), level(1, [0])])
-    assert found == [(0, 3, 2, 1)]
-    assert lengths == [4, 2]
+    levels = _recorded_levels(d4, [0, 1], [range(4), range(4)], asked)
+    chain = proved_chain(4, levels, known=[(1, 2, 3, 0)])
+    assert chain.generators == ((1, 2, 3, 0), (0, 3, 2, 1))
+    assert _basic_orbit_lengths(chain) == [4, 2]
     assert asked == [(1, 0), (1, 2), (1, 3)]
-    _check_chain_order(PermGroup(4, [(1, 2, 3, 0)] + found).order(), lengths)
-    with pytest.raises(AssertionError, match=r"chain order 4 differs .* lengths \[4, 2\]"):
-        _check_chain_order(PermGroup(4, [(1, 2, 3, 0)]).order(), lengths)
 
 
-def test_proved_orbits_prunes_each_level_with_the_finds_below_it():
+def test_proved_chain_prunes_each_level_with_the_finds_below_it():
     # S3 with the transposition (0 1) known.  Vertex 1's level runs first,
     # and its find (1 2) fixes the earlier base point 0; with (0 1) it
     # takes 0 to 2, so vertex 0's orbit is settled with no search.
     # Top-down, vertex 0's level would first search for the image 2.
     s3 = sorted(PermGroup(3, [(1, 2, 0), (1, 0, 2)]).elements())
     asked = []
-
-    def level(b, prefix):
-        def search(w):
-            asked.append((b, w))
-            fixing = (g for g in s3 if all(g[p] == p for p in prefix))
-            return next((g for g in fixing if g[b] == w), None)
-
-        return b, range(3), search
-
-    found, lengths = proved_orbits([(1, 0, 2)], [level(0, []), level(1, [0])])
+    levels = _recorded_levels(s3, [0, 1], [range(3), range(3)], asked)
+    chain = proved_chain(3, levels, known=[(1, 0, 2)])
     assert asked == [(1, 0), (1, 2)]
-    assert found == [(0, 2, 1)]
-    assert lengths == [3, 2]
-    chain = PermGroup(3, [(1, 0, 2)] + found, base_prefix=(0, 1))
-    _check_chain_order(chain.order(), lengths)
+    assert chain.generators == ((1, 0, 2), (0, 2, 1))
+    assert _basic_orbit_lengths(chain) == [3, 2]
+    assert chain.base == (0, 1)
+
+
+def test_proved_chain_refuses_an_under_proved_orbit():
+    # S3 with (0 1) known, but vertex 1's level is given no candidates, so
+    # its orbit is "proved" to be {1}.  Vertex 0's search then finds an
+    # element outside the group of order 3 * 1 those lengths claim, and the
+    # chain of order 6 must be refused.
+    s3 = sorted(PermGroup(3, [(1, 2, 0), (1, 0, 2)]).elements())
+    asked = []
+    levels = _recorded_levels(s3, [0, 1], [range(3), []], asked)
+    with pytest.raises(AssertionError, match=r"chain order 6 differs .* lengths \[3, 1\]"):
+        proved_chain(3, levels, known=[(1, 0, 2)])
+    assert asked == [(0, 2)]
+
+
+def test_proved_chain_puts_the_regular_top_level_above_the_searched_chain():
+    # C4 acting regularly on 0..3 over a search of D4's stabilizer of 0.
+    rotations = [tuple((x + k) % 4 for x in range(4)) for k in range(4)]
+    c4 = regular_group([rotations[1]], rotations, [rotations[-k] for k in range(4)])
+    d4 = list(PermGroup(4, [(1, 2, 3, 0), (0, 3, 2, 1)]).elements())
+    levels = _recorded_levels([g for g in d4 if g[0] == 0], [1], [range(4)], [])
+    chain = proved_chain(4, levels, top=c4)
+    assert chain.generators == ((1, 2, 3, 0), (0, 3, 2, 1))
+    assert chain.base == (0, 1)
+    assert _basic_orbit_lengths(chain) == [4, 2]
+    assert set(chain.elements()) == set(d4)
+
+
+def test_regular_group_checks_that_its_generators_reach_every_point():
+    rotations = [tuple((x + k) % 4 for x in range(4)) for k in range(4)]
+    with pytest.raises(AssertionError, match="do not reach every element"):
+        regular_group([rotations[2]], rotations, [rotations[-k] for k in range(4)])
 
 
 def test_block_system_constructors_validate():

@@ -6,7 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from ccakit import search
+from ccakit import perms, search
 from ccakit.cayley import (
     ColoredCayleyGraph,
     build_cayley,
@@ -701,11 +701,15 @@ def test_symmetric_group_is_closed():
 
 def test_color_group_chain_is_checked_against_the_searched_orbits(
     monkeypatch, noncca_graph
-):    # A chain built from too few generators disagrees with the orbit
-    # lengths the search proved, and the cross-check must say so.
-    monkeypatch.setattr(
-        search, "PermGroup", lambda n, gens, base_prefix: PermGroup(n, gens[:1], base_prefix)
-    )
+):
+    # A chain built from too few generators disagrees with the orbit
+    # lengths the search proved, and perms.proved_chain must say so.  A
+    # subclass, so that G_L's chain, read off the table, is still built.
+    class FirstGeneratorOnly(PermGroup):
+        def __init__(self, n, gens, base_prefix):
+            super().__init__(n, gens[:1], base_prefix)
+
+    monkeypatch.setattr(perms, "PermGroup", FirstGeneratorOnly)
     with pytest.raises(AssertionError, match="orbit lengths"):
         color_preserving_group(noncca_graph)
 

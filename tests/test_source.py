@@ -7,9 +7,8 @@ import pytest
 
 import ccakit
 
-MODULES = sorted(
-    p for p in Path(ccakit.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(Path(ccakit.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -150,3 +149,61 @@ def test_function_import_check_flags_an_avoidable_import():
         "class C:\n    def h(self):\n        from ..groups import quotient\n"
     )
     assert _avoidable_function_imports(tree) == ["line 4: from .groups", "line 7: from ."]
+
+
+CHAIN_INTERNALS = {"_Level", "_levels", "_from_levels"}
+
+
+def _chain_internals(tree: ast.Module) -> list[str]:
+    """Each naming of a stabilizer chain's levels (_Level, _levels or
+    _from_levels) by a name, an attribute or an import, as line: name."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            names = [a.name for a in n.names]
+        else:
+            names = [getattr(n, "id", None) or getattr(n, "attr", None)]
+        found |= {(n.lineno, name) for name in names if name in CHAIN_INTERNALS}
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+OUTSIDE_PERMS = [p for p in PACKAGE if p.stem != "perms"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_PERMS, ids=[p.stem for p in OUTSIDE_PERMS])
+def test_only_perms_touches_a_chains_levels(path):
+    # perms.proved_chain and perms.regular_group build every chain that
+    # another module needs, so the chain's format is known in one module.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _chain_internals(tree) == []
+
+
+def test_chain_internals_check_flags_each_naming():
+    tree = ast.parse(
+        "from .perms import PermGroup, _Level\n"
+        "def f(g):\n    return PermGroup._from_levels(3, g._levels)\n"
+        "levels = 1\n"
+    )
+    assert _chain_internals(tree) == [
+        "line 1: _Level", "line 3: _from_levels", "line 3: _levels"
+    ]
+
+
+def _bare_asserts(tree: ast.Module) -> list[str]:
+    """The lines of assert statements, which python -O strips."""
+    return [f"line {n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.stem for p in PACKAGE])
+def test_no_check_is_a_bare_assert(path):
+    # Checks raise AssertionError explicitly, so they also run under -O.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _bare_asserts(tree) == []
+
+
+def test_bare_assert_check_flags_an_assert():
+    tree = ast.parse(
+        "def f(x):\n    if x:\n        assert x > 0, 'x'\n"
+        "    raise AssertionError('kept')\n"
+    )
+    assert _bare_asserts(tree) == ["line 3"]
