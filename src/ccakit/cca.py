@@ -62,7 +62,7 @@ from .groups import (
     left_regular_group,
     subgroup_generated,
 )
-from .perms import BlockSystem, Perm, PermGroup, _block_image, is_normal_subgroup
+from .perms import BlockSystem, Perm, PermGroup, _as_perm, _block_image, is_normal_subgroup
 from .search import color_preserving_group, preserves_matrix
 
 __all__ = [
@@ -81,11 +81,10 @@ def is_affine(perm: Sequence[int], group: GroupTable) -> bool:
     """Whether the map is a translation composed with a table automorphism.
 
     Normalizing by the image of the identity must leave a multiplication
-    homomorphism; bijectivity then makes it an automorphism.
+    homomorphism; bijectivity then makes it an automorphism.  ValueError
+    unless perm permutes the group's elements.
     """
-    alpha = np.asarray(perm, dtype=np.intp)
-    if alpha.shape != (group.order,):
-        raise ValueError("degree does not match the group order")
+    alpha = np.asarray(_as_perm(perm, group.order), dtype=np.intp)
     m = group.mult_array
     k_inv = group.inv[int(alpha[group.identity])]
     beta = m[k_inv, alpha]

@@ -28,22 +28,24 @@ partition, also an array of cell indices, refined beside the vertices: an
 arc weighs the word of its color's cell instead of its color's, and a
 color hashes to the sum, over its arcs (u, v), of the words of cell(u)
 and cell(v) multiplied.  Both partitions split until neither changes.
-Exact colors are the discrete case: no color is refined.  At a leaf, each
-color maps to the color its first arc lands on, and the vertex map must
-carry the recolored first matrix onto the second.
+Exact colors are the discrete case: no color is refined.  At a leaf, the
+vertex map must carry the first matrix onto the second entrywise, or with
+relabeling under a bijection of the colors (color_bijection_between).
 
 One routine, _refine, does all refinement, one pair of partitions at a
-time.  It records a trace: per pass, the bytes of the vertex hashes, then
-the color hashes, in their new order.  Two aligned partitions with equal
-traces split alike, and when the hashes do not collide they refine alike
-exactly when their traces are equal (McKay and Piperno, "Practical graph
-isomorphism, II", 2014).  A pass is compared with the expected one before
-its new cells are made, and refinement stops, with no confirming pass, once
-every vertex cell is a singleton.  The fixed side only ever individualizes
-the first vertex of its target cell, so its nodes form one first path,
-refined once per search and shared by every branch; each candidate image
-on the other side is refined against the trace of the path's next node,
-stopping at the first pass that differs.
+time, the colors of a relabeled matrix starting in one cell.  It records a
+trace: per pass, the bytes of the vertex hashes, then the color hashes, in
+their new order.  Two aligned partitions with equal traces split alike, and
+when the hashes do not collide they refine alike exactly when their traces
+are equal (McKay and Piperno, "Practical graph isomorphism, II", 2014).  A
+pass is compared with the expected one before its new cells are made, and
+refinement stops, with no confirming pass, once every vertex cell is a
+singleton.  The fixed side only ever individualizes the first vertex of its
+target cell, so its nodes form one first path, refined once per search and
+shared by every branch.  One step, _search_image, tries each candidate
+image on the other side: it is individualized, refined against the trace of
+the path's next node, stopping at the first pass that differs, and searched
+below.  Isomorphism and automorphism searches share that step.
 
 Isomorphism of two Cayley graphs branches once at the root.  A graph made by
 build_cayley has the left translations of its group among its automorphisms,
@@ -71,6 +73,9 @@ with no seeds: a translation fixes no vertex, so it prunes no level.  G_L's
 one level at vertex 0, read off the group table once per table, goes on
 top of the stabilizer's chain, so Schreier-Sims runs only on the found
 generators, on the base of the path below {0}.
+
+The orbits of a group on ordered pairs, the 2-closure's matrix, are
+perms.orbits_of_gens of the pair action on the indices u·n + v.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ import numpy as np
 
 from .cayley import ColoredCayleyGraph
 from .groups import GroupTable, left_regular_group
-from .perms import Perm, PermGroup, permgroup_from_elements, proved_chain
+from .perms import Perm, PermGroup, _as_perm, orbits_of_gens, permgroup_from_elements, proved_chain
 
 __all__ = [
     "color_preserving_group",
@@ -238,19 +243,21 @@ def _refine(
     """Split vertex and color cells until neither splits or the vertex
     cells are singletons, recording the trace.
 
-    ids gives each vertex's cell, the cells numbered in order.  colors is
-    None when colors are fixed: each arc weighs its color's hash word.
-    Otherwise it gives the cell of each ranked color of a relabeled struct,
-    and an arc weighs its color cell's word.  A vertex hashes to the sum,
-    over its arcs out and, with a transpose, in, of weight times the hash
-    word of the neighbour's cell; a color to the sum, over its arcs (u, v),
-    of the product of the words of cell(u) and cell(v).  The trace has one
-    entry per pass, the bytes of the hashes in their new order, vertices
-    then colors; it is compared with expect before the new cells are made.
-    Returns (ids, colors, trace), or None at the first pass that differs
-    from expect.
+    ids gives each vertex's cell, the cells numbered in order.  With fixed
+    colors, colors is None and each arc weighs its color's hash word.  A
+    relabeled struct's colors gives the cell of each ranked color, all in
+    one cell when it is None, and an arc weighs its color cell's word.  A
+    vertex hashes to the sum, over its arcs out and, with a transpose, in,
+    of weight times the hash word of the neighbour's cell; a color to the
+    sum, over its arcs (u, v), of the product of the words of cell(u) and
+    cell(v).  The trace has one entry per pass, the bytes of the hashes in
+    their new order, vertices then colors; it is compared with expect
+    before the new cells are made.  Returns (ids, colors, trace), or None
+    at the first pass that differs from expect.
     """
     n = struct.n
+    if struct.relabel and colors is None:
+        colors = np.zeros(struct.k, np.intp)
     ncells = int(ids.max(initial=-1)) + 1
     trace: Trace = []
     words = _hash_table(n, _CELL)
@@ -332,52 +339,48 @@ class _FirstPath:
 
 def _leaf_map(s1: _Struct, s2: _Struct, ids1: np.ndarray, ids2: np.ndarray) -> Perm | None:
     """The map of aligned singleton cells if it carries s1's matrix onto
-    s2's.  With relabel, each color of s1 maps to the color its first arc
-    lands on; the matrices are then equal only if that is a bijection,
-    since the image shows all k colors of s2."""
+    s2's: entrywise, or with relabel under some bijection of the colors
+    (color_bijection_between; both structs have k colors)."""
     n = s1.n
     where2 = np.empty(n, dtype=np.intp)
     where2[ids2] = np.arange(n)
     p = where2[ids1]
-    m1 = s1.m
-    if s1.arcs is not None:
-        tails, heads, starts = s1.arcs
-        lut = np.zeros(s1.k + 1, dtype=np.int64)
-        lut[1:] = s2.m[p[tails[starts]], p[heads[starts]]]
-        m1 = lut[m1]
-    return tuple(p.tolist()) if np.array_equal(s2.m[np.ix_(p, p)], m1) else None
+    if s1.relabel:
+        found = color_bijection_between(s1.m, s2.m, p) is not None
+    else:
+        found = np.array_equal(s2.m[np.ix_(p, p)], s1.m)
+    return tuple(p.tolist()) if found else None
 
 
-def _search_pair(
-    path: _FirstPath,
-    s2: _Struct,
-    depth: int,
-    ids2: np.ndarray,
-    colors2: np.ndarray | None,
-) -> Perm | None:
+def _search_pair(path: _FirstPath, s2: _Struct, depth: int, node2: Node) -> Perm | None:
     """A map carrying the path's struct onto s2 below node depth of the path
-    and a refined partition of s2 with the same trace.
-
-    Each candidate image on the other side is refined against the trace of
-    the path's next node; at a leaf, _leaf_map decides.
+    and a refined node of s2 with the same trace.  Each vertex of the target
+    cell is a candidate image (_search_image); at a leaf, _leaf_map decides.
     """
-    ids1 = path.node(depth)[0]
     t = path.targets[depth]
     if t is None:
-        return _leaf_map(path.struct, s2, ids1, ids2)
-    trace = path.node(depth + 1)[2]
-    for w in np.flatnonzero(ids2 == t).tolist():
-        child2 = _refine(s2, _individualize(ids2, t, w), colors2, trace)
-        if child2 is not None:
-            found = _search_pair(path, s2, depth + 1, child2[0], child2[1])
-            if found is not None:
-                return found
+        return _leaf_map(path.struct, s2, path.node(depth)[0], node2[0])
+    for w in np.flatnonzero(node2[0] == t).tolist():
+        found = _search_image(path, s2, depth, node2, w)
+        if found is not None:
+            return found
     return None
 
 
+def _search_image(path: _FirstPath, s2: _Struct, depth: int, node2: Node, w: int) -> Perm | None:
+    """A map as _search_pair's that sends the first vertex of node depth's
+    target cell to w: w is individualized in that cell of node2, refined
+    against the trace of the path's next node, and searched below."""
+    ids2, colors2, _ = node2
+    ids2 = _individualize(ids2, path.targets[depth], w)
+    child2 = _refine(s2, ids2, colors2, path.node(depth + 1)[2])
+    return None if child2 is None else _search_pair(path, s2, depth + 1, child2)
+
+
 def preserves_matrix(matrix: np.ndarray, perm: Sequence[int]) -> bool:
-    """Whether matrix[p(u), p(v)] == matrix[u, v] for all u, v."""
-    p = np.asarray(perm, dtype=np.intp)
+    """Whether matrix[p(u), p(v)] == matrix[u, v] for all u, v.  ValueError
+    unless perm permutes the n rows of matrix."""
+    p = np.asarray(_as_perm(perm, len(matrix)), dtype=np.intp)
     return bool(np.array_equal(matrix[np.ix_(p, p)], matrix))
 
 
@@ -387,9 +390,10 @@ def color_bijection_between(
     """The color relabeling under which perm carries m1 onto m2, if any.
 
     Non-edges (0) must map to non-edges; every other color must map to
-    exactly one color, injectively.  Returns the color map or None.
+    exactly one color, injectively.  Returns the color map or None, and
+    ValueError unless perm permutes the n rows of m1.
     """
-    p = np.asarray(perm, dtype=np.intp)
+    p = np.asarray(_as_perm(perm, len(m1)), dtype=np.intp)
     a = np.asarray(m1, dtype=np.int64).ravel()
     b = np.asarray(m2, dtype=np.int64)[np.ix_(p, p)].ravel()
     if np.any((a == 0) != (b == 0)):
@@ -404,17 +408,6 @@ def color_bijection_between(
     return {int(x) + low: int(y) + low for x, y in zip(xs, ys) if int(x) + low != 0}
 
 
-def _image_search(path: _FirstPath, depth: int, w: int) -> Perm | None:
-    """An automorphism of the path's struct that maps the first vertex of
-    node depth's target cell to w and fixes node depth's other
-    individualized vertices, or None."""
-    ids, t = path.node(depth)[0], path.targets[depth]
-    other = _refine(path.struct, _individualize(ids, t, w), None, path.node(depth + 1)[2])
-    if other is None:
-        return None
-    return _search_pair(path, path.struct, depth + 1, other[0], None)
-
-
 def _searched_chain(
     path: _FirstPath, known: Sequence[Perm] = (), top: PermGroup | None = None
 ) -> PermGroup:
@@ -423,30 +416,28 @@ def _searched_chain(
     above them."""
     levels = []
     for depth in count():
-        ids, t = path.node(depth)[0], path.targets[depth]
+        node, t = path.node(depth), path.targets[depth]
         if t is None:
             break
-        base, *candidates = np.flatnonzero(ids == t).tolist()
-        levels.append((base, candidates, partial(_image_search, path, depth)))
+        base, *candidates = np.flatnonzero(node[0] == t).tolist()
+        levels.append((base, candidates, partial(_search_image, path, path.struct, depth, node)))
     return proved_chain(path.struct.n, levels, known, top)
 
 
 def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGroup:
     """The group of permutations preserving the color matrix entrywise.
 
-    Seeds must already preserve the matrix; they bootstrap orbit pruning.
-    The chain of the seeds, then the found generators, is built and checked
-    by _searched_chain.
+    Seeds must already preserve the matrix, or ValueError, also for a seed
+    that is no permutation of the rows; they bootstrap orbit pruning.  The
+    chain of the seeds, then the found generators, is built and checked by
+    _searched_chain.
     """
     struct = _Struct(matrix, relabel=False)
-    n = struct.n
     seeds = [tuple(seed) for seed in seeds]
-    for perm in seeds:
-        if len(perm) != n:
-            raise ValueError("seed degree mismatch")
-        if not preserves_matrix(struct.m, perm):
-            raise ValueError("seed does not preserve the matrix")
-    return _searched_chain(_FirstPath(struct, _refine(struct, np.zeros(n, np.intp))), seeds)
+    if not all(preserves_matrix(struct.m, perm) for perm in seeds):
+        raise ValueError("a seed does not preserve the matrix")
+    root = _refine(struct, np.zeros(struct.n, np.intp))
+    return _searched_chain(_FirstPath(struct, root), seeds)
 
 
 def matrix_isomorphism(
@@ -468,19 +459,11 @@ def matrix_isomorphism(
     if relabel and s1.k != s2.k:
         return None
     root = np.zeros(s1.n, np.intp)
-    first = _refine_start(s1, root)
-    refined = _refine_start(s2, root, first[2])
+    first = _refine(s1, root)
+    refined = _refine(s2, root, None, first[2])
     if refined is None:
         return None
-    return _search_pair(_FirstPath(s1, first), s2, 0, refined[0], refined[1])
-
-
-def _refine_start(
-    struct: _Struct, root: np.ndarray, expect: Trace | None = None
-) -> Node | None:
-    """_refine from root, the colors of a relabeled struct in one cell."""
-    colors = np.zeros(struct.k, np.intp) if struct.relabel else None
-    return _refine(struct, root, colors, expect)
+    return _search_pair(_FirstPath(s1, first), s2, 0, refined)
 
 
 # -- public graph operations --------------------------------------------------
@@ -506,7 +489,7 @@ def _graph_root(graph: ColoredCayleyGraph, colored: bool, relabel: bool) -> tupl
     if (colored, relabel) not in roots:
         matrix = graph.color_matrix if colored else graph.uncolored_matrix
         struct = _Struct(matrix, relabel, graph.group)
-        roots[colored, relabel] = struct, _refine_start(struct, _top_root(graph.n))
+        roots[colored, relabel] = struct, _refine(struct, _top_root(graph.n))
     return roots[colored, relabel]
 
 
@@ -584,33 +567,22 @@ def are_isomorphic(
     s2, root2 = _graph_root(g2, respect_colors, respect_colors)
     if s1.k != s2.k or root1[2] != root2[2]:
         return None
-    return _search_pair(_FirstPath(s1, root1), s2, 0, root2[0], root2[1])
+    return _search_pair(_FirstPath(s1, root1), s2, 0, root2)
 
 
 def pair_orbit_matrix(group: PermGroup) -> np.ndarray:
     """Orbits of the group on ordered pairs, as a color matrix.
 
-    Orbit ids are assigned in lexicographic order of each orbit's smallest
-    pair, so diagonal pairs of a transitive group get color 0.
+    The orbits are perms.orbits_of_gens of the pair action on the indices
+    u·n + v, which lists them in order of their least pair; orbit ids
+    follow that order, so diagonal pairs of a transitive group get color 0.
     """
     n = group.degree
-    color = np.full((n, n), -1, dtype=np.int64)
-    next_id = 0
-    for u in range(n):
-        for v in range(n):
-            if color[u, v] >= 0:
-                continue
-            stack = [(u, v)]
-            color[u, v] = next_id
-            while stack:
-                x, y = stack.pop()
-                for g in group.generators:
-                    gx, gy = g[x], g[y]
-                    if color[gx, gy] < 0:
-                        color[gx, gy] = next_id
-                        stack.append((gx, gy))
-            next_id += 1
-    return color
+    pair_gens = [np.add.outer(np.multiply(g, n), g).ravel().tolist() for g in group.generators]
+    color = np.empty(n * n, dtype=np.int64)
+    for i, orbit in enumerate(orbits_of_gens(n * n, pair_gens)):
+        color[list(orbit)] = i
+    return color.reshape(n, n)
 
 
 def two_closure(group: PermGroup) -> PermGroup:

@@ -67,6 +67,18 @@ def test_inversion_not_affine_on_q8():
     assert not is_affine(inversion, q8)
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [(0,) * 21, [0.5] * 21, tuple(range(20)), tuple(range(1, 22))],
+    ids=["constant", "floats", "short", "out of range"],
+)
+def test_is_affine_refuses_non_permutations(perm):
+    # The constant map and the floats used to pass as affine, and an entry
+    # out of range raised IndexError.
+    with pytest.raises(ValueError, match="not a permutation"):
+        is_affine(perm, make_f21())
+
+
 def test_affine_elements_of_cycle_group():
     graph = build_cayley(make_cyclic(5), {1, 4})
     ao = color_preserving_group(graph)

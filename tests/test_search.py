@@ -12,6 +12,7 @@ from ccakit.cayley import (
     build_cayley,
     cartesian_product,
     connection_set_orbits,
+    f21_noncca_graph,
     inverse_pairs,
     mask_to_connection_set,
 )
@@ -42,6 +43,7 @@ from ccakit.search import (
 from ccakit.cca import cca_verdict, complete_graph
 from ccakit.harness import check_f21_census, f21_census
 from ccakit.suites import groups_up_to_order_8
+from oracles import closure_of_perms
 
 
 def cycle_graph(n):
@@ -100,6 +102,29 @@ def test_preserves_matrix():
     m = cycle_graph(5).color_matrix
     assert preserves_matrix(m, (1, 2, 3, 4, 0))
     assert not preserves_matrix(m, (1, 0, 2, 3, 4))
+
+
+# Maps of 0..4 that are no permutation of it.  The two predicates below
+# answered False and None for the constant map, a wrong length raised
+# NumPy's broadcast error and an entry out of range IndexError.
+NON_PERMUTATIONS = pytest.mark.parametrize(
+    "perm",
+    [(0,) * 5, [0.5] * 5, (0, 1, 2, 3), (0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5)],
+    ids=["constant", "floats", "short", "long", "out of range"],
+)
+
+
+@NON_PERMUTATIONS
+def test_preserves_matrix_refuses_non_permutations(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        preserves_matrix(cycle_graph(5).color_matrix, perm)
+
+
+@NON_PERMUTATIONS
+def test_color_bijection_between_refuses_non_permutations(perm):
+    m = cycle_graph(5).color_matrix
+    with pytest.raises(ValueError, match="not a permutation"):
+        color_bijection_between(m, m, perm)
 
 
 def test_matrix_aut_group_with_seed_hint():
@@ -657,6 +682,28 @@ def test_pair_orbit_matrix_of_cycle():
     assert len(set(m.ravel().tolist())) == 5
 
 
+@pytest.mark.parametrize(
+    "graph, order",
+    [(f21_noncca_graph(), 168), (cycle_graph(15), 30)],
+    ids=["gamma", "z15 cycle"],
+)
+def test_pair_orbit_matrix_matches_the_orbits_of_every_element(graph, order):
+    # Each pair's orbit from the group's elements, closed by brute force;
+    # ids in lexicographic order of each orbit's least pair.
+    group = color_preserving_group(graph)
+    n = group.degree
+    elements = closure_of_perms(n, group.generators)
+    assert len(elements) == order
+    expected = np.full((n, n), -1)
+    next_id = 0
+    for u, v in itertools.product(range(n), repeat=2):
+        if expected[u, v] < 0:
+            for g in elements:
+                expected[g[u], g[v]] = next_id
+            next_id += 1
+    assert np.array_equal(pair_orbit_matrix(group), expected)
+
+
 def test_two_closure_of_rotations_stays_rotations():
     c5 = PermGroup(5, [(1, 2, 3, 4, 0)])
     closed = two_closure(c5)
@@ -972,7 +1019,7 @@ def test_root_traces_survive_vertex_relabelling(digraph_mode):
                     kept = search._graph_root(graph, colored, relabel)[1][2]
                     matrix = graph.color_matrix if colored else graph.uncolored_matrix
                     for x in (matrix, _relabeled(rng, matrix, recolor=relabel)):
-                        trace = search._refine_start(search._Struct(x, relabel), top)[2]
+                        trace = search._refine(search._Struct(x, relabel), top)[2]
                         assert trace == kept, (name, members)
 
 
@@ -990,7 +1037,7 @@ def test_irregular_matrices_refine_alike_after_relabelling(symmetric):
         for relabel, mode in ((False, "exact"), (True, "bijection")):
             other = _relabeled(rng, m, recolor=relabel)
             traces = [
-                search._refine_start(search._Struct(x, relabel), root)[2] for x in (m, other)
+                search._refine(search._Struct(x, relabel), root)[2] for x in (m, other)
             ]
             assert traces[0] == traces[1]
             found = matrix_isomorphism(m, other, match_colors=mode)
