@@ -6,152 +6,25 @@ affine maps built from translations and group automorphisms.  This package
 builds the graphs, computes the color groups by canonical refinement search,
 decides that question, and factors Cartesian products back out of the group
 action alone.
+
+Each module's ``__all__`` is its public interface, and the package
+republishes every one of those names.
 """
 
-from .cartesian import (
-    DecompositionResult,
-    ProductSplit,
-    StrippedGraph,
-    cartesian_decompose,
-    product_structure_verdict,
-    stabilizer_classes,
-    strip_block_edges,
-)
-from .cayley import (
-    ColoredCayleyGraph,
-    ConnectionSet,
-    build_cayley,
-    cartesian_product,
-    connection_set_orbits,
-    count_orbits_burnside,
-    f21_noncca_connection_set,
-    f21_noncca_graph,
-    inverse_pairs,
-    quotient_graph,
-)
-from .cca import (
-    CcaVerdict,
-    cca_group_verdict,
-    cca_verdict,
-    cca_verdict_with_group,
-    complete_graph,
-    is_affine,
-    is_hamiltonian_2group,
-)
-from .groups import (
-    GroupTable,
-    direct_product,
-    group_automorphisms,
-    group_from_name,
-    left_cosets,
-    left_regular_group,
-    left_translation,
-    make_cyclic,
-    make_dihedral,
-    make_f21,
-    make_q8,
-    minimal_generating_set,
-    parse_elements,
-    quotient,
-    subgroup_generated,
-)
-from .harness import (
-    CensusReport,
-    check_f21_census,
-    cmd_complete_cca,
-    cmd_f21_census,
-    cmd_oracle_suite,
-    cmd_product_demo,
-    cmd_verdict,
-    f21_census,
-)
-from .perms import (
-    BlockSystem,
-    Perm,
-    PermGroup,
-    all_block_systems,
-    block_action,
-    fixer,
-    is_normal_subgroup,
-    permgroup_from_elements,
-    point_stabilizer,
-)
-from .search import (
-    are_isomorphic,
-    brute_force_color_group,
-    color_preserving_group,
-    matrix_aut_group,
-    matrix_isomorphism,
-    two_closure,
-    uncolored_aut_group,
-)
-from .suites import run_oracle_suites
+from . import cartesian, cayley, cca, groups, harness, perms, search, suites
+from .cartesian import *
+from .cayley import *
+from .cca import *
+from .groups import *
+from .harness import *
+from .perms import *
+from .search import *
+from .suites import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSystem",
-    "CcaVerdict",
-    "CensusReport",
-    "ColoredCayleyGraph",
-    "ConnectionSet",
-    "DecompositionResult",
-    "GroupTable",
-    "Perm",
-    "PermGroup",
-    "ProductSplit",
-    "StrippedGraph",
-    "all_block_systems",
-    "are_isomorphic",
-    "block_action",
-    "brute_force_color_group",
-    "build_cayley",
-    "cartesian_decompose",
-    "cartesian_product",
-    "cca_group_verdict",
-    "cca_verdict",
-    "cca_verdict_with_group",
-    "check_f21_census",
-    "cmd_complete_cca",
-    "cmd_f21_census",
-    "cmd_oracle_suite",
-    "cmd_product_demo",
-    "cmd_verdict",
-    "color_preserving_group",
-    "complete_graph",
-    "connection_set_orbits",
-    "count_orbits_burnside",
-    "direct_product",
-    "f21_census",
-    "f21_noncca_connection_set",
-    "f21_noncca_graph",
-    "fixer",
-    "group_automorphisms",
-    "group_from_name",
-    "inverse_pairs",
-    "is_affine",
-    "is_hamiltonian_2group",
-    "is_normal_subgroup",
-    "left_cosets",
-    "left_regular_group",
-    "left_translation",
-    "make_cyclic",
-    "make_dihedral",
-    "make_f21",
-    "make_q8",
-    "matrix_aut_group",
-    "matrix_isomorphism",
-    "minimal_generating_set",
-    "parse_elements",
-    "permgroup_from_elements",
-    "point_stabilizer",
-    "product_structure_verdict",
-    "quotient",
-    "quotient_graph",
-    "run_oracle_suites",
-    "stabilizer_classes",
-    "strip_block_edges",
-    "subgroup_generated",
-    "two_closure",
-    "uncolored_aut_group",
+    name
+    for module in (cartesian, cayley, cca, groups, harness, perms, search, suites)
+    for name in module.__all__
 ]

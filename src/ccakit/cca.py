@@ -12,11 +12,12 @@ the left-regular group G_L, whose block systems are the left coset
 partitions {gH} of the subgroups H (Dixon & Mortimer, *Permutation Groups*,
 1996, section 1.5); so the color group's systems are those coset partitions
 that each of its generators preserves, and the note stops at the first
-nontrivial one.  G_L and its coset partitions are read off the group table
-once and kept with it.  When |ao| = n, ao is G_L itself, and no partition
-is needed: it is primitive exactly when n is 1 or prime, since a composite
-n has a subgroup of prime order (Cauchy), whose cosets form a nontrivial
-system.
+nontrivial one.  G_L is read off the group table once and kept with it;
+so are its coset partitions, which this module alone closes, by
+perms.all_block_systems.  When |ao| = n, ao is G_L itself, and no
+partition is needed: it is primitive exactly when n is 1 or prime, since a
+composite n has a subgroup of prime order (Cauchy), whose cosets form a
+nontrivial system.
 
 The color group's generators are G_L's, then those its search found.  The
 affinity test and the block systems read only the found ones, told apart
@@ -55,14 +56,16 @@ from .cayley import (
     inverse_pairs,
     mask_to_connection_set,
 )
-from .groups import (
-    GroupTable,
-    _left_regular_systems,
-    is_normal,
-    left_regular_group,
-    subgroup_generated,
+from .groups import GroupTable, _per_table, is_normal, left_regular_group, subgroup_generated
+from .perms import (
+    BlockSystem,
+    Perm,
+    PermGroup,
+    _as_perm,
+    _block_image,
+    all_block_systems,
+    is_normal_subgroup,
 )
-from .perms import BlockSystem, Perm, PermGroup, _as_perm, _block_image, is_normal_subgroup
 from .search import color_preserving_group, preserves_matrix
 
 __all__ = [
@@ -116,6 +119,14 @@ def _found_generators(group: GroupTable, ao: PermGroup) -> list[Perm]:
     order: with those, they generate ao."""
     translations = set(left_regular_group(group).generators)
     return [g for g in ao.generators if g not in translations]
+
+
+@_per_table
+def _left_regular_systems(group: GroupTable) -> tuple[BlockSystem, ...]:
+    """The block systems of G_L, in the order of all_block_systems: the
+    left coset partitions {gH} of G's subgroups H other than 1 (Dixon &
+    Mortimer, *Permutation Groups*, 1996, section 1.5)."""
+    return tuple(all_block_systems(left_regular_group(group)))
 
 
 def _color_group_systems(

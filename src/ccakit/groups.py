@@ -8,6 +8,8 @@ inverses, and associativity at every order by Light's test.  Derived tables
 (products, subgroups, quotients) are computed by index arithmetic on the
 arrays of their parents.  perms builds the chains of Aut(G), by proved_chain
 over a generating set's images, and of G_L, by regular_group from the table's rows.
+Values derived from a table, such as those two groups, are kept with it by
+_per_table; cca keeps G_L's block systems the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .perms import BlockSystem, Perm, PermGroup, all_block_systems, proved_chain, regular_group
+from .perms import BlockSystem, Perm, PermGroup, proved_chain, regular_group
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -326,10 +328,11 @@ def subgroup_generated(group: GroupTable, gens: Iterable[int]) -> frozenset[int]
 
 
 def is_subgroup(group: GroupTable, members: Iterable[int]) -> bool:
-    mem = _element_set(group, members)
-    if group.identity not in mem:
-        return False
-    return all(group.mul(a, b) in mem for a in mem for b in mem)
+    """Whether the members form a subgroup: a finite set does exactly when
+    it is the subgroup it generates.  ValueError unless each member is an
+    element index."""
+    mem = frozenset(members)
+    return subgroup_generated(group, mem) == mem
 
 
 def _not_normal(group: GroupTable, mem: frozenset[int]) -> str | None:
@@ -504,14 +507,6 @@ def left_regular_group(group: GroupTable) -> PermGroup:
         [mult[row[inv0]] for row in mult],
         [mult[row0[inv[x]]] for x in range(group.order)],
     )
-
-
-@_per_table
-def _left_regular_systems(group: GroupTable) -> tuple[BlockSystem, ...]:
-    """The block systems of G_L, in the order of all_block_systems: the
-    left coset partitions {gH} of G's subgroups H other than 1 (Dixon &
-    Mortimer, *Permutation Groups*, 1996, section 1.5)."""
-    return tuple(all_block_systems(left_regular_group(group)))
 
 
 # -- labels, parsing, registry ------------------------------------------------

@@ -36,14 +36,20 @@ from .cca import (
     complete_graph,
     is_hamiltonian_2group,
 )
-from .groups import (
-    GroupTable,
-    group_from_name,
-    left_cosets,
-    make_cyclic,
-)
+from .groups import group_from_name, left_cosets, make_cyclic
 from .search import are_isomorphic, uncolored_aut_group
-from .suites import run_oracle_suites
+from .suites import _seeded_generating_set, run_oracle_suites
+
+__all__ = [
+    "CensusReport",
+    "f21_census",
+    "check_f21_census",
+    "cmd_f21_census",
+    "cmd_complete_cca",
+    "cmd_product_demo",
+    "cmd_verdict",
+    "cmd_oracle_suite",
+]
 
 DEFAULT_ROSTER = (
     "z5",
@@ -245,16 +251,6 @@ def _demo_cycle_factor(m: int):
     return build_cayley(make_cyclic(m), members)
 
 
-def _random_connected_set(group: GroupTable, rng: random.Random) -> ConnectionSet:
-    """A small seeded inverse-closed generating set, replayable by seed."""
-    pairs = inverse_pairs(group)
-    while True:
-        chosen = rng.sample(range(len(pairs)), rng.randint(2, 4))
-        cs = ConnectionSet(group, frozenset(e for i in chosen for e in pairs[i]))
-        if cs.generates_group():
-            return cs
-
-
 def _product_theorem_factors(graph: ColoredCayleyGraph, verdict: CcaVerdict) -> dict:
     """The two factor orders of product_structure_verdict as row fields; a
     graph the product theorem does not cover gives no fields."""
@@ -307,9 +303,9 @@ def cmd_product_demo(m: int, seed: int = 0) -> tuple[list[dict], list[str]]:
         }
     )
 
-    rng = random.Random(seed)
+    rng, pairs = random.Random(seed), inverse_pairs(prod.group)
     for i in range(3):
-        cs = _random_connected_set(prod.group, rng)
+        cs = ConnectionSet(prod.group, _seeded_generating_set(rng, prod.group, pairs))
         graph = build_cayley(prod.group, cs)
         v = cca_verdict(graph)
         rows.append(

@@ -153,7 +153,7 @@ class _Struct:
     def __init__(
         self, matrix: np.ndarray, relabel: bool, group: GroupTable | None = None
     ) -> None:
-        m = np.ascontiguousarray(matrix, dtype=np.int64)
+        m = np.ascontiguousarray(_square(matrix), dtype=np.int64)
         self.n, self.relabel, self.arcs = m.shape[0], relabel, None
         if relabel:
             values = np.unique(m[m != 0])
@@ -377,11 +377,20 @@ def _search_image(path: _FirstPath, s2: _Struct, depth: int, node2: Node, w: int
     return None if child2 is None else _search_pair(path, s2, depth + 1, child2)
 
 
+def _square(matrix: np.ndarray) -> np.ndarray:
+    """matrix as an array, or ValueError unless it is n x n."""
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"a color matrix must be square, not of shape {m.shape}")
+    return m
+
+
 def preserves_matrix(matrix: np.ndarray, perm: Sequence[int]) -> bool:
     """Whether matrix[p(u), p(v)] == matrix[u, v] for all u, v.  ValueError
-    unless perm permutes the n rows of matrix."""
-    p = np.asarray(_as_perm(perm, len(matrix)), dtype=np.intp)
-    return bool(np.array_equal(matrix[np.ix_(p, p)], matrix))
+    unless matrix is square and perm permutes its n rows."""
+    m = _square(matrix)
+    p = np.asarray(_as_perm(perm, len(m)), dtype=np.intp)
+    return bool(np.array_equal(m[np.ix_(p, p)], m))
 
 
 def color_bijection_between(
@@ -391,8 +400,11 @@ def color_bijection_between(
 
     Non-edges (0) must map to non-edges; every other color must map to
     exactly one color, injectively.  Returns the color map or None, and
-    ValueError unless perm permutes the n rows of m1.
+    ValueError unless both matrices are n x n and perm permutes their rows.
     """
+    m1, m2 = _square(m1), _square(m2)
+    if m1.shape != m2.shape:
+        raise ValueError(f"matrices of shapes {m1.shape} and {m2.shape}")
     p = np.asarray(_as_perm(perm, len(m1)), dtype=np.intp)
     a = np.asarray(m1, dtype=np.int64).ravel()
     b = np.asarray(m2, dtype=np.int64)[np.ix_(p, p)].ravel()
@@ -425,7 +437,8 @@ def _searched_chain(
 
 
 def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGroup:
-    """The group of permutations preserving the color matrix entrywise.
+    """The group of permutations preserving the square color matrix
+    entrywise, or ValueError for a matrix that is not n x n.
 
     Seeds must already preserve the matrix, or ValueError, also for a seed
     that is no permutation of the rows; they bootstrap orbit pruning.  The
@@ -443,7 +456,8 @@ def matrix_aut_group(matrix: np.ndarray, seeds: Sequence[Perm] = ()) -> PermGrou
 def matrix_isomorphism(
     m1: np.ndarray, m2: np.ndarray, match_colors: str = "exact"
 ) -> Perm | None:
-    """A vertex bijection carrying matrix m1 onto m2, or None.
+    """A vertex bijection carrying matrix m1 onto m2, or None; None also
+    for square matrices of two sizes, and ValueError unless both are square.
 
     match_colors: "exact" keeps color values fixed, "bijection" allows a
     global color relabeling, found by refining the colors as a partition
@@ -452,11 +466,9 @@ def matrix_isomorphism(
     """
     if match_colors not in ("exact", "bijection"):
         raise ValueError(f"unknown color matching mode {match_colors!r}")
-    if m1.shape != m2.shape:
-        return None
     relabel = match_colors == "bijection"
     s1, s2 = _Struct(m1, relabel), _Struct(m2, relabel)
-    if relabel and s1.k != s2.k:
+    if s1.n != s2.n or (relabel and s1.k != s2.k):
         return None
     root = np.zeros(s1.n, np.intp)
     first = _refine(s1, root)

@@ -8,6 +8,7 @@ pseudorandom instances derive from an explicit seed.
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from .cartesian import cartesian_decompose, stabilizer_classes, strip_block_edges
 from .cayley import (
@@ -77,22 +78,23 @@ def groups_up_to_order_8() -> list[tuple[str, GroupTable]]:
     return [(name, group_from_name(name)) for name in _SMALL_GROUP_NAMES]
 
 
+def _seeded_generating_set(
+    rng: random.Random, group: GroupTable, units: Sequence[Sequence[int]]
+) -> frozenset[int]:
+    """The elements of 2 to 4 of the units drawn by rng, drawn again until
+    they generate the group: replayable by seed.  The units are single
+    elements for a digraph's set and inverse pairs for a graph's."""
+    while True:
+        chosen = rng.sample(units, rng.randint(2, min(4, len(units))))
+        members = frozenset(x for unit in chosen for x in unit)
+        if len(subgroup_generated(group, members)) == group.order:
+            return members
+
+
 # -- exact-arc-color oracle ---------------------------------------------------
 
 
 _DIGRAPH_ROSTER = ("z6", "z7", "z8", "d4", "z9", "z10", "d5", "z12", "q8", "f21")
-
-
-def _seeded_generating_set(rng: random.Random, group: GroupTable) -> tuple[int, ...]:
-    """A random generating subset of non-identity elements, not closed
-    under inversion."""
-    n = group.order
-    candidates = [g for g in range(n) if g != group.identity]
-    while True:
-        k = rng.randint(2, min(4, len(candidates)))
-        picked = set(rng.sample(candidates, k))
-        if len(subgroup_generated(group, picked)) == n:
-            return tuple(sorted(picked))
 
 
 def white_oracle_suite(seed: int = 0) -> list[dict]:
@@ -102,7 +104,8 @@ def white_oracle_suite(seed: int = 0) -> list[dict]:
     rows: list[dict] = []
     for name in 2 * _DIGRAPH_ROSTER:  # each group twice, on different sets
         group = group_from_name(name)
-        members = _seeded_generating_set(rng, group)
+        units = [(g,) for g in range(group.order) if g != group.identity]
+        members = tuple(sorted(_seeded_generating_set(rng, group, units)))
         graph = build_cayley(group, members, digraph_mode=True)
         found = color_preserving_group(graph)
         ok = found.order() == group.order

@@ -37,7 +37,6 @@ from ccakit.groups import (
     make_f21,
     subgroup_generated,
 )
-from ccakit.harness import _random_connected_set
 from ccakit.perms import (
     BlockSystem,
     PermGroup,
@@ -46,6 +45,7 @@ from ccakit.perms import (
     point_stabilizer,
 )
 from ccakit.search import are_isomorphic, color_bijection_between, color_preserving_group
+from ccakit.suites import _seeded_generating_set
 from oracles import singleton_partition
 
 
@@ -231,7 +231,7 @@ def _theorem_sets(name, m):
         for pair in cycle_pairs
         for phi in images
     ]
-    sets += [_random_connected_set(group, rng).members for _ in range(4)]
+    sets += [_seeded_generating_set(rng, group, inverse_pairs(group)) for _ in range(4)]
     return group, sets
 
 

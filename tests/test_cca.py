@@ -37,7 +37,7 @@ from ccakit.groups import (
     make_q8,
     subgroup_generated,
 )
-from ccakit.harness import DEFAULT_ROSTER, _random_connected_set
+from ccakit.harness import DEFAULT_ROSTER
 from ccakit.perms import (
     PermGroup,
     _block_image,
@@ -46,6 +46,7 @@ from ccakit.perms import (
     orbit_of_point,
 )
 from ccakit.search import color_preserving_group, preserves_matrix
+from ccakit.suites import _seeded_generating_set
 from oracles import all_subgroups
 
 
@@ -265,7 +266,7 @@ def _oracle_graphs():
         group = group_from_name(name)
         rng = random.Random(0)
         for _ in range(30):
-            yield build_cayley(group, _random_connected_set(group, rng).members)
+            yield build_cayley(group, _seeded_generating_set(rng, group, inverse_pairs(group)))
     for name in DEFAULT_ROSTER:
         yield complete_graph(group_from_name(name))
 
@@ -298,7 +299,7 @@ def test_block_systems_closed_once_per_table(monkeypatch):
         calls.append(gl.degree)
         return all_block_systems(gl)
 
-    monkeypatch.setattr(groups, "all_block_systems", counted)
+    monkeypatch.setattr(cca, "all_block_systems", counted)
     group = make_f21()  # a new table, with nothing kept
     negative = cca_verdict(build_cayley(group, f21_noncca_connection_set(group)))
     cycle = {group.index_of(label) for label in ("x", "x^6", "a", "a^2")}
@@ -318,13 +319,22 @@ def test_colored_cubes_close_no_block_lattice(monkeypatch, k):
         calls.append(gl.degree)
         return all_block_systems(gl)
 
-    monkeypatch.setattr(groups, "all_block_systems", counted)
+    monkeypatch.setattr(cca, "all_block_systems", counted)
     # The k-cube, one color per direction, on a new table: element
     # (b1, ..., bk) sits at index b1...bk in binary.
     group = reduce(direct_product, [make_cyclic(2)] * k)
     verdict = cca_verdict(build_cayley(group, [1 << i for i in range(k)]))
     assert (verdict.is_cca, verdict.ao_order, verdict.notes["ao_primitive"]) == (True, 2**k, False)
     assert calls == []
+
+
+def test_z2_6_x_z3_verdict_closes_the_lattice_in_time():
+    # The slowest admitted input of this family in tier-1: the color group
+    # is twice G_L, so the note closes the lattice of Z2^6 x Z3's subgroups
+    # (under 2 s).  Z2^7 x Z3 takes about 20 s and 1.2 GB, bounded in CI.
+    group = group_from_name("z2^6xz3")
+    verdict = cca_verdict(build_cayley(group, [3 << i for i in range(6)] + [1, 2]))
+    assert (verdict.is_cca, verdict.ao_order, verdict.notes["ao_primitive"]) == (True, 384, False)
 
 
 def test_hamiltonian_2group_detection():

@@ -15,7 +15,6 @@ from ccakit.groups import (
     GroupTable,
     _group_from_text,
     _is_associative,
-    _left_regular_systems,
     direct_product,
     group_automorphisms,
     group_from_name,
@@ -36,7 +35,7 @@ from ccakit.groups import (
     subgroup_table,
 )
 from ccakit.cayley import build_cayley
-from ccakit.cca import cca_verdict
+from ccakit.cca import _left_regular_systems, cca_verdict
 from ccakit.harness import DEFAULT_ROSTER
 from ccakit.perms import PermGroup
 from ccakit.suites import groups_up_to_order_8
@@ -266,6 +265,15 @@ def test_subgroup_generated_matches_a_naive_fixpoint_on_larger_groups():
             closed = _naive_closure(g, gens)
             assert all(subgroup_generated(g, x) == closed for x in lists)
     assert subgroup_generated(g, []) == {g.identity}
+
+
+def test_is_subgroup_matches_the_subgroup_lattice():
+    # Every subset of each group of order at most 8, the empty one included.
+    for _, g in groups_up_to_order_8():
+        subgroups = set(all_subgroups(g))
+        for mask in range(1 << g.order):
+            members = [x for x in range(g.order) if mask >> x & 1]
+            assert is_subgroup(g, members) == (frozenset(members) in subgroups)
 
 
 def test_is_normal_matches_conjugation_by_every_element():

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +108,63 @@ def test_package_names_are_its_public_names():
     }
     assert bound == set(ccakit.__all__)
     assert len(ccakit.__all__) == len(set(ccakit.__all__))
+
+
+# Every name the package published from its own list, which the modules'
+# __all__ lists replaced; none may leave the package.
+PACKAGE_NAMES = """
+BlockSystem CcaVerdict CensusReport ColoredCayleyGraph ConnectionSet
+DecompositionResult GroupTable Perm PermGroup ProductSplit StrippedGraph
+all_block_systems are_isomorphic block_action brute_force_color_group
+build_cayley cartesian_decompose cartesian_product cca_group_verdict
+cca_verdict cca_verdict_with_group check_f21_census cmd_complete_cca
+cmd_f21_census cmd_oracle_suite cmd_product_demo cmd_verdict
+color_preserving_group complete_graph connection_set_orbits
+count_orbits_burnside direct_product f21_census f21_noncca_connection_set
+f21_noncca_graph fixer group_automorphisms group_from_name inverse_pairs
+is_affine is_hamiltonian_2group is_normal_subgroup left_cosets
+left_regular_group left_translation make_cyclic make_dihedral make_f21
+make_q8 matrix_aut_group matrix_isomorphism minimal_generating_set
+parse_elements permgroup_from_elements point_stabilizer
+product_structure_verdict quotient quotient_graph run_oracle_suites
+stabilizer_classes strip_block_edges subgroup_generated two_closure
+uncolored_aut_group
+""".split()
+
+
+def test_package_republishes_each_modules_public_names():
+    # Every module but the CLI's publishes an __all__, and the package
+    # binds each of those names to the module's own object.
+    names = [
+        m.name for m in pkgutil.iter_modules(ccakit.__path__) if m.name not in ("cli", "__main__")
+    ]
+    modules = [importlib.import_module(f"ccakit.{name}") for name in names]
+    assert len(modules) == 8
+    published = {name: module for module in modules for name in module.__all__}
+    assert sorted(ccakit.__all__) == sorted(published)
+    assert all(getattr(ccakit, name) is getattr(published[name], name) for name in published)
+    assert len(PACKAGE_NAMES) == 64 and set(PACKAGE_NAMES) <= set(ccakit.__all__)
+
+
+def test_white_oracle_sets_replay_by_seed():
+    # The sets each seed draws, by the sampler that also draws product-demo's
+    # random sets (pinned for seed 0 by product_demo_m5.jsonl, for seed 3
+    # below).
+    names = {seed: [row["name"] for row in suites.white_oracle_suite(seed)] for seed in (0, 1)}
+    assert names[0] == [
+        "z6 S=[1, 2, 4]", "z7 S=[2, 3, 4, 6]", "z8 S=[2, 5, 7]", "d4 S=[3, 5]",
+        "z9 S=[1, 3, 6, 8]", "z10 S=[1, 5, 6, 8]", "d5 S=[5, 6, 7]", "z12 S=[4, 8, 9, 10]",
+        "q8 S=[1, 3, 5, 6]", "f21 S=[1, 13]", "z6 S=[1, 2, 3, 4]", "z7 S=[1, 2, 5, 6]",
+        "z8 S=[5, 7]", "d4 S=[1, 3, 7]", "z9 S=[1, 3, 5, 8]", "z10 S=[2, 6, 7]",
+        "d5 S=[1, 4, 5, 9]", "z12 S=[4, 5, 6, 7]", "q8 S=[2, 7]", "f21 S=[9, 20]",
+    ]
+    assert names[1] == [
+        "z6 S=[1, 5]", "z7 S=[1, 4, 5]", "z8 S=[1, 4]", "d4 S=[1, 4, 5]",
+        "z9 S=[2, 3, 6, 8]", "z10 S=[1, 2, 6, 7]", "d5 S=[1, 9]", "z12 S=[4, 7, 11]",
+        "q8 S=[1, 2, 4, 5]", "f21 S=[8, 12, 18]", "z6 S=[1, 3, 4]", "z7 S=[1, 2, 3, 6]",
+        "z8 S=[3, 4, 5, 6]", "d4 S=[2, 3, 6, 7]", "z9 S=[5, 7, 8]", "z10 S=[1, 2, 8]",
+        "d5 S=[2, 6, 7, 9]", "z12 S=[2, 6, 9]", "q8 S=[1, 5, 6]", "f21 S=[13, 17]",
+    ]
 
 
 def test_suite_rosters_are_the_registry_tables():
@@ -232,6 +291,12 @@ def test_product_demo_checks_negative_random_sets(monkeypatch):
     # seed 3 draws a negative random set of F21 first
     rows, _ = cmd_product_demo(1, seed=3)
     randoms = [row for row in rows if row["kind"] == "random-set"]
+    assert [row["set"] for row in randoms] == [
+        ["(e,x^4a)", "(e,x^4a^2)", "(e,x^5a)", "(e,x^6a^2)"],
+        ["(e,x^2a)", "(e,x^3)", "(e,x^3a^2)", "(e,x^4)"],
+        ["(e,a)", "(e,a^2)", "(e,x)", "(e,x^2a^2)", "(e,x^4a^2)", "(e,x^5a)", "(e,x^6)",
+         "(e,x^6a)"],
+    ]
     assert [row["is_cca"] for row in randoms] == [False, True, True]
     assert (randoms[0]["factor1_n"], randoms[0]["factor2_n"]) == (1, 21)
     assert all("factor1_n" not in row for row in randoms[1:])

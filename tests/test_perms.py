@@ -13,7 +13,6 @@ from ccakit.cayley import (
 )
 from ccakit.cca import cca_verdict_with_group
 from ccakit.groups import group_from_name, left_regular_group
-from ccakit.harness import _random_connected_set
 from ccakit.perms import (
     MAX_ELEMENTS,
     BlockSystem,
@@ -35,7 +34,7 @@ from ccakit.perms import (
     regular_group,
 )
 from ccakit.search import color_preserving_group
-from ccakit.suites import _groups_equal
+from ccakit.suites import _groups_equal, _seeded_generating_set
 from oracles import (
     all_subgroups,
     closure_of_perms,
@@ -373,7 +372,7 @@ def _seeded_color_group(name, seed):
     """The color group of a seeded connected set.  Its point stabilizer is
     nontrivial, so a block's stabilizer holds more than translations."""
     group = group_from_name(name)
-    members = _random_connected_set(group, random.Random(seed)).members
+    members = _seeded_generating_set(random.Random(seed), group, inverse_pairs(group))
     ao = color_preserving_group(build_cayley(group, members))
     assert ao.order() > group.order
     return ao

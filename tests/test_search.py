@@ -127,6 +127,49 @@ def test_color_bijection_between_refuses_non_permutations(perm):
         color_bijection_between(m, m, perm)
 
 
+# Matrices that are not n x n, which no color matrix can be.
+NOT_SQUARE = pytest.mark.parametrize(
+    "matrix",
+    [np.array([[0, 1, 1], [1, 0, 1]]), np.array([0, 1, 1]), np.zeros((2, 2, 2), int)],
+    ids=["2x3", "1-D", "3-D"],
+)
+
+
+@NOT_SQUARE
+def test_preserves_matrix_refuses_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(ValueError, match="must be square"):
+        preserves_matrix(matrix, (1, 0))
+
+
+@NOT_SQUARE
+def test_matrix_aut_group_refuses_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(ValueError, match="must be square"):
+        matrix_aut_group(matrix)
+
+
+@NOT_SQUARE
+def test_matrix_isomorphism_refuses_a_matrix_that_is_not_square(matrix):
+    square = np.zeros((2, 2), int)
+    for mode in ("exact", "bijection"):
+        for m1, m2 in ((matrix, matrix), (matrix, square), (square, matrix)):
+            with pytest.raises(ValueError, match="must be square"):
+                matrix_isomorphism(m1, m2, mode)
+        # Square matrices of two sizes are simply not isomorphic.
+        assert matrix_isomorphism(square, np.zeros((3, 3), int), mode) is None
+
+
+def test_color_bijection_between_refuses_other_shapes():
+    # A larger m2 must not be read through its leading 2 x 2 block.
+    m1 = np.array([[0, 1], [1, 0]])
+    m2 = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+    for a, b, perm in ((m1, m2, (0, 1)), (m2, m1, (0, 1, 2))):
+        with pytest.raises(ValueError, match=r"shapes \(\d, \d\) and \(\d, \d\)"):
+            color_bijection_between(a, b, perm)
+    with pytest.raises(ValueError, match="must be square"):
+        color_bijection_between(m2[:2], m2[:2], (0, 1))
+    assert color_bijection_between(m1, m1, (1, 0)) == {1: 1}
+
+
 def test_matrix_aut_group_with_seed_hint():
     m = cycle_graph(7).color_matrix
     rot = tuple((i + 1) % 7 for i in range(7))

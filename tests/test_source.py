@@ -154,16 +154,16 @@ def test_function_import_check_flags_an_avoidable_import():
 CHAIN_INTERNALS = {"_Level", "_levels", "_from_levels"}
 
 
-def _chain_internals(tree: ast.Module) -> list[str]:
-    """Each naming of a stabilizer chain's levels (_Level, _levels or
-    _from_levels) by a name, an attribute or an import, as line: name."""
+def _namings(tree: ast.Module, watched: set[str]) -> list[str]:
+    """Each naming of a watched name by a name, an attribute or an import,
+    as line: name."""
     found = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.ImportFrom):
             names = [a.name for a in n.names]
         else:
             names = [getattr(n, "id", None) or getattr(n, "attr", None)]
-        found |= {(n.lineno, name) for name in names if name in CHAIN_INTERNALS}
+        found |= {(n.lineno, name) for name in names if name in watched}
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
@@ -175,7 +175,7 @@ def test_only_perms_touches_a_chains_levels(path):
     # perms.proved_chain and perms.regular_group build every chain that
     # another module needs, so the chain's format is known in one module.
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert _chain_internals(tree) == []
+    assert _namings(tree, CHAIN_INTERNALS) == []
 
 
 def test_chain_internals_check_flags_each_naming():
@@ -184,8 +184,32 @@ def test_chain_internals_check_flags_each_naming():
         "def f(g):\n    return PermGroup._from_levels(3, g._levels)\n"
         "levels = 1\n"
     )
-    assert _chain_internals(tree) == [
+    assert _namings(tree, CHAIN_INTERNALS) == [
         "line 1: _Level", "line 3: _from_levels", "line 3: _levels"
+    ]
+
+
+BLOCK_LATTICE = {"all_block_systems", "_left_regular_systems"}
+OUTSIDE_PERMS_AND_CCA = [p for p in PACKAGE if p.stem not in ("perms", "cca")]
+
+
+@pytest.mark.parametrize(
+    "path", OUTSIDE_PERMS_AND_CCA, ids=[p.stem for p in OUTSIDE_PERMS_AND_CCA]
+)
+def test_only_perms_and_cca_name_the_block_lattice(path):
+    # perms closes a lattice of block systems and cca alone keeps G_L's, so
+    # a primitivity note without the closure changes cca and no other module.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _namings(tree, BLOCK_LATTICE) == []
+
+
+def test_block_lattice_check_flags_each_naming():
+    tree = ast.parse(
+        "from .perms import all_block_systems as closure, fixer\n"
+        "from . import cca\nsystems = cca._left_regular_systems\n"
+    )
+    assert _namings(tree, BLOCK_LATTICE) == [
+        "line 1: all_block_systems", "line 3: _left_regular_systems"
     ]
 
 
