@@ -15,28 +15,33 @@ with its own index and color 0; a Cayley graph's arrays are read off its
 identity row instead (see below).  A pass hashes each vertex v to
 h(v) = sum of A[color] * B[cell(w)] mod 2^64 over its arcs (v, w), plus
 the same sum over its arcs (w, v) with another table for A when there is
-a transpose.  A and B are fixed splitmix64 tables, and one lexsort on
-(cell, hash) splits every cell, pieces in hash order.  h depends only on
-colors and cell indices, so refinement is invariant under relabeling
-the vertices.  A collision of two hashes only leaves a cell coarser: the
-search then runs longer, and the leaf check stays exact.  The branching
-rule individualizes the first smallest non-singleton cell and tries
-images in ascending vertex order.
+a transpose, one np.vecdot per side.  A and B are fixed splitmix64
+tables.  Each vertex then gets one 64-bit key, its cell index in the top
+b = max(1, (n - 1).bit_length()) bits and the low 64 - b bits of h(v)
+below, and one stable argsort of the keys splits every cell into its runs
+of equal keys, pieces in the order of those low bits.  h depends only on
+colors and cell indices, so refinement is invariant under relabeling the
+vertices.  Two hashes that agree in their low bits only leave a cell
+coarser: the search then runs longer, and the leaf check stays exact.
+The branching rule individualizes the first smallest non-singleton cell
+and tries images in ascending vertex order.
 
 When colors may be relabeled, the colors form a second ordered
 partition, also an array of cell indices, refined beside the vertices: an
 arc weighs the word of its color's cell instead of its color's, and a
 color hashes to the sum, over its arcs (u, v), of the words of cell(u)
-and cell(v) multiplied.  Both partitions split until neither changes.
-Exact colors are the discrete case: no color is refined.  At a leaf, the
-vertex map must carry the first matrix onto the second entrywise, or with
-relabeling under a bijection of the colors (color_bijection_between).
+and cell(v) multiplied; its key holds its color cell above the low bits
+of that hash, b taken from the number of colors.  Both partitions split
+until neither changes.  Exact colors are the discrete case: no color is
+refined.  At a leaf, the vertex map must carry the first matrix onto the
+second entrywise, or with relabeling under a bijection of the colors
+(color_bijection_between).
 
 One routine, _refine, does all refinement, one pair of partitions at a
 time, the colors of a relabeled matrix starting in one cell.  It records a
-trace: per pass, the bytes of the vertex hashes, then the color hashes, in
-their new order.  Two aligned partitions with equal traces split alike, and
-when the hashes do not collide they refine alike exactly when their traces
+trace: per pass, the bytes of the sorted vertex keys, then of the sorted
+color keys.  Two aligned partitions with equal traces split alike, and
+when the keys do not collide they refine alike exactly when their traces
 are equal (McKay and Piperno, "Practical graph isomorphism, II", 2014).  A
 pass is compared with the expected one before its new cells are made, and
 refinement stops, with no confirming pass, once every vertex cell is a
@@ -219,15 +224,35 @@ def _translation_sides(m: np.ndarray, group: GroupTable) -> list[tuple[np.ndarra
     return sides
 
 
-def _split(ids: np.ndarray, order: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each cell split by the hashes of its members, pieces in hash order,
-    given the members ordered by (cell, hash) and their hashes in that
-    order: the new cell of each member, and the number of cells."""
-    cells = ids[order]
-    # Each piece after the first starts where the cell or the hash changes.
-    starts = np.zeros(len(ids), dtype=np.intp)
-    np.not_equal(cells[1:], cells[:-1], out=starts[1:], casting="unsafe")
-    starts[1:] |= hashes[1:] != hashes[:-1]
+@lru_cache(maxsize=32)
+def _key_parts(size: int) -> tuple[np.ndarray, np.uint64]:
+    """Each cell index of a partition of size members shifted into the top
+    b = max(1, (size - 1).bit_length()) bits of a uint64, and the mask of
+    the low 64 - b bits."""
+    shift = 64 - max(1, (size - 1).bit_length())
+    tops = np.arange(size, dtype=np.uint64) << np.uint64(shift)
+    tops.flags.writeable = False
+    return tops, np.uint64((1 << shift) - 1)
+
+
+def _sorted_keys(cells: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The members' keys, cell index over the low bits of the hash
+    (_key_parts of the number of members), in sorted order, and the stable
+    order that sorts them.  The low bits are the same sum of words taken
+    mod 2^(64 - b); the top bits would lose the sums of small words."""
+    tops, mask = _key_parts(len(cells))
+    keys = tops[cells] | (hashes & mask)
+    order = keys.argsort(kind="stable")
+    return keys[order], order
+
+
+def _split(keys: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each cell split into the runs of equal keys, given the members' keys
+    in sorted order and the order that sorts them: the new cell of each
+    member, and the number of cells."""
+    starts = np.empty(len(keys), dtype=bool)
+    starts[0] = False
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     pieces = starts.cumsum()
     new = np.empty_like(pieces)
     new[order] = pieces
@@ -250,10 +275,11 @@ def _refine(
     vertex hashes to the sum, over its arcs out and, with a transpose, in,
     of weight times the hash word of the neighbour's cell; a color to the
     sum, over its arcs (u, v), of the product of the words of cell(u) and
-    cell(v).  The trace has one entry per pass, the bytes of the hashes in
-    their new order, vertices then colors; it is compared with expect
-    before the new cells are made.  Returns (ids, colors, trace), or None
-    at the first pass that differs from expect.
+    cell(v).  The trace has one entry per pass, the bytes of the sorted
+    keys (_sorted_keys), vertices then colors; it is compared with expect
+    before the runs of equal keys become the new cells (_split).  Returns
+    (ids, colors, trace), or None at the first pass that differs from
+    expect.
     """
     n = struct.n
     if struct.relabel and colors is None:
@@ -269,26 +295,23 @@ def _refine(
         for nbrs, cols, weights, salt in struct.sides:
             if colors is not None:
                 weights = _hash_table(struct.k + 1, salt)[lut[cols]]
-            part = (weights * cell_words[nbrs]).sum(axis=1, dtype=np.uint64)
+            part = np.vecdot(cell_words[nbrs], weights)
             h = part if h is None else h + part
-        order = np.lexsort((h, ids))
-        hashes = h[order]
-        entry = hashes.tobytes()
+        keys, order = _sorted_keys(ids, h)
+        entry = keys.tobytes()
         if struct.arcs is not None:
             tails, heads, starts = struct.arcs
             pair = _hash_table(n, _TAIL)[ids[tails]] * _hash_table(n, _HEAD)[ids[heads]]
-            hc = np.add.reduceat(pair, starts)
-            color_order = np.lexsort((hc, colors))
-            color_hashes = hc[color_order]
-            entry += color_hashes.tobytes()
+            color_keys, color_order = _sorted_keys(colors, np.add.reduceat(pair, starts))
+            entry += color_keys.tobytes()
         # A pass equal to expect's last one ends here too.
         if expect is not None and entry != expect[len(trace)]:
             return None
         trace.append(entry)
-        new, count = _split(ids, order, hashes)
+        new, count = _split(keys, order)
         split = count > ncells
         if struct.arcs is not None:
-            new_colors, color_count = _split(colors, color_order, color_hashes)
+            new_colors, color_count = _split(color_keys, color_order)
             if color_count > colors.max() + 1:
                 split, colors = True, new_colors
         if not split:

@@ -1,8 +1,12 @@
-"""Independent oracles that only the tests use: brute-force closures and the
-trivial partitions, kept apart from the library they cross-check."""
+"""Independent oracles that only the tests use: brute-force closures, the
+trivial partitions and a reference refinement pass, kept apart from the
+library they cross-check."""
 
 from collections import deque
 
+import numpy as np
+
+from ccakit import search
 from ccakit.groups import GroupTable, subgroup_generated
 from ccakit.perms import BlockSystem, Perm, _as_perm, _uf_blocks, _UnionFind, identity_perm, pmul
 
@@ -70,3 +74,46 @@ def join_block_systems(a: BlockSystem, b: BlockSystem) -> BlockSystem:
             for p in blk[1:]:
                 uf.union(blk[0], p)
     return _uf_blocks(uf, a.degree)
+
+
+def _lexsort_split(cells: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each cell split by the full hashes of its members, with np.lexsort on
+    (cell, hash): a new piece starts where the cell or the hash changes."""
+    order = np.lexsort((hashes, cells))
+    cells, hashes = cells[order], hashes[order]
+    starts = np.zeros(len(order), dtype=np.intp)
+    starts[1:] = (cells[1:] != cells[:-1]) | (hashes[1:] != hashes[:-1])
+    new = np.empty_like(starts)
+    new[order] = starts.cumsum()
+    return new, int(new.max()) + 1
+
+
+def reference_refine(struct, ids: np.ndarray, colors: np.ndarray | None = None):
+    """search._refine's passes with each member sorted by (cell, full 64-bit
+    hash) and the hashes summed as an n x d product array, no trace and no
+    expected one.  The same hash tables and stopping rule; returns (ids,
+    colors, number of passes)."""
+    n, table = struct.n, search._hash_table
+    if struct.relabel and colors is None:
+        colors = np.zeros(struct.k, np.intp)
+    ncells, passes = int(ids.max(initial=-1)) + 1, 0
+    while ncells < n:
+        passes += 1
+        cell_words = table(n, search._CELL)[ids]
+        h = np.zeros(n, dtype=np.uint64)
+        for nbrs, cols, weights, salt in struct.sides:
+            if colors is not None:
+                weights = table(struct.k + 1, salt)[np.concatenate(([0], colors + 1))[cols]]
+            h += (weights * cell_words[nbrs]).sum(axis=1, dtype=np.uint64)
+        new, count = _lexsort_split(ids, h)
+        split = count > ncells
+        if struct.arcs is not None:
+            tails, heads, starts = struct.arcs
+            pair = table(n, search._TAIL)[ids[tails]] * table(n, search._HEAD)[ids[heads]]
+            new_colors, color_count = _lexsort_split(colors, np.add.reduceat(pair, starts))
+            if color_count > colors.max() + 1:
+                split, colors = True, new_colors
+        if not split:
+            break
+        ids, ncells = new, count
+    return ids, colors, passes

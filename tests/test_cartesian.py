@@ -373,21 +373,25 @@ def test_product_structure_verdict_reads_the_verdict_it_is_given(monkeypatch):
 
 
 @lru_cache(maxsize=None)
-def _z5xf21_predicted_sets():
-    """The 63 sets T ∪ Q of Z5 x F21 (element (c, f) at 21c + f) whose graphs
-    the product theorem predicts negative: T one of the 3 connected sets of
-    Z5, Q one of the 21 sets in the Aut(F21)-orbit of Γ's set."""
+def _predicted_sets(m):
+    """The sets T ∪ Q of Z_m x F21, m a prime other than 3 and 7 (element
+    (c, f) at 21c + f), whose graphs the product theorem predicts negative:
+    T one of the 2^((m-1)/2) - 1 connected sets of Z_m, every nonempty
+    inverse-closed one since m is prime, and Q one of the 21 sets in the
+    Aut(F21)-orbit of Γ's set."""
     f21 = make_f21()
     pairs = inverse_pairs(f21)
     gamma = connection_set_mask(f21, pairs, f21_noncca_connection_set(f21))
     qs = [mask_to_connection_set(f21, pairs, mask).members for mask in mask_orbit(f21, gamma)]
-    ts = [{1, 4}, {2, 3}, {1, 2, 3, 4}]
+    half = (m - 1) // 2
+    ts = [{c for i in range(half) if mask >> i & 1 for c in (i + 1, m - i - 1)}
+          for mask in range(1, 1 << half)]
     return tuple(frozenset({21 * c for c in t} | q) for t in ts for q in qs)
 
 
 def test_product_theorem_holds_on_every_predicted_negative_of_z5xf21():
     group = group_from_name("z5xf21")
-    predicted = _z5xf21_predicted_sets()
+    predicted = _predicted_sets(5)
     assert len(set(predicted)) == 63
     for members in predicted:
         # The theorem covers only negative verdicts; H = Z5 is checked CCA
@@ -402,7 +406,7 @@ def test_product_theorem_holds_on_every_predicted_negative_of_z5xf21():
 def test_one_pair_neighbours_of_predicted_sets_are_negative_exactly_when_predicted():
     group = group_from_name("z5xf21")
     pairs = inverse_pairs(group)
-    predicted = set(_z5xf21_predicted_sets())
+    predicted = set(_predicted_sets(5))
     neighbours = [members ^ set(pair) for members in predicted for pair in pairs]
     connected = [m for m in neighbours if ConnectionSet(group, m).generates_group()]
     negative = 0
@@ -411,6 +415,32 @@ def test_one_pair_neighbours_of_predicted_sets_are_negative_exactly_when_predict
         assert is_cca == (members not in predicted), sorted(members)
         negative += not is_cca
     assert (len(connected), negative) == (3108, 84)
+
+
+def test_sampled_one_pair_neighbours_of_z11xf21_negatives():
+    # The same set equality on n = 231: a seeded sample of the 651 x 115
+    # one-pair neighbours, each negative exactly when predicted, and each
+    # negative split as (11, 21).
+    group = group_from_name("z11xf21")
+    pairs = inverse_pairs(group)
+    predicted = _predicted_sets(11)
+    predicted_negatives = set(predicted)
+    assert len(predicted_negatives) == 651 and len(pairs) == 115
+    checked = negative = 0
+    for i in random.Random(11).sample(range(len(predicted) * len(pairs)), 600):
+        members = predicted[i // len(pairs)] ^ set(pairs[i % len(pairs)])
+        if not ConnectionSet(group, members).generates_group():
+            continue
+        graph = build_cayley(group, members)
+        verdict = cca_verdict(graph)
+        predicted_here = members in predicted_negatives
+        assert verdict.is_cca != predicted_here, sorted(members)
+        if not verdict.is_cca:
+            split = product_structure_verdict(graph, verdict)
+            assert (split.factor1.n, split.factor2.n) == (11, 21)
+            negative += 1
+        checked += 1
+    assert (checked, negative) == (589, 29)
 
 
 @pytest.mark.parametrize("factors", ["c3 x c3", "c3 x c5", "c5 x gamma", "z11xf21 split"])

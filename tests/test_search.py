@@ -43,7 +43,7 @@ from ccakit.search import (
 from ccakit.cca import cca_verdict, complete_graph
 from ccakit.harness import check_f21_census, f21_census
 from ccakit.suites import groups_up_to_order_8
-from oracles import closure_of_perms
+from oracles import closure_of_perms, reference_refine
 
 
 def cycle_graph(n):
@@ -306,15 +306,20 @@ def test_refinement_trace():
     assert sorted(ids.tolist()) == [0, 1, 2, 3] and len(trace) == 1
 
 
+def _in_degree_arcs():
+    """Arcs 0->2, 1->2, 2->3, 3->0: every vertex has one out-arc, so only
+    the in-arcs tell the vertices apart (in-degrees 1, 0, 2, 1)."""
+    arcs = np.zeros((4, 4), dtype=np.int64)
+    arcs[[0, 1, 2, 3], [2, 2, 3, 0]] = 1
+    return arcs
+
+
 @pytest.mark.parametrize("relabel", [False, True])
 def test_only_an_asymmetric_matrix_keeps_its_transpose(relabel):
     refine, prep = search._refine, search._Struct
     root = np.zeros(4, dtype=np.intp)
     assert len(prep(_graph_matrix(4, [(0, 1), (1, 2)]), relabel).sides) == 1
-    # Arcs 0->2, 1->2, 2->3, 3->0: every vertex has one out-arc, so only the
-    # in-arcs tell the vertices apart (in-degrees 1, 0, 2, 1).
-    arcs = np.zeros((4, 4), dtype=np.int64)
-    arcs[[0, 1, 2, 3], [2, 2, 3, 0]] = 1
+    arcs = _in_degree_arcs()
     struct = prep(arcs, relabel)
     assert len(struct.sides) == 2
     # The second side lists each column's arcs: the rows of the transpose,
@@ -326,6 +331,110 @@ def test_only_an_asymmetric_matrix_keeps_its_transpose(relabel):
         assert set(nbrs[v][cols[v] == 0].tolist()) <= {v}
     ids = refine(struct, root, np.zeros(1, np.intp) if relabel else None)[0]
     assert sorted(ids.tolist()) == [0, 1, 2, 3]
+
+
+def _same_cells(a, b):
+    """Whether two arrays of cell indices make the same cells, whatever
+    their numbering: the cells pair off one to one."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def _start_partitions(n):
+    """Every vertex in one cell, {0} | rest, and {0} | {v} | rest for v the
+    first, middle and last of the other vertices."""
+    yield np.zeros(n, np.intp)
+    yield search._top_root(n)
+    for v in sorted({1, n // 2, n - 1}):
+        ids = np.full(n, 2, np.intp)
+        ids[0], ids[v] = 0, 1
+        yield ids
+
+
+def _assert_refines_as_the_reference(struct, ids):
+    got_ids, got_colors, trace = search._refine(struct, ids)
+    ref_ids, ref_colors, passes = reference_refine(struct, ids)
+    assert len(trace) == passes and _same_cells(got_ids, ref_ids)
+    assert (got_colors is None) == (ref_colors is None)
+    assert got_colors is None or _same_cells(got_colors, ref_colors)
+
+
+def test_one_key_refinement_matches_the_lexsort_reference():
+    # The pass sorts one key per vertex, cell over the hash's low bits; the
+    # reference sorts (cell, full hash) with lexsort.  Both must make the
+    # same cells in the same number of passes, pieces in any order.
+    checked = 0
+    for name in ("f21", "z3xs3", "d8"):
+        group = group_from_name(name)
+        pairs = inverse_pairs(group)
+        for mask, _ in connection_set_orbits(group, connected_only=True):
+            graph = build_cayley(group, mask_to_connection_set(group, pairs, mask))
+            structs = [
+                search._Struct(graph.color_matrix, False, group),
+                search._Struct(graph.uncolored_matrix, False, group),
+                search._Struct(graph.color_matrix, True, group),
+            ]
+            for ids in _start_partitions(graph.n):
+                for struct in structs:
+                    _assert_refines_as_the_reference(struct, ids)
+                    checked += 1
+    # A scanned matrix (n x d weights) and one with a transpose.
+    p5 = _graph_matrix(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    for matrix in (p5, _in_degree_arcs()):
+        for relabel in (False, True):
+            for ids in _start_partitions(len(matrix)):
+                _assert_refines_as_the_reference(search._Struct(matrix, relabel), ids)
+                checked += 1
+    assert checked == 3 * 5 * (51 + 217 + 280) + 2 * 2 * 5
+
+
+def _low_bits(hashes, size):
+    """The hash bits below the cell index of a partition of size members."""
+    return hashes & np.uint64((1 << (64 - max(1, (size - 1).bit_length()))) - 1)
+
+
+@pytest.mark.parametrize("size", [2, 2048, 2049])
+def test_sort_keys_order_by_cell_then_the_hashes_low_bits(size):
+    # The cell index takes b = max(1, (size - 1).bit_length()) bits: 1 at
+    # size 2, 11 at 2048 and 12 at 2049, where cell 2048 needs the twelfth.
+    rng = np.random.default_rng(size)
+    cells = rng.integers(0, size, size)
+    cells[:2] = size - 1
+    hashes = rng.integers(0, 1 << 64, size, dtype=np.uint64, endpoint=False)
+    # Two hashes of the last cell differ in the top bit only: one key.
+    hashes[1] = hashes[0] ^ np.uint64(1 << 63)
+    keys, order = search._sorted_keys(cells, hashes)
+    assert np.array_equal(order, np.lexsort((_low_bits(hashes, size), cells)))
+    # The keys themselves sort: the trace is their bytes in this order.
+    assert np.array_equal(np.sort(keys), keys)
+    key_of = np.empty_like(keys)
+    key_of[order] = keys
+    assert key_of[0] == key_of[1]
+
+
+def test_relabeled_colors_take_their_key_width_from_the_colors(monkeypatch):
+    # Twenty colors on the 20 arcs of 5 vertices: from {0} | {1} | {2} |
+    # {3, 4}, the colors split into 13 cells, more than there are vertices,
+    # while 3 and 4 stay together.
+    matrix = np.arange(1, 26).reshape(5, 5)
+    np.fill_diagonal(matrix, 0)
+    struct = search._Struct(matrix, True)
+    assert (struct.n, struct.k) == (5, 20)
+    sorted_keys, sizes = search._sorted_keys, []
+
+    def checked(cells, hashes):
+        # Each call sorts a whole partition, vertices or colors, by
+        # (cell, the low bits below that partition's cell width).
+        keys, order = sorted_keys(cells, hashes)
+        assert np.array_equal(order, np.lexsort((_low_bits(hashes, len(cells)), cells)))
+        sizes.append(len(cells))
+        return keys, order
+
+    monkeypatch.setattr(search, "_sorted_keys", checked)
+    ids, colors, _ = search._refine(struct, np.array([0, 1, 2, 3, 3]))
+    assert sorted(np.bincount(ids).tolist()) == [1, 1, 1, 2]
+    assert colors.max() + 1 == 13 and set(sizes) == {5, 20}
+    _assert_refines_as_the_reference(struct, np.array([0, 1, 2, 3, 3]))
 
 
 def _random_matrix(rng, n, colors, symmetric):
