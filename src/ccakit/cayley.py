@@ -6,6 +6,10 @@ be inverse-closed and the edge between g and gs gets the color of the pair
 digraph mode the arc (g, gs) is colored by s itself, so s and s^-1 receive
 different colors.
 
+A graph is its connection set and its mode, nothing more: its color matrix
+is derived from them when first read, so every left translation x -> hx,
+which takes the arc (x, xs) to (hx, hxs) with the same color, preserves it.
+
 An inverse-closed set is a mask over the inverse pairs, and Aut(G) acts on
 masks through its action on pairs.  That action is applied to whole int32
 arrays of masks, by two table lookups per mask: one for the low half of its
@@ -16,7 +20,7 @@ a time, so the one array over all masks is the labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -90,13 +94,25 @@ def inverse_pairs(group: GroupTable) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ColoredCayleyGraph:
-    """A Cayley graph as its color matrix: n x n, 0 for non-adjacent,
-    otherwise 1 + color id; read-only."""
+    """Cay(G, S) as its connection set S, on G = connection.group, and its
+    mode.  Graph mode refuses a set that is not inverse-closed.  Graphs are
+    compared by identity."""
 
-    group: GroupTable
     connection: ConnectionSet
     digraph_mode: bool
-    color_matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.digraph_mode and not self.connection.is_inverse_closed():
+            group, members = self.group, self.connection.members
+            missing = sorted(s for s in members if group.inv[s] not in members)
+            raise ValueError(
+                f"graph mode needs an inverse-closed set; missing inverses of "
+                f"{[group.labels[s] for s in missing]}"
+            )
+
+    @property
+    def group(self) -> GroupTable:
+        return self.connection.group
 
     @property
     def n(self) -> int:
@@ -105,6 +121,17 @@ class ColoredCayleyGraph:
     @property
     def valency(self) -> int:
         return len(self.connection.members)
+
+    @cached_property
+    def color_matrix(self) -> np.ndarray:
+        """n x n, 0 for non-adjacent, otherwise 1 + color id; read-only."""
+        group, members = self.group, self.connection.sorted_members()
+        colors = [s if self.digraph_mode else min(s, group.inv[s]) for s in members]
+        n = group.order
+        matrix = np.zeros((n, n), dtype=np.int64)
+        matrix[np.arange(n)[:, None], group.mult_array[:, list(members)]] = np.add(colors, 1)
+        matrix.setflags(write=False)
+        return matrix
 
     @cached_property
     def uncolored_matrix(self) -> np.ndarray:
@@ -125,32 +152,23 @@ def build_cayley(
     connection: ConnectionSet | Iterable[int] | str,
     digraph_mode: bool = False,
 ) -> ColoredCayleyGraph:
-    """Build the colored Cayley graph of a connection set.
+    """The colored Cayley graph of a connection set on group: a set, an
+    iterable of element indices, or text for parse_elements.
 
     Graph mode requires an inverse-closed set; digraph mode accepts any set
-    of non-identity elements and colors arc (g, gs) by s.
+    of non-identity elements and colors arc (g, gs) by s.  A set of an
+    equal but distinct table is rebuilt on group; a set of another table is
+    refused.
     """
     if isinstance(connection, str):
         connection = parse_elements(group, connection)
     if not isinstance(connection, ConnectionSet):
         connection = ConnectionSet(group, frozenset(connection))
-    if connection.group is not group and connection.group.mult != group.mult:
-        raise ValueError("connection set belongs to a different group")
-    if not digraph_mode and not connection.is_inverse_closed():
-        missing = sorted(
-            s for s in connection.members if group.inv[s] not in connection.members
-        )
-        raise ValueError(
-            f"graph mode needs an inverse-closed set; missing inverses of "
-            f"{[group.labels[s] for s in missing]}"
-        )
-    members = connection.sorted_members()
-    colors = [s if digraph_mode else min(s, group.inv[s]) for s in members]
-    n = group.order
-    matrix = np.zeros((n, n), dtype=np.int64)
-    matrix[np.arange(n)[:, None], group.mult_array[:, list(members)]] = np.add(colors, 1)
-    matrix.setflags(write=False)
-    return ColoredCayleyGraph(group, connection, digraph_mode, matrix)
+    elif connection.group is not group:
+        if connection.group.mult != group.mult:
+            raise ValueError("connection set belongs to a different group")
+        connection = ConnectionSet(group, connection.members)
+    return ColoredCayleyGraph(connection, digraph_mode)
 
 
 def quotient_graph(

@@ -24,7 +24,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .perms import BlockSystem, Perm, PermGroup, proved_chain, regular_group
+from .perms import BlockSystem, Perm, PermGroup, _as_point, proved_chain, regular_group
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -486,8 +486,9 @@ def group_automorphisms(group: GroupTable) -> PermGroup:
 
 
 def left_translation(group: GroupTable, g: int) -> Perm:
-    """The translation x -> gx: the table's own row of g, not a copy."""
-    return group.mult[g]
+    """The translation x -> gx: the table's own row of g, not a copy.
+    ValueError unless g is an element index (perms._as_point)."""
+    return group.mult[_as_point(g, group.order)]
 
 
 @_per_table

@@ -115,6 +115,19 @@ def _as_perm(p: Sequence[int], degree: int) -> Perm:
     return t
 
 
+def _as_point(x: int, degree: int) -> int:
+    """x as a Python int, or ValueError unless it is a point of
+    0..degree-1.  It is read through operator.index, so NumPy integers are
+    points and floats are not; bools are refused too."""
+    try:
+        point = index(x)
+    except TypeError:
+        point = None
+    if isinstance(x, bool) or point is None or not 0 <= point < degree:
+        raise ValueError(f"not a point of 0..{degree - 1}: {x!r}")
+    return point
+
+
 class _Level:
     """One level of a stabilizer chain.
 
@@ -170,7 +183,7 @@ class PermGroup:
             seen.add(p)
             gens.append(p)
         self.generators: tuple[Perm, ...] = tuple(gens)
-        self._levels: list[_Level] = [_Level(b) for b in base_prefix]
+        self._levels: list[_Level] = [_Level(_as_point(b, degree)) for b in base_prefix]
         for g in self.generators:
             self._place(g)
         self._schreier_sims(_order)
@@ -318,7 +331,7 @@ class PermGroup:
         return orbits_of_gens(self.degree, self.generators)
 
     def orbit(self, point: int) -> tuple[int, ...]:
-        return orbit_of_point(point, self.generators)
+        return orbit_of_point(_as_point(point, self.degree), self.generators)
 
     def is_transitive(self) -> bool:
         return self.degree <= 1 or len(self.orbit(0)) == self.degree
@@ -529,7 +542,7 @@ def minimal_block_system(group: PermGroup, seed: tuple[int, int]) -> BlockSystem
     """
     if not group.is_transitive():
         raise ValueError("block systems require a transitive group")
-    a, b = seed
+    a, b = (_as_point(x, group.degree) for x in seed)
     if a == b:
         raise ValueError("seed points must differ")
     uf = _UnionFind(group.degree)
@@ -764,8 +777,6 @@ def is_normal_subgroup(sub: PermGroup, group: PermGroup) -> bool:
 def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     """Stabilizer of a point: the tail of a chain rebuilt with that point
     first, which stops at the known order |G|."""
-    if not 0 <= point < group.degree:
-        raise ValueError("point out of range")
     rebased = PermGroup(
         group.degree, group.generators, base_prefix=(point,), _order=group.order()
     )

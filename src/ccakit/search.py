@@ -52,11 +52,13 @@ image on the other side: it is individualized, refined against the trace of
 the path's next node, stopping at the first pass that differs, and searched
 below.  Isomorphism and automorphism searches share that step.
 
-Isomorphism of two Cayley graphs branches once at the root.  A graph made by
-build_cayley has the left translations of its group among its automorphisms,
-colored or not, so an isomorphism followed by a translation maps vertex 0 to
-vertex 0: the search starts from the partition {0}, {1..n-1} on both sides
-and is complete below it.  The trace of that root refinement is a graph
+Isomorphism of two Cayley graphs branches once at the root.  A graph's
+color matrix is derived from its group and connection set (cayley), so
+the left translations x -> hx are among its automorphisms, colored or
+not: the arc (x, xs) goes to (hx, hxs), with the same color.  An
+isomorphism followed by a translation therefore maps vertex 0 to vertex
+0: the search starts from the partition {0}, {1..n-1} on both sides and
+is complete below it.  The trace of that root refinement is a graph
 invariant, so two graphs whose root traces differ are told apart without
 a search.  Each graph keeps its prepared matrix and refined root per
 color mode, and its automorphism searches start from the same root.
@@ -69,15 +71,15 @@ candidate images, each searched for below the path's node, so the levels
 and all their searches share one path.  The deepest level is searched
 first, and the generators found below a level prune it; on the path's
 base points, they are then a strong generating set, from which
-proved_chain builds and checks the chain.  A Cayley graph's matrix must be
-invariant under the left translations G_L, which one comparison with its
-identity row checks, and that row then gives every vertex's arcs.  G_L is
-transitive, so the group is G_L times the stabilizer of vertex 0
-(orbit-stabilizer).  Only the stabilizer is searched, from {0}, {1..n-1}
-with no seeds: a translation fixes no vertex, so it prunes no level.  G_L's
-one level at vertex 0, read off the group table once per table, goes on
-top of the stabilizer's chain, so Schreier-Sims runs only on the found
-generators, on the base of the path below {0}.
+proved_chain builds and checks the chain.  A Cayley graph's matrix is
+invariant under the left translations G_L, so its identity row gives
+every vertex's arcs.  G_L is transitive, so the group is G_L times the
+stabilizer of vertex 0 (orbit-stabilizer).  Only the stabilizer is
+searched, from {0}, {1..n-1} with no seeds: a translation fixes no
+vertex, so it prunes no level.  G_L's one level at vertex 0, read off
+the group table once per table, goes on top of the stabilizer's chain,
+so Schreier-Sims runs only on the found generators, on the base of the
+path below {0}.
 
 The orbits of a group on ordered pairs, the 2-closure's matrix, are
 perms.orbits_of_gens of the pair action on the indices u·n + v.
@@ -206,16 +208,14 @@ def _scan(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _translation_sides(m: np.ndarray, group: GroupTable) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The sides of a matrix invariant under the left translations, read
-    off its identity row e, or ValueError if it is not invariant.  Then
-    m[u, v] = m[e, u^-1 v]: with S the columns of e's row, vertex u has
+    """The sides of a matrix invariant under the left translations, as a
+    Cayley graph's is, read off its identity row e.  Since
+    m[u, v] = m[e, u^-1 v], with S the columns of e's row, vertex u has
     arcs to u·s and from u·s^-1, colored m[e, s].  The columns are a side
     of their own only when m[e, S^-1] differs from m[e, S].  A row lists
     its arcs in the order of S, which leaves every hash sum as _scan's."""
-    e, mult, inv = group.identity, group.mult_array, np.asarray(group.inv)
-    row = m[e]
-    if m.shape != mult.shape or not np.array_equal(m, row[mult[inv]]):
-        raise ValueError("the matrix is not invariant under the left translations")
+    mult, inv = group.mult_array, np.asarray(group.inv)
+    row = m[group.identity]
     s = np.flatnonzero(row)
     cols = row[s]
     sides = [(mult[:, s], cols)]
@@ -516,11 +516,9 @@ _ROOTS: WeakKeyDictionary = WeakKeyDictionary()
 def _graph_root(graph: ColoredCayleyGraph, colored: bool, relabel: bool) -> tuple[_Struct, Node]:
     """The struct of the graph's color or uncolored matrix, its sides read
     off the group table, and its refined root {0}, {1..n-1}.  Both are kept
-    per graph when its color matrix is read-only, as build_cayley makes
-    it, so the automorphism searches and are_isomorphic refine the root
-    once.  ValueError if the matrix is not invariant under G_L."""
-    kept = not graph.color_matrix.flags.writeable
-    roots = _ROOTS.setdefault(graph, {}) if kept else {}
+    per graph, so the automorphism searches and are_isomorphic refine the
+    root once."""
+    roots = _ROOTS.setdefault(graph, {})
     if (colored, relabel) not in roots:
         matrix = graph.color_matrix if colored else graph.uncolored_matrix
         struct = _Struct(matrix, relabel, graph.group)
@@ -578,21 +576,19 @@ def are_isomorphic(
     With respect_colors, colors must match under some global bijection of
     color ids; otherwise only adjacency matters.
 
-    Both sides start from the partition {0}, {1..n-1}.  Graphs made by
-    build_cayley, in graph and digraph mode, have the left translations
-    x -> hx among the automorphisms of both their color and uncolored
-    matrices: the arc (x, xs) goes to (hx, hxs), with the same color.
-    So if some isomorphism exists, following it by a translation of g2
-    gives one that maps vertex 0 to vertex 0, and the search below that
-    root is complete.  The returned map is any isomorphism, not a canonical
-    one.
+    Both sides start from the partition {0}, {1..n-1}.  Cayley graphs, in
+    graph and digraph mode, have the left translations x -> hx among the
+    automorphisms of both their color and uncolored matrices: the arc
+    (x, xs) goes to (hx, hxs), with the same color.  So if some isomorphism
+    exists, following it by a translation of g2 gives one that maps vertex
+    0 to vertex 0, and the search below that root is complete.  The
+    returned map is any isomorphism, not a canonical one.
 
     The trace that refines that root is a graph invariant, so two graphs
     whose root traces differ, compared as bytes, are not isomorphic, and
     otherwise the search runs below the two roots.  Each graph's root is
     kept (_graph_root), shared with uncolored_aut_group in the uncolored
-    mode.  A matrix that the translations do not preserve raises
-    ValueError, as in the automorphism searches.
+    mode.
     """
     if g1.n != g2.n:
         raise ValueError("vertex counts differ")

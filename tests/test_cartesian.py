@@ -484,3 +484,55 @@ def test_cartesian_decompose_builds_no_group_table(monkeypatch, product_graph, p
     monkeypatch.setattr(GroupTable, "from_mult", staticmethod(counted))
     assert cartesian_decompose(product_graph, product_ao, fiber_system(105, 21)).success
     assert builds == []
+
+
+def _k5_in_two_colors():
+    """K5 on Z5, its edges colored by the pairs {1, 4} and {2, 3}."""
+    return build_cayley(make_cyclic(5), {1, 2, 3, 4})
+
+
+WHOLE_5 = BlockSystem.from_blocks(5, [range(5)])
+ROTATION_5 = (1, 2, 3, 4, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: cartesian_decompose(
+                build_cayley(make_cyclic(5), {1}, digraph_mode=True),
+                PermGroup(5, [ROTATION_5]),
+                WHOLE_5,
+            ),
+            "graph mode only",
+        ),
+        (
+            lambda: cartesian_decompose(
+                build_cayley(make_cyclic(9), {3, 6}),
+                PermGroup(9, [(*range(1, 9), 0)]),
+                BlockSystem.from_blocks(9, [range(9)]),
+            ),
+            "connected graph",
+        ),
+        (
+            lambda: cartesian_decompose(_k5_in_two_colors(), PermGroup(3, [(1, 2, 0)]), WHOLE_5),
+            "degree mismatch",
+        ),
+        (
+            # The transposition (0 1) takes the edge {1, 2}, of color {1, 4},
+            # to {0, 2}, of color {2, 3}.
+            lambda: cartesian_decompose(
+                _k5_in_two_colors(), PermGroup(5, [ROTATION_5, (1, 0, 2, 3, 4)]), WHOLE_5
+            ),
+            "non color-preserving permutation",
+        ),
+        (
+            lambda: strip_block_edges(_k5_in_two_colors(), BlockSystem.from_blocks(3, [range(3)])),
+            "degree mismatch",
+        ),
+    ],
+    ids=["digraph", "disconnected", "degree mismatch", "recoloring generator", "strip degree"],
+)
+def test_documented_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from ccakit.cayley import (
+    ColoredCayleyGraph,
     ConnectionSet,
     build_cayley,
     cartesian_product,
@@ -22,6 +24,7 @@ from ccakit.groups import (
     group_automorphisms,
     group_from_name,
     make_cyclic,
+    make_dihedral,
     make_f21,
     subgroup_generated,
 )
@@ -67,8 +70,59 @@ def test_build_cycle_graph():
 
 
 def test_graph_mode_requires_inverse_closure():
+    z5 = make_cyclic(5)
     with pytest.raises(ValueError):
-        build_cayley(make_cyclic(5), {1})
+        build_cayley(z5, {1})
+    # The graph itself checks its set, however it is made.
+    with pytest.raises(ValueError, match=r"missing inverses of \['1'\]"):
+        ColoredCayleyGraph(ConnectionSet(z5, frozenset({1})), False)
+
+
+def test_a_graph_is_its_connection_set_and_mode():
+    # The group and the color matrix come from the set.
+    z5 = make_cyclic(5)
+    digraph = ColoredCayleyGraph(ConnectionSet(z5, frozenset({1})), True)
+    assert [f.name for f in dataclasses.fields(ColoredCayleyGraph)] == [
+        "connection",
+        "digraph_mode",
+    ]
+    assert digraph.group is digraph.connection.group is z5
+    assert np.array_equal(digraph.color_matrix, build_cayley(z5, {1}, True).color_matrix)
+    graph = build_cayley(z5, {1, 4})
+    assert graph.group is graph.connection.group
+
+
+def test_build_cayley_puts_the_set_on_its_table():
+    # A set of the same table is used as it is; one of an equal but
+    # distinct table is rebuilt on the table build_cayley was given.
+    z5, twin = make_cyclic(5), make_cyclic(5)
+    assert twin is not z5 and twin.mult == z5.mult
+    cs = ConnectionSet(z5, frozenset({1, 4}))
+    assert build_cayley(z5, cs).connection is cs
+    graph = build_cayley(twin, cs)
+    assert graph.connection.group is graph.group is twin
+    assert graph.connection.members == cs.members
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: build_cayley(make_dihedral(3), build_cayley(make_cyclic(6), {1, 5}).connection),
+            "belongs to a different group",
+        ),
+        (
+            lambda: cartesian_product(
+                build_cayley(make_cyclic(3), {1}, True), build_cayley(make_cyclic(5), {1, 4})
+            ),
+            "defined for graph mode",
+        ),
+    ],
+    ids=["set of another table", "digraph product"],
+)
+def test_documented_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_digraph_mode():

@@ -604,6 +604,7 @@ def test_from_mult_refuses_non_associative_loops(table):
 @pytest.mark.parametrize(
     "table, message",
     [
+        ([], "empty table"),
         ([[0, 1, 1], [1, 2, 0], [2, 0, 1]], "row 0"),
         ([[0, 1], [0, 1]], "column 0"),
         ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "no two-sided identity"),
@@ -617,7 +618,7 @@ def test_from_mult_refuses_non_associative_loops(table):
         ([[0, True], [True, 0]], "entries must be integers"),
     ],
     ids=[
-        "row", "column", "identity", "inverse", "short-row", "bad-then-short",
+        "empty", "row", "column", "identity", "inverse", "short-row", "bad-then-short",
         "long-row", "nested", "int-and-bool",
     ],
 )
@@ -655,3 +656,32 @@ def test_from_mult_keeps_its_own_array():
     assert np.array_equal(table.mult_array, (a[:, None] + a) % 5)
     assert np.array_equal(table.mult_array, np.array(table.mult))
     assert not table.mult_array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # -1 would index from the end and give the translation by 5.
+        (lambda: left_translation(make_cyclic(6), -1), r"not a point of 0\.\.5"),
+        (lambda: left_translation(make_cyclic(6), 6), r"not a point of 0\.\.5"),
+        (lambda: left_translation(make_cyclic(6), True), r"not a point of 0\.\.5"),
+        (lambda: GroupTable.from_mult([[0, 1], [1, 0]], ["a", "a"]), "labels must be distinct"),
+        (lambda: make_cyclic(0), "order must be positive"),
+        (lambda: make_dihedral(0), "k must be positive"),
+        (lambda: make_symmetric_table(6), "1 <= n <= 5"),
+        (lambda: is_normal(make_cyclic(6), {0, 1}), "not a subgroup"),
+        (lambda: subgroup_table(make_cyclic(6), {0, 1}), "not a subgroup"),
+        (lambda: parse_elements(make_cyclic(5), "1,,2"), "empty element expression"),
+        (lambda: parse_elements(make_cyclic(5), "(1"), "unbalanced parentheses"),
+        (lambda: parse_elements(make_f21(), "x(a"), "unbalanced parentheses"),
+    ],
+    ids=[
+        "translation by -1", "translation by 6", "translation by True", "duplicate labels",
+        "cyclic of order 0", "dihedral of order 0", "symmetric table of S6",
+        "is_normal of a non-subgroup", "subgroup_table of a non-subgroup", "empty item",
+        "open parenthesis", "open parenthesis in a word",
+    ],
+)
+def test_documented_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -9,7 +9,16 @@ from pathlib import Path
 import pytest
 
 import ccakit
-from ccakit import cartesian, groups, harness, suites
+from ccakit import (
+    build_cayley,
+    cartesian,
+    cca_verdict,
+    group_from_name,
+    groups,
+    harness,
+    product_structure_verdict,
+    suites,
+)
 from ccakit.cli import main
 from ccakit.groups import (
     direct_product,
@@ -22,6 +31,7 @@ from ccakit.groups import (
 from ccakit.harness import (
     check_f21_census,
     cmd_complete_cca,
+    cmd_oracle_suite,
     cmd_product_demo,
     cmd_verdict,
     f21_census,
@@ -262,6 +272,58 @@ def test_cmd_verdict_checks_the_product_theorem():
     assert "factor1_n" not in rows[0]
     rows, _ = cmd_verdict("q8", "-1,i,-i,j,-j,k,-k")
     assert rows[0]["is_cca"] is False and "factor1_n" not in rows[0]
+
+
+Z3XF21_NEGATIVE = "(1,e),(2,e),(e,a),(e,a^2),(e,x^4a),(e,x^6a^2)"
+
+
+def test_the_product_theorem_does_not_cover_an_order_with_a_square():
+    # 63 = 3^2 * 7 is odd but not square-free: the theorem covers odd
+    # square-free orders only, so a negative verdict here gets no split.
+    graph = build_cayley(group_from_name("z3xf21"), Z3XF21_NEGATIVE)
+    verdict = cca_verdict(graph)
+    assert not verdict.is_cca and verdict.ao_order == 1008
+    assert product_structure_verdict(graph, verdict) is None
+    rows, summary = cmd_verdict("z3xf21", Z3XF21_NEGATIVE)
+    assert rows[0]["is_cca"] is False and rows[0]["ao_order"] == 1008
+    assert "factor1_n" not in rows[0] and "factor2_n" not in rows[0]
+    assert "negative verdict" in summary[0]
+    assert not any("product theorem" in line for line in summary)
+
+
+ORACLE_SUITES = {
+    "white_oracle_suite": "white-oracle",
+    "brute_vs_search_suite": "brute-vs-search",
+    "two_closure_suite": "two-closure",
+    "lemma_property_suite": "lemma",
+}
+
+
+def test_oracle_suite_reports_each_suite_and_fails_on_a_bad_row(monkeypatch, capsys):
+    # The four suites as stubs of two rows each: the real ones run in the
+    # golden and acceptance tests.
+    calls = []
+
+    def stub(suite, failing=None):
+        def run(**kwargs):
+            calls.append((suite, kwargs))
+            return [suites._row(suite, f"{suite} {i}", i != failing) for i in range(2)]
+
+        return run
+
+    for attr, suite in ORACLE_SUITES.items():
+        monkeypatch.setattr(suites, attr, stub(suite))
+    rows, summary = cmd_oracle_suite(seed=5)
+    names = list(ORACLE_SUITES.values())
+    assert [row["name"] for row in rows] == [f"{s} {i}" for s in names for i in range(2)]
+    assert calls == [("white-oracle", {"seed": 5})] + [(s, {}) for s in names[1:]]
+    assert summary == [f"{s}: 2/2 ok" for s in names]
+    monkeypatch.setattr(suites, "two_closure_suite", stub("two-closure", failing=1))
+    with pytest.raises(AssertionError, match="^failing rows: two-closure 1$"):
+        cmd_oracle_suite()
+    capsys.readouterr()
+    assert main(["oracle-suite"]) == 1
+    assert capsys.readouterr().err == "check failed: failing rows: two-closure 1\n"
 
 
 def test_theorem_checks_that_h_is_cca(monkeypatch, capsys):

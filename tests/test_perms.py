@@ -516,3 +516,59 @@ def test_numpy_integer_entries_are_stored_as_ints():
     (p,) = PermGroup(3, [np.array([1, 0, 2])]).generators
     assert p == (1, 0, 2) and all(type(x) is int for x in p)
 
+
+
+
+C6 = PermGroup(6, [(1, 2, 3, 4, 5, 0)])
+PAIRS_OF_C6 = BlockSystem.from_blocks(6, [[0, 3], [1, 4], [2, 5]])
+NOT_A_POINT = r"not a point of 0\.\.5"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # A point is read through operator.index and must lie in 0..n-1:
+        # -1 would index from the end, so C6 would have order 7, the orbit
+        # of -1 seven points, and the seed (0, -1) would merge 0 with 5.
+        (lambda: PermGroup(6, C6.generators, base_prefix=(-1,)), NOT_A_POINT),
+        (lambda: PermGroup(6, C6.generators, base_prefix=(6,)), NOT_A_POINT),
+        (lambda: C6.orbit(-1), NOT_A_POINT),
+        (lambda: C6.orbit(1.0), NOT_A_POINT),
+        (lambda: minimal_block_system(C6, (0, -1)), NOT_A_POINT),
+        (lambda: minimal_block_system(C6, (0, 9)), NOT_A_POINT),
+        (lambda: point_stabilizer(C6, True), NOT_A_POINT),
+        (lambda: point_stabilizer(C6, "a"), NOT_A_POINT),
+        (lambda: point_stabilizer(C6, 6), NOT_A_POINT),
+        (lambda: block_action(C6, BlockSystem.from_blocks(4, [[0, 1], [2, 3]])), "degree mismatch"),
+        (
+            lambda: block_action(C6, PAIRS_OF_C6)[1]((1, 0, 2, 3, 4, 5)),
+            "does not respect the block system",
+        ),
+        (lambda: fixer(C6, BlockSystem.from_blocks(4, [[0, 1], [2, 3]])), "degree mismatch"),
+        (
+            lambda: fixer(C6, BlockSystem.from_blocks(6, [[0, 1], [2, 3], [4, 5]])),
+            "partition is not invariant",
+        ),
+        (lambda: is_normal_subgroup(PermGroup(3, [(1, 2, 0)]), C6), "degree mismatch"),
+        (lambda: permgroup_from_elements(3, [(0, 1, 2), (1, 2, 0)]), "is not closed"),
+        (lambda: BlockSystem.from_blocks(3, [[0], [1, 2]]), "unequal sizes"),
+        (lambda: minimal_block_system(PermGroup(4, [(1, 0, 2, 3)]), (0, 1)), "transitive group"),
+        (lambda: minimal_block_system(C6, (2, 2)), "seed points must differ"),
+    ],
+    ids=[
+        "base point -1", "base point 6", "orbit of -1", "orbit of 1.0", "seed (0, -1)",
+        "seed (0, 9)", "stabilizer of True", "stabilizer of 'a'", "stabilizer of 6",
+        "block_action degree", "project breaks the system", "fixer degree",
+        "fixer partition not invariant", "is_normal_subgroup degree", "elements not closed",
+        "unequal blocks", "blocks of an intransitive group", "equal seeds",
+    ],
+)
+def test_documented_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_numpy_integers_are_points():
+    assert C6.orbit(np.int64(2)) == tuple(range(6))
+    assert point_stabilizer(C6, np.int32(5)).order() == 1
+    assert minimal_block_system(C6, (np.int8(0), np.int8(3))).block_of == PAIRS_OF_C6.block_of

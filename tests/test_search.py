@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import types
 from math import factorial
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from ccakit import perms, search
 from ccakit.cayley import (
-    ColoredCayleyGraph,
     build_cayley,
     cartesian_product,
     connection_set_orbits,
@@ -738,35 +738,26 @@ def test_roots_are_kept_per_mode():
         assert colored[0] != colored[1] and uncolored[0] == uncolored[1]
 
 
-def test_root_is_not_kept_for_a_writable_matrix():
-    # A graph whose color matrix can still change keeps no root: once the
-    # matrix is edited, the answer follows the new matrix.
-    z4 = make_cyclic(4)
-    cycle, k4 = build_cayley(z4, {1, 3}), build_cayley(z4, {1, 2, 3})
-    m = k4.color_matrix.copy()
-    edited = ColoredCayleyGraph(z4, k4.connection, False, m)
-    assert are_isomorphic(edited, k4, respect_colors=True) is not None
-    m[:] = cycle.color_matrix
-    assert are_isomorphic(edited, cycle, respect_colors=True) is not None
-    assert edited not in search._ROOTS and cycle in search._ROOTS
-
-
-def test_are_isomorphic_refuses_a_matrix_the_translations_do_not_preserve():
-    # The paths 0-1-2 and 1-0-2 on the vertices of Z3 are isomorphic, but
-    # no translation preserves either, so no isomorphism need fix vertex 0:
-    # are_isomorphic refuses them, as the automorphism searches do, and
-    # only the search over every root image finds the map.
-    z3 = make_cyclic(3)
-    connection = build_cayley(z3, {1, 2}).connection
+def test_matrix_isomorphism_finds_a_map_that_moves_vertex_0():
+    # The paths 0-1-2 and 1-0-2 are isomorphic, but every isomorphism maps
+    # the end 0 of the first to an end of the second, 1 or 2: only the
+    # search over every root image finds the map.
     paths = [_graph_matrix(3, edges) for edges in ([(0, 1), (1, 2)], [(1, 0), (0, 2)])]
     assert matrix_isomorphism(*paths) == (1, 0, 2)
-    g1, g2 = (ColoredCayleyGraph(z3, connection, False, m) for m in paths)
-    refused = "not invariant under the left translations"
-    for respect_colors in (False, True):
-        with pytest.raises(ValueError, match=refused):
-            are_isomorphic(g1, g2, respect_colors)
-    with pytest.raises(ValueError, match=refused):
-        uncolored_aut_group(g1)
+
+
+def test_every_graph_keeps_its_root_after_its_verdict():
+    # Every Cayley graph's matrix is derived from its set, so every graph's
+    # root is kept, under the graph itself.
+    for group, members in (
+        (make_cyclic(4), {1, 3}),
+        (make_cyclic(7), {1, 2, 5, 6}),
+        (group_from_name("f21"), "a,a^-1,ax,(ax)^-1"),
+    ):
+        graph = build_cayley(group, members)
+        assert graph not in search._ROOTS
+        cca_verdict(graph)
+        assert (True, False) in search._ROOTS[graph]
 
 
 def test_are_isomorphic_and_the_aut_group_refine_each_root_once(monkeypatch):
@@ -1077,24 +1068,6 @@ def test_identity_row_sides_refine_as_the_matrix_scan():
         assert len(search._Struct(digraph.color_matrix, False, group).sides) == sides
 
 
-def test_a_matrix_the_translations_do_not_preserve_is_refused(noncca_graph):
-    group, s = noncca_graph.group, min(noncca_graph.connection.members)
-    recolored = noncca_graph.color_matrix.copy()
-    recolored[0, s] = recolored[s, 0] = recolored.max() + 1
-    cut = noncca_graph.color_matrix.copy()
-    cut[0, s] = cut[s, 0] = 0
-    for matrix, uncolored_too in ((recolored, False), (cut, True)):
-        graph = ColoredCayleyGraph(group, noncca_graph.connection, False, matrix)
-        checks = [color_preserving_group, cca_verdict]
-        if uncolored_too:
-            checks.append(uncolored_aut_group)
-        else:
-            assert uncolored_aut_group(graph).order() == uncolored_aut_group(noncca_graph).order()
-        for check in checks:
-            with pytest.raises(ValueError, match="not invariant under the left translations"):
-                check(graph)
-
-
 def _constant_tables(monkeypatch):
     """Every hash word equal: no vertex cell ever splits by refinement."""
     monkeypatch.setattr(
@@ -1118,7 +1091,7 @@ def test_a_hash_that_never_splits_leaves_every_answer_exact(monkeypatch):
         for mask in range(1 << len(pairs)):
             cs = mask_to_connection_set(group, pairs, mask)
             graph = build_cayley(group, cs)
-            plain = ColoredCayleyGraph(group, cs, False, graph.uncolored_matrix)
+            plain = types.SimpleNamespace(n=graph.n, color_matrix=graph.uncolored_matrix)
             assert color_preserving_group(graph).order() == len(brute_force_color_perms(graph))
             assert uncolored_aut_group(graph).order() == len(brute_force_color_perms(plain))
             graphs.append(graph)
@@ -1196,3 +1169,21 @@ def test_irregular_matrices_refine_alike_after_relabelling(symmetric):
             assert found is not None
             assert color_bijection_between(m, other, found) is not None
     assert padded >= 3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: are_isomorphic(
+                cycle_graph(5), build_cayley(make_cyclic(5), {1, 4}, digraph_mode=True), False
+            ),
+            "mixed graph and digraph modes",
+        ),
+        (lambda: two_closure(PermGroup(151, [(*range(1, 151), 0)])), "degree capped at 150"),
+    ],
+    ids=["mixed modes", "two_closure at degree 151"],
+)
+def test_documented_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
